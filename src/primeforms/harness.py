@@ -119,10 +119,20 @@ def _blank_row() -> dict:
 
 
 def _fraction_str(value: Fraction) -> str:
+    """"numerator/denominator", lifting the int-to-str digit limit only for this call.
+
+    A limit of 0 means unlimited and is left alone; any other limit is
+    restored afterwards, so the process-wide setting is never changed.
+    """
+    limit = sys.get_int_max_str_digits()
     digits = max(value.numerator.bit_length(), value.denominator.bit_length()) // 3 + 10
-    if digits > sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(digits)
-    return f"{value.numerator}/{value.denominator}"
+    if limit == 0 or digits <= limit:
+        return f"{value.numerator}/{value.denominator}"
+    sys.set_int_max_str_digits(digits)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _csv_cell(value) -> str:

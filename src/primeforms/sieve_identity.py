@@ -17,6 +17,9 @@ from .core import InvariantViolation, PrimeTable
 
 MACHINE_EPSILON = 2.22e-16  # 64-bit epsilon, as used by the float probes
 FLOAT_GAP_THRESHOLD = 1e3 * MACHINE_EPSILON
+# ln 2 truncated after 40 decimals, so a strict lower bound with 40 correct
+# digits; the tail check compares against it exactly.
+LN2_LOWER = Fraction("0.6931471805599453094172321214581765680755")
 
 
 @dataclass
@@ -53,7 +56,7 @@ class CertificateReport:
         if self.margin < Fraction(1, self.next_prime):
             out.append(f"n={self.n}: margin fell below 1/{self.next_prime}")
         tail = self.margin - Fraction(1, self.next_prime)
-        if float(tail) >= math.log(2.0) + 1e-12:
+        if tail >= LN2_LOWER:
             out.append(f"n={self.n}: harmonic tail {float(tail)} reached ln 2")
         return out
 
@@ -97,13 +100,34 @@ def next_prime_via_filter(n: int, table: PrimeTable) -> int:
     )
 
 
+def _harmonic_split(terms: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(N, D) with N/D = sum of 1/q for q in terms[lo:hi], hi > lo, unreduced.
+
+    Leaves are (1, q); halves merge as (n1 d2 + n2 d1, d1 d2), so operands
+    meet at balanced sizes and D is the product of the terms.
+    """
+    if hi - lo == 1:
+        return 1, terms[lo]
+    mid = (lo + hi) // 2
+    n1, d1 = _harmonic_split(terms, lo, mid)
+    n2, d2 = _harmonic_split(terms, mid, hi)
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
 def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     """Exact rational harmonic sum over the filter survivors in [1, 2 p_n].
 
-    Only survivors contribute (the filter vanishes elsewhere), so the sum
-    accumulates 1/m survivor-by-survivor in exact rationals.  The float
-    shadow re-accumulates the same terms in 64-bit arithmetic ascending in
-    m, matching the naive implementation the precision study critiques.
+    Only survivors contribute (the filter vanishes elsewhere).  The margin
+    sum of 1/q over the survivors q > 1 is built by binary splitting
+    (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
+    rational numbers", ANTS 1998) as one product tree N/D.  That fraction
+    is already in lowest terms: a survivor q > 1 has no prime factor up to
+    p_n, and a composite with that property exceeds 2 p_n, so every q is a
+    distinct prime, D is their product, and N = D/q (mod q) is nonzero mod
+    each of them.  The one gcd `Fraction` takes on construction therefore
+    finds 1.  The float shadow re-accumulates the same terms in 64-bit
+    arithmetic ascending in m, matching the naive implementation the
+    precision study critiques.
     """
     bound = 2 * table.nth(n)
     if bound > table.limit:
@@ -111,17 +135,17 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     survivors = table.primorial_coprime(n, bound)
     if len(survivors) < 2:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
-    exact = Fraction(0)
+    margin = Fraction(*_harmonic_split(survivors, 1, len(survivors)))
+    exact = margin + 1
     shadow = 0.0
     for m in survivors:
-        exact += Fraction(1, m)
         shadow += 1.0 / m
     return CertificateReport(
         n=n,
         next_prime=survivors[1],
         exact_sum=exact,
         exact_floor=exact.numerator // exact.denominator,
-        margin=exact - 1,
+        margin=margin,
         float_sum=shadow,
         float_floor=math.floor(shadow),
     )

@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -123,6 +125,28 @@ def test_csv_rationals_reparse_to_exact_values(table):
         report = harmonic_certificate(int(row["n"]), table)
         assert Fraction(row["exact_sum"]) == report.exact_sum
         assert Fraction(row["margin"]) == report.margin
+
+
+@contextmanager
+def int_digit_limit(limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("limit", [0, 4300])
+@pytest.mark.parametrize("value", [Fraction(2, 3), Fraction(3**20000, 2**40001)])
+def test_fraction_str_leaves_digit_limit_unchanged(limit, value):
+    # 0 means unlimited; the 12k-digit denominator exceeds the default 4300
+    with int_digit_limit(limit):
+        text = harness._fraction_str(value)
+        after = sys.get_int_max_str_digits()
+    assert after == limit
+    with int_digit_limit(0):
+        assert text == f"{value.numerator}/{value.denominator}"
 
 
 def test_json_round_trip_preserves_fields(tmp_path):

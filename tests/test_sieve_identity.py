@@ -1,6 +1,7 @@
 """Filter, survivor scan, and exact certificate tests."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeforms.sieve_identity import (
+    LN2_LOWER,
+    CertificateReport,
     coprime_indicator,
     float_anomalies,
     harmonic_certificate,
@@ -101,6 +104,38 @@ def test_margin_includes_next_prime_term(table):
     for n in (1, 5, 42, 300):
         report = harmonic_certificate(n, table)
         assert report.margin >= Fraction(1, report.next_prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400))
+def test_certificate_matches_naive_sum_in_lowest_terms(table, n):
+    survivors = table.primorial_coprime(n, 2 * table.nth(n))
+    report = harmonic_certificate(n, table)
+    assert report.exact_sum == sum(Fraction(1, m) for m in survivors)
+    margin = report.margin
+    assert math.gcd(margin.numerator, margin.denominator) == 1
+    assert margin.denominator == math.prod(survivors[1:])
+
+
+def test_ln2_lower_bound_has_thirty_correct_digits():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Fraction(Decimal(2).ln())
+    assert 0 < ln2 - LN2_LOWER < Fraction(1, 10**30)
+
+
+def _report_with_tail(tail):
+    margin = Fraction(1, 1009) + tail  # p_168 = 997, p_169 = 1009
+    return CertificateReport(
+        n=168, next_prime=1009, exact_sum=1 + margin, exact_floor=1, margin=margin,
+        float_sum=float(1 + margin), float_floor=1,
+    )
+
+
+def test_tail_check_is_exact():
+    # 1e-13 past ln 2 is below what a float comparison with 1e-12 slack sees
+    assert _report_with_tail(LN2_LOWER + Fraction(1, 10**13)).violations() != []
+    assert _report_with_tail(LN2_LOWER - Fraction(1, 10**30)).violations() == []
 
 
 def test_probe_small_values(table):
