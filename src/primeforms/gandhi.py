@@ -24,6 +24,9 @@ from .core import InvariantViolation, PrimeTable, ResourceLimitError
 # P_8 is a ~9.7e6-bit exponent; past n = 7 the subset terms stop being cheap.
 FEASIBLE_N = 7
 
+# Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.
+MIN_SAMPLES = 10_000
+
 
 class CancellationError(ArithmeticError):
     """Float evaluation lost the signal to rounding (catastrophic cancellation)."""
@@ -146,7 +149,8 @@ def evaluate(n: int, table: PrimeTable, *, allow_large: bool = False) -> GandhiE
     probability = survivor_probability(n, table, allow_large=allow_large)
     half_excess = probability - Fraction(1, 2)
     m = extract_prime(probability)
-    scaled_remainder = Fraction(half_excess.numerator << m, half_excess.denominator) - 1
+    # Fraction's own gcds here run against 2^m and 1, never two huge operands.
+    scaled_remainder = half_excess * (1 << m) - 1
     return GandhiEvaluation(
         n=n,
         probability=probability,
@@ -164,8 +168,8 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
     u uniform on (0, 1] maps to ceil(-log2 u), the toss count up to the
     first head of a fair coin.  Deterministic for a fixed seed.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples for a meaningful estimate")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(samples)  # (0, 1]
     draws = np.ceil(-np.log2(u)).astype(np.int64)

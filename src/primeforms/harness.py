@@ -97,8 +97,12 @@ class RunConfig:
                 raise UsageError(f"{name} must be positive")
         if self.sieve_limit < 2:
             raise UsageError("sieve limit must be at least 2")
-        if self.samples < 1 or self.seed < 0:
-            raise UsageError("samples must be positive and seed non-negative")
+        if self.samples < gandhi.MIN_SAMPLES:
+            raise UsageError(f"--samples must be at least {gandhi.MIN_SAMPLES}, not {self.samples}")
+        if self.seed < 0:
+            raise UsageError("--seed must be non-negative")
+        if self.x is not None and self.z is not None and not 2 <= self.z <= self.x:
+            raise UsageError(f"selberg needs 2 <= --z <= --x, not --x {self.x} --z {self.z}")
         if self.calib_lo < 3 or self.calib_hi <= self.calib_lo:
             raise UsageError("calibration window needs 3 <= lo < hi")
 
@@ -118,21 +122,67 @@ def _blank_row() -> dict:
     return {c: "" for c in REPORT_COLUMNS}
 
 
-def _fraction_str(value: Fraction) -> str:
-    """"numerator/denominator", lifting the int-to-str digit limit only for this call.
+# Integers up to this many bits print through str(): at most 617 digits, under
+# the smallest digit limit CPython accepts (640).  Larger ones are split.
+_STR_BITS = 2048
 
-    A limit of 0 means unlimited and is left alone; any other limit is
-    restored afterwards, so the process-wide setting is never changed.
+# Decimal(2 ** 2 ** k), keyed by k >= 11 and shared by every call.  Each entry
+# is an exact constant, so a racing writer can only store the same value.
+_DECIMAL_POW2: dict = {}
+
+
+def _decimal_pow2(k: int):
+    """Decimal 2^(2^k) for 2^k >= _STR_BITS, by repeated squaring; exact context only."""
+    power = _DECIMAL_POW2.get(k)
+    if power is None:
+        if 1 << k == _STR_BITS:
+            from decimal import Decimal
+
+            power = Decimal(1 << _STR_BITS)
+        else:
+            half = _decimal_pow2(k - 1)
+            power = half * half
+        _DECIMAL_POW2[k] = power
+    return power
+
+
+def _to_decimal(value: int):
+    """Exact Decimal of value >= 0, split at the largest 2^(2^k) below its top bit."""
+    if value.bit_length() <= _STR_BITS:
+        from decimal import Decimal
+
+        return Decimal(value)
+    k = (value.bit_length() - 1).bit_length() - 1
+    high = value >> (1 << k)
+    low = value - (high << (1 << k))
+    return _to_decimal(high) * _decimal_pow2(k) + _to_decimal(low)
+
+
+def _int_str(value: int) -> str:
+    """Decimal digits of value, equal to str(value) without its digit limit.
+
+    CPython before 3.12 converts ints to decimal in quadratic time (about
+    0.4 s for 510k bits).  Larger integers are instead split by divide and
+    conquer, as in CPython 3.12's Lib/_pylong.py, and recombined by
+    `decimal`'s subquadratic multiplication in an exact context; str() of a
+    Decimal ignores the int-to-str digit limit, so the process-wide limit
+    is neither read nor changed.
     """
-    limit = sys.get_int_max_str_digits()
-    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) // 3 + 10
-    if limit == 0 or digits <= limit:
-        return f"{value.numerator}/{value.denominator}"
-    sys.set_int_max_str_digits(digits)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    if value < 0:
+        return "-" + _int_str(-value)
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact.traps[decimal.Inexact] = True
+    with decimal.localcontext(exact):
+        return str(_to_decimal(value))
+
+
+def _fraction_str(value: Fraction) -> str:
+    """"numerator/denominator" in decimal, under any int-to-str digit limit."""
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def _csv_cell(value) -> str:

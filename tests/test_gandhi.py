@@ -65,6 +65,15 @@ def test_evaluation_sweep_matches_oracle(table):
         assert ev.violations() == []
 
 
+def test_scaled_remainder_matches_normalised_formula(table):
+    for n in range(1, 8):
+        ev = evaluate(n, table)
+        h = ev.half_excess
+        expected = Fraction(h.numerator << ev.extracted_prime, h.denominator) - 1
+        got = ev.scaled_remainder
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator), n
+
+
 def test_probability_sandwich_exact(table):
     for n in range(1, 8):
         probability = survivor_probability(n, table)

@@ -4,14 +4,17 @@ import csv
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from primeforms import harness
+from primeforms import gandhi, harness
 from primeforms.harness import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -149,6 +152,54 @@ def test_fraction_str_leaves_digit_limit_unchanged(limit, value):
         assert text == f"{value.numerator}/{value.denominator}"
 
 
+@st.composite
+def wide_ints(draw):
+    """Signed ints from 0 to about 2^20 bits, half of them near a split point 2^(2^k)."""
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, 20).flatmap(lambda e: st.integers(0, 1 << e)))
+        value = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    else:
+        value = (1 << (1 << draw(st.integers(11, 20)))) + draw(st.integers(-(2**70), 2**70))
+    return -value if draw(st.booleans()) else value
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@settings(max_examples=25, deadline=None)
+@given(value=wide_ints())
+@example(value=2**2048 - 1)
+@example(value=2**2048)
+@example(value=-(2**2048) - 1)
+@example(value=2**4096 + 1)
+@example(value=-(2 ** (2**19)) + 1)
+def test_int_str_matches_str(limit, value):
+    with int_digit_limit(limit):
+        text = harness._int_str(value)
+        assert sys.get_int_max_str_digits() == limit
+    with int_digit_limit(0):
+        assert text == str(value)
+
+
+@contextmanager
+def csv_field_limit(limit):
+    previous = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
+def test_gandhi_rationals_print_as_plain_str(table):
+    config = RunConfig(command="gandhi", n_max=7, samples=20_000, sieve_limit=LIMIT)
+    with csv_field_limit(sys.maxsize):  # the n = 7 cells run to ~150k digits
+        code, _, rows = run_to_rows(config)
+    assert code == EXIT_OK
+    ev = gandhi.evaluate(7, table)
+    with int_digit_limit(0):
+        for column in ("probability", "half_excess", "scaled_remainder"):
+            value = getattr(ev, column)
+            assert rows[6][column] == f"{value.numerator}/{value.denominator}", column
+
+
 def test_json_round_trip_preserves_fields(tmp_path):
     out = tmp_path / "report.json"
     config = RunConfig(command="gandhi", n_max=4, fmt="json", samples=20_000, out=str(out), sieve_limit=LIMIT)
@@ -207,6 +258,20 @@ def test_invariant_violation_exit_code(monkeypatch):
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", corrupted)
     config = RunConfig(command="certify", n_max=3, sieve_limit=LIMIT)
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gandhi", "--n", "3", "--samples", "100"], "--samples"),
+        (["selberg", "--x", "10", "--z", "100"], "--z"),
+    ],
+)
+def test_main_rejects_out_of_range_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_main_rejects_unknown_command():
