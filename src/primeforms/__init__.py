@@ -36,6 +36,7 @@ from .sieve_identity import (
     coprime_indicator,
     float_anomalies,
     harmonic_certificate,
+    next_prime_sweep,
     next_prime_via_filter,
     precision_probe,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "mertens_sweep",
     "moebius_truncation_value",
     "monte_carlo_survivor_fraction",
+    "next_prime_sweep",
     "next_prime_via_filter",
     "oscillation_sum",
     "precision_probe",

@@ -56,7 +56,7 @@ class PrimeTable:
     index: dict[int, int]
     _spf: np.ndarray = field(repr=False)
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
-    _mu_values: list[int] = field(default_factory=list, repr=False)
+    _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
 
     # -- ordinal / counting lookups -------------------------------------
@@ -193,18 +193,31 @@ class PrimeTable:
 
     # -- bulk lookups for hot loops ---------------------------------------
 
-    def moebius_values(self, upto: int) -> list[int]:
-        """List `mu` with mu[m] = moebius(m) for 1 <= m <= upto (mu[0] unused)."""
+    def moebius_values(self, upto: int) -> np.ndarray:
+        """int8 array `mu` with mu[m] = moebius(m) for 1 <= m <= upto (mu[0] unused).
+
+        Sieved over the tabulated primes: every multiple of p flips sign and
+        every multiple of p^2 is zeroed, so mu[m] = (-1)^k on squarefree m
+        with k prime factors and 0 elsewhere.  Primes above sqrt(bound) flip
+        in one indexed write: two of them have no common multiple up to the
+        bound, so no index repeats.
+        """
         if upto > self.limit:
             raise ValueError(f"{upto} is beyond sieve limit {self.limit}")
         cache = self._mu_values
         if len(cache) <= upto:
             bound = min(self.limit, max(upto, 2 * len(cache), 1024))
-            values = [0, 1]
-            for m in range(2, bound + 1):
-                values.append(self.moebius(m))
-            self._mu_values = values
-            cache = values
+            cache = np.ones(bound + 1, dtype=np.int8)
+            cache[0] = 0
+            small = self.pi(math.isqrt(bound))
+            for p in self.primes[:small]:
+                cache[p::p] *= -1
+                cache[p * p :: p * p] = 0
+            large = np.array(self.primes[small : self.pi(bound)], dtype=np.int64)
+            counts = bound // large
+            steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+            cache[np.repeat(large, counts) * steps] *= -1
+            self._mu_values = cache
         return cache
 
     def primorial_coprime(self, n: int, bound: int) -> list[int]:

@@ -103,6 +103,11 @@ class RunConfig:
             raise UsageError("--seed must be non-negative")
         if self.x is not None and self.z is not None and not 2 <= self.z <= self.x:
             raise UsageError(f"selberg needs 2 <= --z <= --x, not --x {self.x} --z {self.z}")
+        if self.z is not None and self.z > survival.SELBERG_MAX_Z:
+            raise UsageError(
+                f"--z {self.z} needs more than {survival.SELBERG_MAX_WEIGHTS} weights; "
+                f"use --z {survival.SELBERG_MAX_Z} or smaller"
+            )
         if self.calib_lo < 3 or self.calib_hi <= self.calib_lo:
             raise UsageError("calibration window needs 3 <= lo < hi")
 
@@ -255,13 +260,26 @@ def _require(config: RunConfig, *names: str) -> None:
             raise UsageError(f"command {config.command!r} needs --{name.replace('_', '-')}")
 
 
+def _approx_limit(n: int) -> int:
+    """A sieve limit at or above p_n: n (ln n + ln ln n) bounds p_n for n >= 6."""
+    return int(n * (math.log(n) + math.log(max(math.log(n), 2.0)))) + 8
+
+
+def _check_tabulated(table: core.PrimeTable, n: int, flag: str) -> None:
+    """The command reads p_n; fail naming a sieve limit that tabulates it."""
+    if n > len(table.primes):
+        raise UsageError(
+            f"{flag} {n} is beyond the {len(table.primes)} tabulated primes; "
+            f"needs roughly --sieve-limit {_approx_limit(n)}"
+        )
+
+
 def _check_scan_range(table: core.PrimeTable, n_max: int) -> None:
     """The certificate scan reaches 2 p_n; fail naming the limit actually needed."""
     if n_max > len(table.primes):
-        approx = 2 * int(n_max * (math.log(n_max) + math.log(max(math.log(n_max), 2.0)))) + 16
         raise UsageError(
             f"n_max={n_max} is beyond the {len(table.primes)} tabulated primes; "
-            f"needs roughly --sieve-limit {approx}"
+            f"needs roughly --sieve-limit {2 * _approx_limit(n_max)}"
         )
     required = 2 * table.nth(n_max)
     if required > table.limit:
@@ -275,14 +293,14 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
         raise UsageError("command 'sieve-next' needs --n or --n-max")
     lo, hi = (config.n, config.n) if config.n_max is None else (1, config.n_max)
     _check_scan_range(table, hi)
+    found = sieve_identity.next_prime_sweep(lo, hi, table)
     rows, violations = [], []
-    for n in range(lo, hi + 1):
-        found = sieve_identity.next_prime_via_filter(n, table)
+    for n, next_prime in zip(range(lo, hi + 1), found):
         expected = table.nth(n + 1)
-        if found != expected:
-            violations.append(f"n={n}: filter found {found}, oracle has {expected}")
+        if next_prime != expected:
+            violations.append(f"n={n}: filter found {next_prime}, oracle has {expected}")
         row = _blank_row()
-        row.update(source="sieve_identity", n=n, p_n=table.nth(n), next_prime=found)
+        row.update(source="sieve_identity", n=n, p_n=table.nth(n), next_prime=next_prime)
         rows.append(row)
     return rows, violations
 
@@ -339,6 +357,7 @@ def _spectral_params(config: RunConfig) -> spectral.SpectralParams:
 def _resolve_amplitude(config: RunConfig, table: core.PrimeTable) -> float:
     if config.alpha_override is not None:
         return config.alpha_override
+    _check_tabulated(table, config.calib_hi, "--calib-hi")
     return spectral.calibrate_amplitude(_spectral_params(config), table)
 
 
@@ -346,6 +365,7 @@ def _run_spectral(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     if config.n_max < 3:
         raise UsageError("spectral sweep needs --n-max >= 3")
+    _check_tabulated(table, config.n_max, "--n-max")
     amplitude = _resolve_amplitude(config, table)
     params = spectral.SpectralParams(
         amplitude=amplitude, calib_lo=config.calib_lo, calib_hi=config.calib_hi
@@ -358,6 +378,7 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     if config.n_max < 3:
         raise UsageError("survival sweep needs --n-max >= 3")
+    _check_tabulated(table, config.n_max, "--n-max")
     params = survival.SurvivalParams()
     by_n = {}
     for record in survival.survival_sweep(3, config.n_max, params, table):

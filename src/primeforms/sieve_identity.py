@@ -10,8 +10,11 @@ float shadow of the same sum feeds the precision probes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import InvariantViolation, PrimeTable
 
@@ -87,17 +90,67 @@ def coprime_indicator(m: int, n: int, table: PrimeTable) -> int:
     return via_gcd
 
 
-def next_prime_via_filter(n: int, table: PrimeTable) -> int:
-    """Smallest m > 1 passing the filter; Bertrand's postulate bounds the scan."""
-    bound = 2 * table.nth(n)
+def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, passed) for n = lo..hi, where passed[m - 1] is the filter at m in [1, 2 p_n].
+
+    Both routes of the filter are kept as arrays over the window
+    [0, 2 p_hi] and advanced once per prime p_n.  The direct route strikes
+    the multiples of p_n.  The Möbius route holds, for every m, the sum of
+    mu(d) over the divisors d of P_n that divide m: the divisors p_n brings
+    are p_n times the earlier ones, and each adds mu(d) to the multiples of
+    d.  Each window is yielded only after the routes agreed on all of it.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"sweep needs 1 <= lo <= hi, not [{lo}, {hi}]")
+    bound = 2 * table.nth(hi)
     if bound > table.limit:
         raise ValueError(f"scan range [2, {bound}] is beyond sieve limit {table.limit}")
-    for m in range(2, bound + 1):
-        if coprime_indicator(m, n, table) == 1:
-            return m
-    raise InvariantViolation(
-        f"no filter survivor in [2, {bound}] for n={n}; the scan range guarantees one"
-    )
+    mu = table.moebius_values(bound)
+    struck = np.zeros(bound + 1, dtype=bool)  # m has a prime factor <= p_n
+    divides = np.zeros(bound + 1, dtype=bool)  # d divides P_n
+    divides[1] = True
+    moebius_sum = np.full(bound + 1, mu[1], dtype=np.int32)  # d = 1 divides every m
+    for n, p in enumerate(table.primes[:hi], start=1):
+        struck[p::p] = True
+        new = p * np.flatnonzero(divides[: bound // p + 1])
+        divides[new] = True
+        for d, weight in zip(new.tolist(), mu[new].tolist()):
+            if weight:
+                moebius_sum[d::d] += weight
+        if n < lo:
+            continue
+        window = 2 * p
+        passed = ~struck[1 : window + 1]
+        mismatch = np.flatnonzero(moebius_sum[1 : window + 1] != passed)
+        if mismatch.size:
+            m = int(mismatch[0]) + 1
+            raise InvariantViolation(
+                f"filter mismatch at m={m}, n={n}: Möbius sum {moebius_sum[m]}, "
+                f"gcd test {int(passed[m - 1])}"
+            )
+        yield n, passed
+
+
+def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
+    """Smallest filter survivor above 1 for each n in [lo, hi], from one sweep.
+
+    Both routes of the filter are checked on every m of Bertrand's range
+    [1, 2 p_n] for every swept n (see `_filter_windows`).
+    """
+    found = []
+    for n, passed in _filter_windows(lo, hi, table):
+        first = int(np.argmax(passed[1:])) + 2  # 2 when nothing above 1 passed
+        if not passed[first - 1]:
+            raise InvariantViolation(
+                f"no filter survivor in [2, {len(passed)}] for n={n}; the scan range guarantees one"
+            )
+        found.append(first)
+    return found
+
+
+def next_prime_via_filter(n: int, table: PrimeTable) -> int:
+    """Smallest m > 1 passing the filter; Bertrand's postulate bounds the scan."""
+    return next_prime_sweep(n, n, table)[0]
 
 
 def _harmonic_split(terms: list[int], lo: int, hi: int) -> tuple[int, int]:

@@ -207,6 +207,13 @@ def squarefree_support(z: int) -> list[int]:
     return [d for d in range(1, z) if _is_squarefree(d)]
 
 
+SELBERG_MAX_WEIGHTS = 64  # size cap of the dense small-instance solver
+# Largest z whose support fits the cap: the (cap + 1)-th squarefree number,
+# since the support holds only the d below z.  Squarefree density 6/pi^2
+# puts it well below 4 * cap.
+SELBERG_MAX_Z = squarefree_support(4 * SELBERG_MAX_WEIGHTS)[SELBERG_MAX_WEIGHTS]
+
+
 def quadratic_form_value(x: int, divisors: list[int], weights) -> float:
     """Direct evaluation of the quadratic form over m <= x (brute force)."""
     paired = list(zip(divisors, weights))
@@ -240,8 +247,10 @@ def selberg_minimize(x: int, z: int) -> SelbergSolution:
     if not 2 <= z <= x:
         raise ValueError("need 2 <= z <= x")
     divisors = squarefree_support(z)
-    if len(divisors) > 64:
-        raise ValueError(f"{len(divisors)} weights exceed the 64-weight small-instance solver")
+    if len(divisors) > SELBERG_MAX_WEIGHTS:
+        raise ValueError(
+            f"{len(divisors)} weights exceed the {SELBERG_MAX_WEIGHTS}-weight small-instance solver"
+        )
     gram = np.array([[x // math.lcm(d, e) for e in divisors] for d in divisors], dtype=float)
     if len(divisors) == 1:
         weights = [1.0]

@@ -240,3 +240,11 @@ def test_factorize_beyond_limit_uses_trial_division(small_table):
 @given(m=st.integers(2, 20_000))
 def test_factorize_reconstructs_argument(small_table, m):
     assert math.prod(p**e for p, e in small_table.factorize(m)) == m
+
+
+def test_moebius_values_match_scalar_moebius():
+    small = sieve(100_000)
+    mu = small.moebius_values(100_000)
+    assert mu[0] == 0
+    assert [int(v) for v in mu[1:]] == [small.moebius(m) for m in range(1, 100_001)]
+    assert small.moebius_values(50) is mu  # a smaller request reuses the memo

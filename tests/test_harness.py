@@ -1,6 +1,7 @@
 """Harness tests: CLI dispatch, report formats, round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -272,6 +273,37 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         main(argv)
     assert err.value.code == EXIT_USAGE
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fix",
+    [
+        (["survival", "--n-max", "200000"], "--sieve-limit"),
+        (["spectral", "--n-max", "5", "--calib-hi", "200000"], "--sieve-limit"),
+        (["selberg", "--x", "1000", "--z", "200"], "--z 105"),
+    ],
+)
+def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeforms", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr
+    assert fix in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sieve_next_report_bytes_are_unchanged():
+    # the digest the benchmark recorded for this command
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeforms", "sieve-next", "--n-max", "500"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "b82d787f0cb3c0c61a223db7955791cffb1649798a65aea9531c4b8a38462122"
+    )
 
 
 def test_main_rejects_unknown_command():

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeforms.core import InvariantViolation, PrimeTable
 from primeforms.sieve_identity import (
     LN2_LOWER,
     CertificateReport,
+    _filter_windows,
     coprime_indicator,
     float_anomalies,
     harmonic_certificate,
+    next_prime_sweep,
     next_prime_via_filter,
     precision_probe,
 )
@@ -155,3 +158,56 @@ def test_scan_range_error_beyond_limit(small_table):
     n_limit = len(small_table.primes)
     with pytest.raises(ValueError):
         next_prime_via_filter(n_limit, small_table)
+
+
+def test_sweep_windows_match_scalar_filter(table):
+    windows = list(_filter_windows(1, 150, table))
+    assert [n for n, _ in windows] == list(range(1, 151))
+    for n, passed in windows:
+        expected = [coprime_indicator(m, n, table) for m in range(1, 2 * table.nth(n) + 1)]
+        assert passed.astype(int).tolist() == expected, n
+
+
+def test_sweep_starting_above_one_matches_full_sweep(table):
+    assert next_prime_sweep(40, 60, table) == next_prime_sweep(1, 60, table)[39:]
+    with pytest.raises(ValueError):
+        next_prime_sweep(5, 4, table)
+
+
+@pytest.fixture
+def corrupt_moebius_six(monkeypatch):
+    """Every Möbius table read now has mu(6) = 0 instead of 1."""
+    real = PrimeTable.moebius_values
+
+    def corrupted(self, upto):
+        mu = real(self, upto).copy()
+        mu[6] = 0
+        return mu
+
+    monkeypatch.setattr(PrimeTable, "moebius_values", corrupted)
+
+
+def test_sweep_flags_a_corrupted_moebius_value(table, corrupt_moebius_six):
+    # d = 6 joins the divisors of P_n at n = 2, and m = 6 is in [1, 2 p_2]
+    with pytest.raises(InvariantViolation, match="m=6, n=2"):
+        next_prime_sweep(1, 10, table)
+    with pytest.raises(InvariantViolation):
+        next_prime_via_filter(10, table)
+
+
+def test_sieve_next_exits_one_on_a_corrupted_moebius_value(corrupt_moebius_six, capsys):
+    from primeforms.harness import EXIT_INVARIANT, main
+
+    assert main(["sieve-next", "--n-max", "10"]) == EXIT_INVARIANT
+    assert "filter mismatch at m=6" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sweep_500(table):
+    return next_prime_sweep(1, 500, table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 500))
+def test_single_scan_matches_sweep(table, sweep_500, n):
+    assert next_prime_via_filter(n, table) == sweep_500[n - 1]
