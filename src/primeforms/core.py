@@ -198,9 +198,7 @@ class PrimeTable:
 
         Sieved over the tabulated primes: every multiple of p flips sign and
         every multiple of p^2 is zeroed, so mu[m] = (-1)^k on squarefree m
-        with k prime factors and 0 elsewhere.  Primes above sqrt(bound) flip
-        in one indexed write: two of them have no common multiple up to the
-        bound, so no index repeats.
+        with k prime factors and 0 elsewhere.
         """
         if upto > self.limit:
             raise ValueError(f"{upto} is beyond sieve limit {self.limit}")
@@ -209,14 +207,9 @@ class PrimeTable:
             bound = min(self.limit, max(upto, 2 * len(cache), 1024))
             cache = np.ones(bound + 1, dtype=np.int8)
             cache[0] = 0
-            small = self.pi(math.isqrt(bound))
-            for p in self.primes[:small]:
+            for p in self.primes[: self.pi(bound)]:
                 cache[p::p] *= -1
                 cache[p * p :: p * p] = 0
-            large = np.array(self.primes[small : self.pi(bound)], dtype=np.int64)
-            counts = bound // large
-            steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-            cache[np.repeat(large, counts) * steps] *= -1
             self._mu_values = cache
         return cache
 

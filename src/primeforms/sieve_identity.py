@@ -115,8 +115,7 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
         new = p * np.flatnonzero(divides[: bound // p + 1])
         divides[new] = True
         for d, weight in zip(new.tolist(), mu[new].tolist()):
-            if weight:
-                moebius_sum[d::d] += weight
+            moebius_sum[d::d] += weight
         if n < lo:
             continue
         window = 2 * p
