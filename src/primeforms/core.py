@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,15 +38,21 @@ class EstimatorRecord:
     residual: float  # p_n - estimate
     rel_error: float  # residual / p_n
 
+    @classmethod
+    def against(cls, n: int, p_n: int, estimate: float) -> EstimatorRecord:
+        """Score `estimate` of the n-th prime against the oracle value p_n."""
+        residual = p_n - estimate
+        return cls(n, p_n, estimate, math.floor(estimate), residual, residual / p_n)
+
 
 @dataclass(eq=False)
 class PrimeTable:
     """Sieve-of-Eratosthenes oracle for the primes up to `limit`.
 
-    `primes` is strictly increasing and `index` maps p_n -> n (1-based,
-    p_1 = 2).  A smallest-prime-factor array built during sieving makes
-    factor extraction, and hence the Möbius / von Mangoldt / totient
-    lookups, O(log m) instead of per-call trial division.
+    `primes` is strictly increasing and `index` (built on first read) maps
+    p_n -> n (1-based, p_1 = 2).  A smallest-prime-factor array built
+    during sieving makes factor extraction, and hence the Möbius / von
+    Mangoldt / totient lookups, O(log m) instead of per-call trial division.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
@@ -53,11 +60,14 @@ class PrimeTable:
 
     limit: int
     primes: list[int]
-    index: dict[int, int]
     _spf: np.ndarray = field(repr=False)
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.primes, start=1)}
 
     # -- ordinal / counting lookups -------------------------------------
 
@@ -266,8 +276,7 @@ def sieve(limit: int) -> PrimeTable:
     for p in primes:
         lane = spf[p::p]
         lane[lane == 0] = p
-    index = {p: i for i, p in enumerate(primes, start=1)}
-    return PrimeTable(limit=limit, primes=primes, index=index, _spf=spf)
+    return PrimeTable(limit=limit, primes=primes, _spf=spf)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:

@@ -190,14 +190,6 @@ def _fraction_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, Fraction):
-        return _fraction_str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _json_cell(value):
     if isinstance(value, Fraction):
         return _fraction_str(value)
@@ -206,13 +198,26 @@ def _json_cell(value):
     return value
 
 
+def _csv_cells(rows: list[dict], columns: list[str]):
+    """Each row's cells in column order, absent columns blank.
+
+    `csv` itself writes floats by repr() and other cells by str(); only a
+    row carrying a Fraction is re-mapped, to "numerator/denominator".
+    """
+    blanks = [""] * len(columns)
+    for row in rows:
+        cells = [*map(row.get, columns, blanks)]
+        if Fraction in map(type, cells):
+            cells = [_fraction_str(c) if isinstance(c, Fraction) else c for c in cells]
+        yield cells
+
+
 def write_rows(rows: list[dict], fmt: str, stream, columns: list[str] | None = None) -> None:
     columns = columns or REPORT_COLUMNS
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
+        writer.writerows(_csv_cells(rows, columns))
     else:
         payload = [{c: _json_cell(row.get(c, "")) for c in columns} for row in rows]
         json.dump(payload, stream, indent=1)
@@ -220,17 +225,15 @@ def write_rows(rows: list[dict], fmt: str, stream, columns: list[str] | None = N
 
 
 def _estimator_row(source: str, record: core.EstimatorRecord) -> dict:
-    row = _blank_row()
-    row.update(
-        source=source,
-        n=record.n,
-        p_n=record.p_n,
-        estimate=record.estimate,
-        floored=record.floored,
-        residual=record.residual,
-        rel_error=record.rel_error,
-    )
-    return row
+    return {
+        "source": source,
+        "n": record.n,
+        "p_n": record.p_n,
+        "estimate": record.estimate,
+        "floored": record.floored,
+        "residual": record.residual,
+        "rel_error": record.rel_error,
+    }
 
 
 def _certificate_row(report: sieve_identity.CertificateReport, table: core.PrimeTable) -> dict:
@@ -380,12 +383,14 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
         raise UsageError("survival sweep needs --n-max >= 3")
     _check_tabulated(table, config.n_max, "--n-max")
     params = survival.SurvivalParams()
-    by_n = {}
-    for record in survival.survival_sweep(3, config.n_max, params, table):
-        by_n.setdefault(record.n, []).append(_estimator_row("survival", record))
-    for record in survival.capacity_sweep(3, config.n_max, table):
-        by_n.setdefault(record.n, []).append(_estimator_row("capacity", record))
-    rows = [row for n in sorted(by_n) for row in by_n[n]]
+    rows = []
+    for grown, capped in zip(
+        survival.survival_sweep(3, config.n_max, params, table),
+        survival.capacity_sweep(3, config.n_max, table),
+    ):
+        if grown.n != capped.n:
+            raise core.InvariantViolation(f"survival row n={grown.n} meets capacity row n={capped.n}")
+        rows += (_estimator_row("survival", grown), _estimator_row("capacity", capped))
     return rows, []
 
 

@@ -109,16 +109,7 @@ def spectral_estimate(n: int, params: SpectralParams, table: PrimeTable) -> Esti
     if n < 3:
         raise ValueError("spectral estimate needs n >= 3")
     estimate = cipolla_drift(n) + params.amplitude * oscillation_sum(n, table)
-    p_n = table.nth(n)
-    residual = p_n - estimate
-    return EstimatorRecord(
-        n=n,
-        p_n=p_n,
-        estimate=estimate,
-        floored=math.floor(estimate),
-        residual=residual,
-        rel_error=residual / p_n,
-    )
+    return EstimatorRecord.against(n, table.nth(n), estimate)
 
 
 def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTable) -> list[EstimatorRecord]:

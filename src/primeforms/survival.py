@@ -110,32 +110,19 @@ def _growth_term(k: int) -> float:
 def survival_estimate(n: int, params: SurvivalParams, table: PrimeTable) -> EstimatorRecord:
     """Growth-product estimate (n ln n) * prod(1 + 1/(k ln k - ln ln k)) * e^(-gamma).
 
-    Evaluated exactly as written, flooring at the end.  The residual against
-    the oracle is recorded, never asserted small: the pre-asymptotic drift
-    is one of the quantities this package exists to measure.
+    Evaluated exactly as written, flooring at the end: the one-element
+    slice of `survival_sweep`, which multiplies the same terms in the same
+    order.  The residual against the oracle is recorded, never asserted
+    small: the pre-asymptotic drift is one of the quantities this package
+    exists to measure.
     """
-    if n < 3:
-        raise ValueError("survival estimate needs n >= 3")
-    product = 1.0
-    for k in range(2, n + 1):
-        product *= _growth_term(k)
-    estimate = n * math.log(n) * product * math.exp(-params.gamma)
-    p_n = table.nth(n)
-    residual = p_n - estimate
-    return EstimatorRecord(
-        n=n,
-        p_n=p_n,
-        estimate=estimate,
-        floored=math.floor(estimate),
-        residual=residual,
-        rel_error=residual / p_n,
-    )
+    return survival_sweep(n, n, params, table)[0]
 
 
 def survival_sweep(n_lo: int, n_hi: int, params: SurvivalParams, table: PrimeTable) -> list[EstimatorRecord]:
     """Estimates for n in [n_lo, n_hi] with a single running product."""
     if n_lo < 3:
-        raise ValueError("sweep needs n_lo >= 3")
+        raise ValueError("survival estimate needs n >= 3")
     scale = math.exp(-params.gamma)
     product = 1.0
     for k in range(2, n_lo):
@@ -143,19 +130,7 @@ def survival_sweep(n_lo: int, n_hi: int, params: SurvivalParams, table: PrimeTab
     out = []
     for n in range(n_lo, n_hi + 1):
         product *= _growth_term(n)
-        estimate = n * math.log(n) * product * scale
-        p_n = table.nth(n)
-        residual = p_n - estimate
-        out.append(
-            EstimatorRecord(
-                n=n,
-                p_n=p_n,
-                estimate=estimate,
-                floored=math.floor(estimate),
-                residual=residual,
-                rel_error=residual / p_n,
-            )
-        )
+        out.append(EstimatorRecord.against(n, table.nth(n), n * math.log(n) * product * scale))
     return out
 
 
@@ -310,16 +285,7 @@ def capacity_estimate(n: int, table: PrimeTable, *, use_fixed_point: bool = Fals
     else:
         z = max(2, math.isqrt(p_n))
     v, _ = capacity(z, table)
-    estimate = n * v
-    residual = p_n - estimate
-    return EstimatorRecord(
-        n=n,
-        p_n=p_n,
-        estimate=estimate,
-        floored=math.floor(estimate),
-        residual=residual,
-        rel_error=residual / p_n,
-    )
+    return EstimatorRecord.against(n, p_n, n * v)
 
 
 def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRecord]:
@@ -336,18 +302,7 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRec
             if table.moebius(z) != 0:
                 v += 1.0 / table.totient(z)
             z += 1
-        estimate = n * v
-        residual = p_n - estimate
-        out.append(
-            EstimatorRecord(
-                n=n,
-                p_n=p_n,
-                estimate=estimate,
-                floored=math.floor(estimate),
-                residual=residual,
-                rel_error=residual / p_n,
-            )
-        )
+        out.append(EstimatorRecord.against(n, p_n, n * v))
     return out
 
 

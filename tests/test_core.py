@@ -61,6 +61,13 @@ def test_sieve_two():
     assert sieve(2).primes == [2]
 
 
+def test_sieve_index_is_built_on_first_read():
+    table = sieve(100)
+    assert "index" not in vars(table)
+    assert table.index[97] == 25
+    assert table.index is table.index
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve(1)

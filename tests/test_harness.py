@@ -214,6 +214,62 @@ def test_json_round_trip_preserves_fields(tmp_path):
     assert json.loads(buffer.getvalue()) == parsed
 
 
+def per_cell_csv(rows, columns):
+    """Reference CSV: every cell converted in Python, rationals as n/d, floats by repr."""
+
+    def cell(value):
+        if isinstance(value, Fraction):
+            return harness._fraction_str(value)
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(row.get(c, "")) for c in columns])
+    return buffer.getvalue()
+
+
+def written_csv(rows):
+    buffer = io.StringIO()
+    harness.write_rows(rows, "csv", buffer)
+    return buffer.getvalue()
+
+
+def test_write_rows_matches_per_cell_rule_on_mixed_rows():
+    wide = Fraction(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
+    rows = [
+        {"source": "x", "n": 5, "margin": Fraction(5), "exact_sum": Fraction(-7, 3), "estimate": 1e16},
+        {"source": "a,b", "estimate": -0.0, "residual": 5e-324, "rel_error": 0.1, "floored": -3},
+        {"probability": wide, "mc_estimate": 0.25, "weights": "1:1.0;2:-1.0", "x": ""},
+        {},
+    ]
+    with int_digit_limit(640):
+        text = written_csv(rows)
+        assert text == per_cell_csv(rows, REPORT_COLUMNS)
+    assert "5/1" in text.splitlines()[1].split(",")
+    assert text.splitlines()[2].startswith('"a,b",')
+
+
+@pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
+def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
+    config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
+    rows, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
+    assert written_csv(rows) == per_cell_csv(rows, REPORT_COLUMNS)
+
+
+def test_survival_rows_interleave_by_n():
+    code, _, rows = run_to_rows(RunConfig(command="survival", n_max=2_000, sieve_limit=LIMIT))
+    assert code == EXIT_OK
+    assert len(rows) == 2 * (2_000 - 2)
+    for k in range(len(rows) // 2):
+        grown, capped = rows[2 * k], rows[2 * k + 1]
+        assert (grown["source"], capped["source"]) == ("survival", "capacity")
+        assert grown["n"] == capped["n"] == str(k + 3)
+
+
 def test_identical_config_yields_byte_identical_reports():
     config = RunConfig(command="report", n_max=30, sieve_limit=LIMIT, seed=42)
     first, second = io.StringIO(), io.StringIO()

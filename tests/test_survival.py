@@ -123,6 +123,19 @@ def test_survival_sweep_matches_per_call(table):
         assert math.isclose(record.estimate, matching.estimate, rel_tol=1e-12)
 
 
+def test_survival_estimate_equals_direct_product_exactly(table):
+    params = SurvivalParams()
+    for n in (3, 4, 57, 400):
+        product = 1.0
+        for k in range(2, n + 1):
+            product *= 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
+        expected = n * math.log(n) * product * math.exp(-params.gamma)
+        record = survival_estimate(n, params, table)
+        assert (record.estimate, record.floored) == (expected, math.floor(expected))
+        assert record.residual == record.p_n - expected
+        assert record.rel_error == (record.p_n - expected) / record.p_n
+
+
 def test_survival_sweep_strictly_increasing(table):
     sweep = survival_sweep(3, 2_000, SurvivalParams(), table)
     assert all(b.estimate > a.estimate for a, b in zip(sweep, sweep[1:]))
