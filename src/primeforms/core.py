@@ -263,20 +263,28 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to `limit` inclusive, with an SPF table."""
+    """Sieve of Eratosthenes up to `limit` inclusive, built as its SPF table.
+
+    Each p <= sqrt(limit) still unmarked is prime and claims the multiples
+    from p^2 on that no smaller prime has, so every composite ends holding
+    its smallest prime factor.  The entries above 1 still unmarked are the
+    primes, each its own smallest factor.
+    """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    composite = bytearray(limit + 1)
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            start = p * p
-            composite[start::p] = b"\x01" * len(range(start, limit + 1, p))
-    primes = [m for m in range(2, limit + 1) if not composite[m]]
+    if limit > np.iinfo(np.int32).max:
+        raise ResourceLimitError(
+            f"sieve limit {limit} is past the int32 smallest-prime-factor table "
+            f"(at most {np.iinfo(np.int32).max})"
+        )
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in primes:
-        lane = spf[p::p]
-        lane[lane == 0] = p
-    return PrimeTable(limit=limit, primes=primes, _spf=spf)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            lane = spf[p * p :: p]
+            lane[lane == 0] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return PrimeTable(limit=limit, primes=primes.tolist(), _spf=spf)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:

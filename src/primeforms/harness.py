@@ -101,6 +101,8 @@ class RunConfig:
             raise UsageError(f"--samples must be at least {gandhi.MIN_SAMPLES}, not {self.samples}")
         if self.seed < 0:
             raise UsageError("--seed must be non-negative")
+        if self.alpha_override is not None and not math.isfinite(self.alpha_override):
+            raise UsageError(f"--alpha must be a finite number, not {self.alpha_override}")
         if self.x is not None and self.z is not None and not 2 <= self.z <= self.x:
             raise UsageError(f"selberg needs 2 <= --z <= --x, not --x {self.x} --z {self.z}")
         if self.z is not None and self.z > survival.SELBERG_MAX_Z:
@@ -121,10 +123,6 @@ def _table(limit: int) -> core.PrimeTable:
     if limit not in _TABLES:
         _TABLES[limit] = core.sieve(limit)
     return _TABLES[limit]
-
-
-def _blank_row() -> dict:
-    return {c: "" for c in REPORT_COLUMNS}
 
 
 # Integers up to this many bits print through str(): at most 617 digits, under
@@ -237,21 +235,19 @@ def _estimator_row(source: str, record: core.EstimatorRecord) -> dict:
 
 
 def _certificate_row(report: sieve_identity.CertificateReport, table: core.PrimeTable) -> dict:
-    row = _blank_row()
-    row.update(
-        source="sieve_identity",
-        n=report.n,
-        p_n=table.nth(report.n),
-        next_prime=report.next_prime,
-        exact_sum=report.exact_sum,
-        exact_floor=report.exact_floor,
-        margin=report.margin,
-        float_sum=report.float_sum,
-        float_floor=report.float_floor,
-        float_margin=report.float_margin,
-        float_gap=report.float_gap,
-    )
-    return row
+    return {
+        "source": "sieve_identity",
+        "n": report.n,
+        "p_n": table.nth(report.n),
+        "next_prime": report.next_prime,
+        "exact_sum": report.exact_sum,
+        "exact_floor": report.exact_floor,
+        "margin": report.margin,
+        "float_sum": report.float_sum,
+        "float_floor": report.float_floor,
+        "float_margin": report.float_margin,
+        "float_gap": report.float_gap,
+    }
 
 
 # -- command executors -------------------------------------------------------
@@ -302,9 +298,9 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
         expected = table.nth(n + 1)
         if next_prime != expected:
             violations.append(f"n={n}: filter found {next_prime}, oracle has {expected}")
-        row = _blank_row()
-        row.update(source="sieve_identity", n=n, p_n=table.nth(n), next_prime=next_prime)
-        rows.append(row)
+        rows.append(
+            {"source": "sieve_identity", "n": n, "p_n": table.nth(n), "next_prime": next_prime}
+        )
     return rows, violations
 
 
@@ -336,20 +332,21 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
             violations.append(
                 f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}"
             )
-        row = _blank_row()
-        row.update(
-            source="gandhi",
-            n=n,
-            p_n=table.nth(n),
-            next_prime=expected,
-            probability=evaluation.probability,
-            half_excess=evaluation.half_excess,
-            extracted_prime=evaluation.extracted_prime,
-            scaled_remainder=evaluation.scaled_remainder,
-            subset_count=evaluation.subset_count,
-            mc_estimate=gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table),
+        mc_estimate = gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table)
+        rows.append(
+            {
+                "source": "gandhi",
+                "n": n,
+                "p_n": table.nth(n),
+                "next_prime": expected,
+                "probability": evaluation.probability,
+                "half_excess": evaluation.half_excess,
+                "extracted_prime": evaluation.extracted_prime,
+                "scaled_remainder": evaluation.scaled_remainder,
+                "subset_count": evaluation.subset_count,
+                "mc_estimate": mc_estimate,
+            }
         )
-        rows.append(row)
     return rows, violations
 
 
@@ -397,15 +394,14 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
 def _run_selberg(config: RunConfig, table: core.PrimeTable):
     _require(config, "x", "z")
     solution = survival.selberg_minimize(config.x, config.z)
-    row = _blank_row()
-    row.update(
-        source="selberg",
-        n=len(solution.divisors),
-        x=solution.x,
-        z=solution.z,
-        weights=";".join(f"{d}:{w!r}" for d, w in zip(solution.divisors, solution.weights)),
-        minimum=solution.minimum,
-    )
+    row = {
+        "source": "selberg",
+        "n": len(solution.divisors),
+        "x": solution.x,
+        "z": solution.z,
+        "weights": ";".join(f"{d}:{w!r}" for d, w in zip(solution.divisors, solution.weights)),
+        "minimum": solution.minimum,
+    }
     return [row], []
 
 
@@ -414,9 +410,8 @@ def _run_brun(config: RunConfig, table: core.PrimeTable):
     if config.x_upper > table.limit:
         raise UsageError(f"--X {config.x_upper} needs --sieve-limit {config.x_upper}")
     value = survival.brun_partial(config.x_upper, table)
-    row = _blank_row()
-    row.update(source="brun", n=len(table.twin_pairs(config.x_upper)), x=config.x_upper, estimate=value)
-    return [row], []
+    pairs = len(table.twin_pairs(config.x_upper))
+    return [{"source": "brun", "n": pairs, "x": config.x_upper, "estimate": value}], []
 
 
 def precision_study(
@@ -445,23 +440,22 @@ def precision_study(
     )
     rows = []
     for report in reports:
-        row = _blank_row()
-        row.update(
-            source="precision",
-            n=report.n,
-            p_n=table.nth(report.n),
-            margin=report.margin,
-            float_margin=report.float_margin,
-            float_gap=report.float_gap,
-            float_floor=report.float_floor,
-        )
+        row = {
+            "source": "precision",
+            "n": report.n,
+            "p_n": table.nth(report.n),
+            "margin": report.margin,
+            "float_margin": report.float_margin,
+            "float_gap": report.float_gap,
+            "float_floor": report.float_floor,
+            "survival_sign": "",  # the estimator is undefined below n = 3
+        }
         survival_record = survival_records.get(report.n)
         if survival_record is not None:
-            sign = (survival_record.residual > 0) - (survival_record.residual < 0)
-            row.update(survival_sign=sign)
+            row["survival_sign"] = (survival_record.residual > 0) - (survival_record.residual < 0)
         spectral_record = spectral_records.get(report.n)
         if spectral_record is not None:
-            row.update(residual=spectral_record.residual)
+            row["residual"] = spectral_record.residual
         rows.append(row)
     anomalies = sieve_identity.float_anomalies(reports)
     floor_breaks = [r.n for r in reports if r.float_floor != 1]
@@ -478,13 +472,12 @@ def _run_report(config: RunConfig, table: core.PrimeTable):
     _check_scan_range(table, config.n_max)
     amplitude = _resolve_amplitude(config, table)
     rows, summary = precision_study(config.n_max, table, amplitude)
-    summary_row = _blank_row()
-    summary_row.update(
-        source="summary",
-        first_float_floor_break=summary["first_float_floor_break"],
-        anomaly_count=summary["anomaly_count"],
-        float_gap=summary["max_abs_float_gap"],
-    )
+    summary_row = {
+        "source": "summary",
+        "first_float_floor_break": summary["first_float_floor_break"],
+        "anomaly_count": summary["anomaly_count"],
+        "float_gap": summary["max_abs_float_gap"],
+    }
     return rows + [summary_row], []
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simpson
+from .core import EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simpson, sieve
 
 # Euler-Mascheroni constant, 50 digits (rounds to the nearest float64).
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
@@ -45,13 +45,10 @@ def mertens_product(n: int, table: PrimeTable) -> tuple[float, float]:
 
     Returns (product, ratio) where product = prod(1 - 1/p_k, k <= n) by
     sequential multiplication and ratio = product * ln(p_n) / e^(-gamma);
-    Mertens' third theorem drives the ratio to 1.
+    Mertens' third theorem drives the ratio to 1.  This is the last row of
+    `mertens_sweep`: the same factors, multiplied in the same order.
     """
-    p_n = table.nth(n)
-    product = 1.0
-    for p in table.primes[:n]:
-        product *= 1.0 - 1.0 / p
-    return product, product * math.log(p_n) / math.exp(-EULER_GAMMA)
+    return mertens_sweep(n, table)[-1][1:]
 
 
 def mertens_sweep(n_max: int, table: PrimeTable) -> list[tuple[int, float, float]]:
@@ -149,37 +146,14 @@ class SelbergSolution:
     minimum: float
 
 
-def _is_squarefree(d: int) -> bool:
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return False
-        p += 1
-    return True
-
-
-def _moebius_small(d: int) -> int:
-    if d == 1:
-        return 1
-    parity = 0
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            parity ^= 1
-        p += 1
-    if d > 1:
-        parity ^= 1
-    return -1 if parity else 1
+def _moebius_below(z: int) -> np.ndarray:
+    """mu(d) for 0 <= d < z, read off the sieve oracle; mu[0] == 0."""
+    return sieve(max(z, 2)).moebius_values(max(z, 1))[: max(z, 0)]
 
 
 def squarefree_support(z: int) -> list[int]:
     """Squarefree d < z, ascending: the support of the sieve weights."""
-    return [d for d in range(1, z) if _is_squarefree(d)]
+    return np.flatnonzero(_moebius_below(z)).tolist()
 
 
 SELBERG_MAX_WEIGHTS = 64  # size cap of the dense small-instance solver
@@ -204,8 +178,9 @@ def quadratic_form_value(x: int, divisors: list[int], weights) -> float:
 
 def moebius_truncation_value(x: int, z: int) -> float:
     """Value of the quadratic form under truncated Möbius weights w_d = mu(d)."""
-    divisors = squarefree_support(z)
-    return quadratic_form_value(x, divisors, [float(_moebius_small(d)) for d in divisors])
+    mu = _moebius_below(z)
+    divisors = np.flatnonzero(mu).tolist()
+    return quadratic_form_value(x, divisors, [float(mu[d]) for d in divisors])
 
 
 def selberg_minimize(x: int, z: int) -> SelbergSolution:

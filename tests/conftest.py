@@ -1,3 +1,5 @@
+import resource
+
 import pytest
 
 from primeforms.core import sieve
@@ -20,3 +22,19 @@ def small_table():
 def certificates_500(table):
     """Exact certificates for n = 1..500, shared by the acceptance criteria."""
     return precision_probe(500, table)
+
+
+@pytest.fixture
+def capped_address_space():
+    """A `preexec_fn` capping a child process's address space at 1 GiB.
+
+    A table allocated past a missing resource check then fails in the child
+    with `MemoryError` instead of taking the machine's memory.
+    """
+
+    def cap():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    return cap

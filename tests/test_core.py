@@ -2,11 +2,13 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeforms.core import log_integral, sieve
@@ -71,6 +73,58 @@ def test_sieve_index_is_built_on_first_read():
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve(1)
+
+
+def least_prime_divisor(m: int) -> int:
+    for d in range(2, math.isqrt(m) + 1):
+        if m % d == 0:
+            return d
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=2000))
+@example(4)
+@example(9)
+@example(25)
+@example(49)
+@example(120)
+@example(121)
+@example(122)
+@example(961)
+def test_sieve_boundaries_match_trial_division(limit):
+    # prime squares and their neighbours sit on the isqrt edge of the SPF pass
+    table = sieve(limit)
+    span = range(2, limit + 1)
+    assert table.primes == [m for m in span if trial_division_is_prime(m)]
+    assert [table.smallest_prime_factor(m) for m in span] == [least_prime_divisor(m) for m in span]
+
+
+def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
+    # 2^31 would wrap in the int32 SPF table; 2^31 - 1 is allowed, so under
+    # the 1 GiB cap its 8 GiB table fails to allocate
+    probe = (
+        "from primeforms.core import ResourceLimitError, sieve\n"
+        "try:\n"
+        "    sieve(2**31)\n"
+        "except ResourceLimitError as exc:\n"
+        "    print('refused:', exc)\n"
+        "try:\n"
+        "    sieve(2**31 - 1)\n"
+        "except MemoryError:\n"
+        "    print('allocating')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=capped_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    refused, allocating = proc.stdout.splitlines()
+    assert refused.startswith("refused: sieve limit 2147483648") and "int32" in refused
+    assert allocating == "allocating"
 
 
 def test_sieve_million_matches_segmented_resieve(table):
@@ -208,7 +262,8 @@ def test_rational_canonical_form(n, d):
 def u_trapezoid_oracle(x: float, points: int = 1 << 17) -> float:
     """Dense trapezoid of the log-substituted integrand e^u/u over [ln 2, ln x]."""
     u = np.linspace(math.log(2.0), math.log(x), points + 1)
-    return float(np.trapezoid(np.exp(u) / u, u))
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # np.trapezoid is numpy >= 2.0
+    return float(trapezoid(np.exp(u) / u, u))
 
 
 def test_log_integral_at_two_is_zero():

@@ -337,6 +337,8 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         (["survival", "--n-max", "200000"], "--sieve-limit"),
         (["spectral", "--n-max", "5", "--calib-hi", "200000"], "--sieve-limit"),
         (["selberg", "--x", "1000", "--z", "200"], "--z 105"),
+        (["spectral", "--n-max", "5", "--alpha", "nan"], "--alpha"),
+        (["spectral", "--n-max", "5", "--alpha", "inf"], "--alpha"),
     ],
 )
 def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
@@ -346,6 +348,21 @@ def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
     assert proc.returncode == EXIT_USAGE
     assert "error:" in proc.stderr
     assert fix in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_refuses_sieve_limit_past_int32(capped_address_space):
+    # under the 1 GiB cap a table allocated before the check ends in MemoryError
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeforms", "brun", "--X", "10", "--sieve-limit", "2147483648"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=capped_address_space,
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith("resource limit:")
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
 
 

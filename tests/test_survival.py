@@ -23,6 +23,7 @@ from primeforms.survival import (
     moebius_truncation_value,
     quadratic_form_value,
     selberg_minimize,
+    squarefree_support,
     surprisal,
     survival_estimate,
     survival_sweep,
@@ -176,6 +177,28 @@ def test_selberg_random_instances_kkt_and_brute_force():
         brute = quadratic_form_value(x, solution.divisors, solution.weights)
         assert abs(brute - solution.minimum) <= 1e-9 * max(1.0, brute)
         assert solution.minimum <= moebius_truncation_value(x, z) + 1e-12
+
+
+def trial_division_moebius(d: int) -> int:
+    sign, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign
+
+
+def test_support_and_truncation_signs_match_trial_division():
+    for z in range(1, 400):
+        support = squarefree_support(z)
+        assert support == [d for d in range(1, z) if trial_division_moebius(d)]
+    for x, z in ((30, 5), (200, 40), (500, 105)):
+        support = squarefree_support(z)
+        signs = [float(trial_division_moebius(d)) for d in support]
+        assert moebius_truncation_value(x, z) == quadratic_form_value(x, support, signs)
 
 
 def test_selberg_rejects_bad_levels():
