@@ -95,6 +95,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise UsageError(f"{name} must be positive")
+        if self.n is not None and self.n_max is not None:
+            raise UsageError("--n and --n-max exclude each other; pass one of them")
         if self.sieve_limit < 2:
             raise UsageError("sieve limit must be at least 2")
         if self.samples < gandhi.MIN_SAMPLES:
@@ -287,10 +289,15 @@ def _check_scan_range(table: core.PrimeTable, n_max: int) -> None:
         )
 
 
-def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
+def _ordinal_range(config: RunConfig) -> tuple[int, int]:
+    """[lo, hi] of a command run at the single --n or at every n up to --n-max."""
     if config.n is None and config.n_max is None:
-        raise UsageError("command 'sieve-next' needs --n or --n-max")
-    lo, hi = (config.n, config.n) if config.n_max is None else (1, config.n_max)
+        raise UsageError(f"command {config.command!r} needs --n or --n-max")
+    return (config.n, config.n) if config.n_max is None else (1, config.n_max)
+
+
+def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
+    lo, hi = _ordinal_range(config)
     _check_scan_range(table, hi)
     found = sieve_identity.next_prime_sweep(lo, hi, table)
     rows, violations = [], []
@@ -320,9 +327,8 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
 
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
-    if config.n is None and config.n_max is None:
-        raise UsageError("command 'gandhi' needs --n or --n-max")
-    lo, hi = (config.n, config.n) if config.n_max is None else (1, config.n_max)
+    lo, hi = _ordinal_range(config)
+    _check_tabulated(table, hi + 1, "the extracted prime's ordinal")
     rows, violations = [], []
     for n in range(lo, hi + 1):
         evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
@@ -428,16 +434,8 @@ def precision_study(
     reports = sieve_identity.precision_probe(n_max, table)
     spectral_params = spectral.SpectralParams(amplitude=amplitude)
     survival_params = params or survival.SurvivalParams()
-    survival_records = (
-        {r.n: r for r in survival.survival_sweep(3, n_max, survival_params, table)}
-        if n_max >= 3
-        else {}
-    )
-    spectral_records = (
-        {r.n: r for r in spectral.spectral_sweep(3, n_max, spectral_params, table)}
-        if n_max >= 3
-        else {}
-    )
+    survival_records = {r.n: r for r in survival.survival_sweep(3, n_max, survival_params, table)}
+    spectral_records = {r.n: r for r in spectral.spectral_sweep(3, n_max, spectral_params, table)}
     rows = []
     for report in reports:
         row = {
@@ -541,8 +539,12 @@ def run(config: RunConfig, stream=None) -> int:
     elif config.out is None:
         write_rows(rows, config.fmt, sys.stdout)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            write_rows(rows, config.fmt, handle)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="") as handle:
+                write_rows(rows, config.fmt, handle)
+        except OSError as exc:
+            print(f"error: cannot write --out {config.out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
 
     if violations:
         for violation in violations:
@@ -552,12 +554,13 @@ def run(config: RunConfig, stream=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sieve-limit", type=int, default=core.DEFAULT_SIEVE_LIMIT)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, help="output path (default: standard output)")
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--samples", type=int, default=1_000_000)
+    """The CLI; each dest is a RunConfig field, and an absent flag keeps its default."""
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--sieve-limit", type=int)
+    common.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    common.add_argument("--out", help="output path (default: standard output)")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--samples", type=int)
 
     parser = argparse.ArgumentParser(
         prog="primeforms",
@@ -565,65 +568,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve-next", parents=[common], help="next prime via the coprimality filter")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("sieve-next", "next prime via the coprimality filter")
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
 
-    p = sub.add_parser("certify", parents=[common], help="exact harmonic-sum certificates")
+    p = command("certify", "exact harmonic-sum certificates")
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("gandhi", parents=[common], help="exact Gandhi-formula evaluation")
+    p = command("gandhi", "exact Gandhi-formula evaluation")
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--allow-large-gandhi", action="store_true")
 
-    p = sub.add_parser("spectral", parents=[common], help="drift + resonance estimates")
+    p = command("spectral", "drift + resonance estimates")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None, help="override the calibrated amplitude")
-    p.add_argument("--calib-lo", type=int, default=10)
-    p.add_argument("--calib-hi", type=int, default=1000)
+    p.add_argument(
+        "--alpha", type=float, dest="alpha_override", metavar="ALPHA", help="override the calibrated amplitude"
+    )
+    p.add_argument("--calib-lo", type=int)
+    p.add_argument("--calib-hi", type=int)
 
-    p = sub.add_parser("survival", parents=[common], help="growth-product and capacity estimates")
+    p = command("survival", "growth-product and capacity estimates")
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("selberg", parents=[common], help="minimize the sieve quadratic form")
+    p = command("selberg", "minimize the sieve quadratic form")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
 
-    p = sub.add_parser("brun", parents=[common], help="twin-prime partial sums")
+    p = command("brun", "twin-prime partial sums")
     p.add_argument("--X", type=int, required=True, dest="x_upper")
 
-    p = sub.add_parser("report", parents=[common], help="float-vs-exact precision study")
+    p = command("report", "float-vs-exact precision study")
     p.add_argument("--n-max", type=int, required=True)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        x=getattr(args, "x", None),
-        z=getattr(args, "z", None),
-        x_upper=getattr(args, "x_upper", None),
-        sieve_limit=args.sieve_limit,
-        samples=args.samples,
-        seed=args.seed,
-        alpha_override=getattr(args, "alpha", None),
-        calib_lo=getattr(args, "calib_lo", 10),
-        calib_hi=getattr(args, "calib_hi", 1000),
-        fmt=args.format,
-        out=args.out,
-        allow_large_gandhi=getattr(args, "allow_large_gandhi", False),
-    )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = RunConfig(**vars(args))
     except UsageError as exc:
         parser.error(str(exc))  # exits with status 2
     return run(config)

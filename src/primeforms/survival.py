@@ -228,15 +228,32 @@ def selberg_minimize(x: int, z: int) -> SelbergSolution:
 # -- sieve capacity ----------------------------------------------------------
 
 
+def _capacity_terms(z_max: int, table: PrimeTable) -> np.ndarray:
+    """mu^2(d)/phi(d) for 0 <= d < z_max (z_max >= 2), and 0.0 at d = 0.
+
+    On squarefree d, phi(d) is the product of p - 1 over the primes p | d,
+    so one multiply per prime builds it; the product on the other d is
+    never read.  Entry z - 1 of their `np.cumsum` is V(z): `cumsum` adds in
+    ascending d, and a 0.0 term leaves a positive sum unchanged, so it is
+    the sum accumulated over the squarefree d one at a time.
+    """
+    mu = table.moebius_values(z_max - 1)[:z_max]
+    phi = np.ones(z_max, dtype=np.int64)
+    for p in table.primes[: table.pi(z_max - 1)]:
+        phi[p::p] *= p - 1
+    return np.where(mu != 0, 1.0 / phi, 0.0)
+
+
 def capacity(z: int, table: PrimeTable) -> tuple[float, float]:
     """Cumulative sieve capacity V(z) = sum_{d<z} mu^2(d)/phi(d) and its reciprocal.
 
     The structural weight is fixed to the Euler totient, the classical
-    choice for the prime sieve, so reported values are V_phi.
+    choice for the prime sieve, so reported values are V_phi.  V(z) is the
+    running sum of `_capacity_terms` that `capacity_sweep` reads.
     """
     if z < 2:
         raise ValueError("need z >= 2 so the d = 1 term is present")
-    v = math.fsum(1.0 / table.totient(d) for d in range(1, z) if table.moebius(d) != 0)
+    v = float(np.cumsum(_capacity_terms(z, table))[-1])
     return v, 1.0 / v
 
 
@@ -245,40 +262,30 @@ def capacity_estimate(n: int, table: PrimeTable, *, use_fixed_point: bool = Fals
 
     The identity is self-referential (z depends on the p_n it estimates), so
     by default the oracle p_n feeds z and the module measures the identity's
-    residual.  The fixed-point variant instead bootstraps z from sqrt(n ln n)
-    and iterates twice.  z is clamped to >= 2; the sub-leading remainder is
-    carried as zero and absorbed into the residual.
+    residual: the one-element slice of `capacity_sweep`.  The fixed-point
+    variant instead bootstraps z from sqrt(n ln n) and iterates twice.  z is
+    clamped to >= 2; the sub-leading remainder is carried as zero and
+    absorbed into the residual.
     """
     if n < 2:
         raise ValueError("capacity estimate needs n >= 2")
-    p_n = table.nth(n)
-    if use_fixed_point:
-        z = max(2, math.isqrt(int(n * math.log(n))))
-        for _ in range(2):
-            v, _ = capacity(z, table)
-            z = max(2, math.isqrt(int(n * v)))
-    else:
-        z = max(2, math.isqrt(p_n))
-    v, _ = capacity(z, table)
-    return EstimatorRecord.against(n, p_n, n * v)
+    if not use_fixed_point:
+        return capacity_sweep(n, n, table)[0]
+    z = max(2, math.isqrt(int(n * math.log(n))))
+    for _ in range(2):
+        z = max(2, math.isqrt(int(n * capacity(z, table)[0])))
+    return EstimatorRecord.against(n, table.nth(n), n * capacity(z, table)[0])
 
 
 def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRecord]:
-    """Oracle-fed capacity estimates for n in [n_lo, n_hi], advancing V(z) incrementally."""
+    """Oracle-fed capacity estimates n * V(max(2, isqrt(p_n))) for n in [n_lo, n_hi]."""
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
-    v = 1.0  # V(2): the d = 1 term
-    z = 2
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        p_n = table.nth(n)
-        target = max(2, math.isqrt(p_n))
-        while z < target:
-            if table.moebius(z) != 0:
-                v += 1.0 / table.totient(z)
-            z += 1
-        out.append(EstimatorRecord.against(n, p_n, n * v))
-    return out
+    v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table)).tolist()
+    return [
+        EstimatorRecord.against(n, p, n * v[max(2, math.isqrt(p)) - 1])
+        for n, p in enumerate(table.primes[n_lo - 1 : n_hi], start=n_lo)
+    ]
 
 
 # -- Brun partial sums --------------------------------------------------------

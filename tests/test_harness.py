@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,9 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         (["selberg", "--x", "1000", "--z", "200"], "--z 105"),
         (["spectral", "--n-max", "5", "--alpha", "nan"], "--alpha"),
         (["spectral", "--n-max", "5", "--alpha", "inf"], "--alpha"),
+        (["gandhi", "--n", "1", "--sieve-limit", "2"], "--sieve-limit"),
+        (["gandhi", "--n-max", "7", "--sieve-limit", "17", "--samples", "10000"], "--sieve-limit"),
+        (["brun", "--X", "10", "--out", ""], "--out"),
     ],
 )
 def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
@@ -349,6 +354,102 @@ def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
     assert "error:" in proc.stderr
     assert fix in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["sieve-next", "--n", "5", "--n-max", "3"], ["gandhi", "--n", "3", "--n-max", "2"]]
+)
+def test_main_refuses_n_with_n_max(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    message = capsys.readouterr().err
+    assert "--n " in message and "--n-max" in message
+
+
+# Each command's required flags and the RunConfig fields they set.
+REQUIRED_FLAGS = {
+    "sieve-next": ([], {}),
+    "certify": (["--n-max", "5"], {"n_max": 5}),
+    "gandhi": ([], {}),
+    "spectral": (["--n-max", "5"], {"n_max": 5}),
+    "survival": (["--n-max", "5"], {"n_max": 5}),
+    "selberg": (["--x", "10", "--z", "3"], {"x": 10, "z": 3}),
+    "brun": (["--X", "10"], {"x_upper": 10}),
+    "report": (["--n-max", "5"], {"n_max": 5}),
+}
+
+
+@pytest.mark.parametrize("command", harness.COMMANDS)
+def test_parsed_command_keeps_run_config_defaults(command):
+    argv, fields = REQUIRED_FLAGS[command]
+    args = vars(harness.build_parser().parse_args([command, *argv]))
+    assert args == {"command": command, **fields}
+    assert RunConfig(**args) == RunConfig(command=command, **fields)
+
+
+# Every flag of every command except --allow-large-gandhi, with values that
+# stay small: no sieve above 5000, no ordinal above 60, so Gandhi's n <= 7
+# cap refuses the rest before any large allocation.
+FUZZ_FLAGS = {
+    "--n": st.integers(-1, 60),
+    "--n-max": st.integers(-1, 60),
+    "--x": st.integers(-1, 300),
+    "--z": st.integers(-1, 120),
+    "--X": st.integers(-1, 6_000),
+    "--seed": st.integers(-1, 2**64),
+    "--alpha": st.floats(),
+    "--calib-lo": st.integers(-1, 700),
+    "--calib-hi": st.integers(-1, 700),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--out": st.sampled_from(["report.out", ""]),  # a file, then the directory itself
+}
+# Each command's (required, optional) flags; --seed, --format and --out are common.
+COMMAND_FLAGS = {
+    "sieve-next": ([], ["--n", "--n-max"]),
+    "certify": (["--n-max"], []),
+    "gandhi": ([], ["--n", "--n-max"]),
+    "spectral": (["--n-max"], ["--alpha", "--calib-lo", "--calib-hi"]),
+    "survival": (["--n-max"], []),
+    "selberg": (["--x", "--z"], []),
+    "brun": (["--X"], []),
+    "report": (["--n-max"], []),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command's required flags and some optional ones, with values mostly in range.
+
+    One vector in ten also carries any flag at all, and one value in twenty
+    is blank or not a number, so argparse's own refusals are reached too.
+    """
+    command = draw(st.sampled_from(harness.COMMANDS))
+    required, optional = COMMAND_FLAGS[command]
+    options = optional + ["--seed", "--format", "--out"]
+    flags = required + draw(st.lists(st.sampled_from(options), max_size=len(options), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_FLAGS))))
+    argv = [command]
+    for flag in flags:
+        garbled = draw(st.integers(0, 19)) == 0
+        argv += [flag, draw(st.sampled_from(["", "x"]) if garbled else FUZZ_FLAGS[flag].map(str))]
+    argv += ["--sieve-limit", str(draw(st.integers(-1, 5_000)))]
+    argv += ["--samples", str(draw(st.integers(10_000, 20_000)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzz_argv())
+def test_cli_fuzz_exits_zero_two_or_three(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        argv = [os.path.join(scratch, a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse and RunConfig usage errors
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE), argv
 
 
 def test_cli_refuses_sieve_limit_past_int32(capped_address_space):

@@ -28,6 +28,7 @@ from primeforms.survival import (
     survival_estimate,
     survival_sweep,
 )
+from primeforms.survival import _capacity_terms
 
 
 def test_params_pin_the_density_constant():
@@ -233,11 +234,24 @@ def test_capacity_fixed_point_variant_runs(table):
 
 
 def test_capacity_sweep_matches_per_call(table):
-    sweep = capacity_sweep(2, 300, table)
-    for n in (2, 3, 50, 300):
-        record = capacity_estimate(n, table)
-        matching = next(r for r in sweep if r.n == n)
-        assert math.isclose(record.estimate, matching.estimate, rel_tol=1e-12)
+    sweep = capacity_sweep(2, 3_000, table)
+    for n in range(2, 3_001):
+        assert capacity_estimate(n, table).estimate == sweep[n - 2].estimate
+
+
+def test_capacity_terms_are_reciprocal_totients_on_squarefree(table):
+    terms = _capacity_terms(5_000, table)
+    assert terms[0] == 0.0
+    for d in range(1, 5_000):
+        assert terms[d] == (1.0 / table.totient(d) if table.moebius(d) else 0.0), d
+
+
+def test_capacity_is_the_running_sum_in_ascending_d(table):
+    v = 0.0
+    for z in range(2, 1_501):
+        if table.moebius(z - 1):
+            v += 1.0 / table.totient(z - 1)
+        assert capacity(z, table) == (v, 1.0 / v), z
 
 
 def test_capacity_sweep_strictly_increasing(table):
