@@ -16,9 +16,9 @@ import math
 import sys
 
 from primeforms.core import DEFAULT_SIEVE_LIMIT, sieve
-from primeforms.harness import REPORT_COLUMNS, _estimator_row, write_rows
+from primeforms.harness import _estimator_row, write_rows
 from primeforms.spectral import SpectralParams, calibrate_amplitude, spectral_sweep
-from primeforms.survival import SurvivalParams, capacity_sweep, survival_sweep
+from primeforms.survival import capacity_sweep, survival_sweep
 
 
 def decade_stats(records):
@@ -36,6 +36,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     parser.add_argument("--out", default=None, help="optional CSV dump of every record")
     args = parser.parse_args(argv)
+    if args.n_min < 3:
+        parser.error(f"--n-min must be at least 3, where the sweeps start, not {args.n_min}")
 
     table = sieve(args.sieve_limit)
     amplitude = calibrate_amplitude(SpectralParams(), table)
@@ -46,7 +48,7 @@ def main(argv=None) -> int:
             args.n_min, args.n_max, SpectralParams(amplitude=amplitude), table
         ),
         "spectral(alpha=0)": spectral_sweep(args.n_min, args.n_max, SpectralParams(), table),
-        "survival": survival_sweep(args.n_min, args.n_max, SurvivalParams(), table),
+        "survival": survival_sweep(args.n_min, args.n_max, table),
         "capacity": capacity_sweep(args.n_min, args.n_max, table),
     }
 
@@ -72,7 +74,7 @@ def main(argv=None) -> int:
             rows.extend(_estimator_row(source_names[name], r) for r in records)
         rows.sort(key=lambda row: (row["n"], row["source"]))
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_rows(rows, "csv", handle, columns=REPORT_COLUMNS)
+            write_rows(rows, "csv", handle)
         print(f"wrote {len(rows)} records to {args.out}")
     return 0
 

@@ -51,7 +51,6 @@ from .spectral import (
 from .survival import (
     EULER_GAMMA,
     SelbergSolution,
-    SurvivalParams,
     brun_partial,
     capacity,
     capacity_estimate,
@@ -77,7 +76,6 @@ __all__ = [
     "ResourceLimitError",
     "SelbergSolution",
     "SpectralParams",
-    "SurvivalParams",
     "brun_partial",
     "calibrate_amplitude",
     "capacity",

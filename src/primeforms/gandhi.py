@@ -80,8 +80,8 @@ def _spaced_ones(stride: int, count: int) -> int:
 def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False) -> Fraction:
     """Exact probability that a geometric(1/2) draw is coprime to the first n primes.
 
-    Subsets are enumerated in Gray-code order so each exponent follows from
-    its predecessor by a single multiply or divide.
+    Every subset of the first n primes contributes (-1)^|S| / (2^E - 1),
+    E the product of S; the empty subset supplies the leading +1.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
@@ -92,25 +92,15 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
         )
     primes = [table.nth(i) for i in range(1, n + 1)]
     exponent_total = table.primorial(n)
-    q = (1 << exponent_total) - 1  # common denominator 2^(P_n) - 1
-    numerator = q  # the leading +1 of the inclusion-exclusion
-    exponent = 1
-    previous_gray = 0
-    for i in range(1, 1 << n):
-        gray = i ^ (i >> 1)
-        flipped = gray ^ previous_gray
-        previous_gray = gray
-        j = flipped.bit_length() - 1
-        if gray & flipped:
-            exponent *= primes[j]
-        else:
-            exponent //= primes[j]
+    numerator = 0
+    for mask in range(1 << n):
+        exponent = math.prod(p for j, p in enumerate(primes) if mask >> j & 1)
         term = _spaced_ones(exponent, exponent_total // exponent)  # q / (2^exponent - 1)
-        if gray.bit_count() % 2:
+        if mask.bit_count() % 2:
             numerator -= term
         else:
             numerator += term
-    return Fraction(numerator, q)
+    return Fraction(numerator, (1 << exponent_total) - 1)  # over q = 2^(P_n) - 1
 
 
 def extract_prime(probability: Fraction) -> int:

@@ -1,4 +1,4 @@
-"""Command-line harness: sweeps, CSV/JSON reports, precision study, benchmarks.
+"""Command-line harness: sweeps, CSV/JSON reports and the precision study.
 
 The report schema is frozen (see REPORT_COLUMNS and the README): every row
 carries a `source` naming its producer and the row's n; exact rationals are
@@ -14,8 +14,8 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,9 +58,6 @@ REPORT_COLUMNS = [
     "residual",
     "rel_error",
 ]
-
-BENCHMARK_COLUMNS = ["operation", "n", "seconds"]
-
 
 class UsageError(ValueError):
     """Bad flag combination or a parameter outside the configured resources."""
@@ -190,19 +187,12 @@ def _fraction_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
-def _json_cell(value):
-    if isinstance(value, Fraction):
-        return _fraction_str(value)
-    if isinstance(value, str) and value == "":
-        return None
-    return value
-
-
 def _csv_cells(rows: list[dict], columns: list[str]):
     """Each row's cells in column order, absent columns blank.
 
     `csv` itself writes floats by repr() and other cells by str(); only a
-    row carrying a Fraction is re-mapped, to "numerator/denominator".
+    row carrying a Fraction is re-mapped, to "numerator/denominator".  JSON
+    reads the same cells, with a blank as null.
     """
     blanks = [""] * len(columns)
     for row in rows:
@@ -212,14 +202,17 @@ def _csv_cells(rows: list[dict], columns: list[str]):
         yield cells
 
 
-def write_rows(rows: list[dict], fmt: str, stream, columns: list[str] | None = None) -> None:
-    columns = columns or REPORT_COLUMNS
+def write_rows(rows: list[dict], fmt: str, stream) -> None:
+    columns = REPORT_COLUMNS
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
         writer.writerows(_csv_cells(rows, columns))
     else:
-        payload = [{c: _json_cell(row.get(c, "")) for c in columns} for row in rows]
+        payload = [
+            {c: None if cell == "" else cell for c, cell in zip(columns, cells)}
+            for cells in _csv_cells(rows, columns)
+        ]
         json.dump(payload, stream, indent=1)
         stream.write("\n")
 
@@ -311,19 +304,25 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     return rows, violations
 
 
+def _certificates(n_max: int, table: core.PrimeTable):
+    """Certificates for n = 1..n_max, each built once, and every exact invariant they break."""
+    reports = sieve_identity.precision_probe(n_max, table)
+    violations = []
+    for report in reports:
+        violations.extend(report.violations())
+        expected = table.nth(report.n + 1)
+        if report.next_prime != expected:
+            violations.append(
+                f"n={report.n}: certificate survivor {report.next_prime}, oracle {expected}"
+            )
+    return reports, violations
+
+
 def _run_certify(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     _check_scan_range(table, config.n_max)
-    rows, violations = [], []
-    for n in range(1, config.n_max + 1):
-        report = sieve_identity.harmonic_certificate(n, table)
-        violations.extend(report.violations())
-        if report.next_prime != table.nth(n + 1):
-            violations.append(
-                f"n={n}: certificate survivor {report.next_prime}, oracle {table.nth(n + 1)}"
-            )
-        rows.append(_certificate_row(report, table))
-    return rows, violations
+    reports, violations = _certificates(config.n_max, table)
+    return [_certificate_row(report, table) for report in reports], violations
 
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
@@ -385,10 +384,9 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
     if config.n_max < 3:
         raise UsageError("survival sweep needs --n-max >= 3")
     _check_tabulated(table, config.n_max, "--n-max")
-    params = survival.SurvivalParams()
     rows = []
     for grown, capped in zip(
-        survival.survival_sweep(3, config.n_max, params, table),
+        survival.survival_sweep(3, config.n_max, table),
         survival.capacity_sweep(3, config.n_max, table),
     ):
         if grown.n != capped.n:
@@ -420,21 +418,19 @@ def _run_brun(config: RunConfig, table: core.PrimeTable):
     return [{"source": "brun", "n": pairs, "x": config.x_upper, "estimate": value}], []
 
 
-def precision_study(
-    n_max: int, table: core.PrimeTable, amplitude: float, params: survival.SurvivalParams | None = None
-) -> tuple[list[dict], dict]:
+def precision_study(n_max: int, table: core.PrimeTable, amplitude: float) -> tuple[list[dict], dict]:
     """Per-n float-vs-exact study plus a summary block.
 
     Rows carry the exact margin (as an exact rational), its float shadow,
     the signed float gap, the float floor, the sign of the survival
     residual, and the spectral residual.  The summary reports the first n
-    (if any) whose float floor broke, the anomaly count, and the largest
-    absolute float gap; it is emitted even when nothing deviated.
+    (if any) whose float floor broke, the anomaly count, the largest
+    absolute float gap, and the exact invariants the certificates broke;
+    it is emitted even when nothing deviated.
     """
-    reports = sieve_identity.precision_probe(n_max, table)
+    reports, violations = _certificates(n_max, table)
     spectral_params = spectral.SpectralParams(amplitude=amplitude)
-    survival_params = params or survival.SurvivalParams()
-    survival_records = {r.n: r for r in survival.survival_sweep(3, n_max, survival_params, table)}
+    survival_records = {r.n: r for r in survival.survival_sweep(3, n_max, table)}
     spectral_records = {r.n: r for r in spectral.spectral_sweep(3, n_max, spectral_params, table)}
     rows = []
     for report in reports:
@@ -461,6 +457,7 @@ def precision_study(
         "first_float_floor_break": floor_breaks[0] if floor_breaks else "",
         "anomaly_count": len(anomalies),
         "max_abs_float_gap": max(abs(r.float_gap) for r in reports),
+        "violations": violations,
     }
     return rows, summary
 
@@ -476,31 +473,7 @@ def _run_report(config: RunConfig, table: core.PrimeTable):
         "anomaly_count": summary["anomaly_count"],
         "float_gap": summary["max_abs_float_gap"],
     }
-    return rows + [summary_row], []
-
-
-def benchmark(n_max: int, table: core.PrimeTable) -> list[dict]:
-    """Wall-clock timings: filter scans up to n_max, Gandhi steps up to 7.
-
-    Measurement only; no scaling assertion is made anywhere in the suite.
-    """
-    if n_max > 500:
-        raise UsageError("benchmark sweeps the filter scan only up to n_max = 500")
-    _check_scan_range(table, n_max)
-    rows = []
-    for n in range(1, n_max + 1):
-        start = time.perf_counter()
-        sieve_identity.next_prime_via_filter(n, table)
-        rows.append(
-            {"operation": "next_prime_via_filter", "n": n, "seconds": time.perf_counter() - start}
-        )
-    for n in range(1, min(n_max, gandhi.FEASIBLE_N) + 1):
-        start = time.perf_counter()
-        gandhi.survivor_probability(n, table)
-        rows.append(
-            {"operation": "survivor_probability", "n": n, "seconds": time.perf_counter() - start}
-        )
-    return rows
+    return rows + [summary_row], summary["violations"]
 
 
 _EXECUTORS = {
@@ -537,7 +510,16 @@ def run(config: RunConfig, stream=None) -> int:
     if stream is not None:
         write_rows(rows, config.fmt, stream)
     elif config.out is None:
-        write_rows(rows, config.fmt, sys.stdout)
+        try:
+            write_rows(rows, config.fmt, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early.  What is still buffered goes
+            # to the null device, so the flush at interpreter exit cannot
+            # raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         try:
             with open(config.out, "w", encoding="utf-8", newline="") as handle:

@@ -22,19 +22,7 @@ from .core import EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simp
 # Euler-Mascheroni constant, 50 digits (rounds to the nearest float64).
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
-
-@dataclass
-class SurvivalParams:
-    """Fixed constants of the survival model."""
-
-    gamma: float = EULER_GAMMA
-    entropy_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.5614 < math.exp(-self.gamma) < 0.5615:
-            raise ValueError("gamma is inconsistent with the Mertens density constant")
-        if self.entropy_tolerance <= 0:
-            raise ValueError("entropy tolerance must be positive")
+ENTROPY_TOLERANCE = 1e-9  # adaptive-quadrature tolerance of `entropy`
 
 
 # -- Mertens products ------------------------------------------------------
@@ -78,7 +66,7 @@ def entropy_integrand(x: float) -> float:
     return math.log(math.log(x)) / math.log(x)
 
 
-def entropy(n: int, params: SurvivalParams | None = None) -> tuple[float, float]:
+def entropy(n: int) -> tuple[float, float]:
     """Accumulated sieve entropy up to n: discrete sum and quadrature form.
 
     The k-th term scores the heuristic density 1/ln k; the integral form is
@@ -87,13 +75,12 @@ def entropy(n: int, params: SurvivalParams | None = None) -> tuple[float, float]
     """
     if n < 3:
         raise ValueError("entropy needs n >= 3")
-    params = params or SurvivalParams()
     terms = []
     for k in range(2, n + 1):
         density = 1.0 / math.log(k)
         terms.append(-density * math.log(density))
     sum_form = math.fsum(terms)
-    integral_form = adaptive_simpson(entropy_integrand, 2.0, float(n), params.entropy_tolerance)
+    integral_form = adaptive_simpson(entropy_integrand, 2.0, float(n), ENTROPY_TOLERANCE)
     return sum_form, integral_form
 
 
@@ -104,7 +91,7 @@ def _growth_term(k: int) -> float:
     return 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
 
 
-def survival_estimate(n: int, params: SurvivalParams, table: PrimeTable) -> EstimatorRecord:
+def survival_estimate(n: int, table: PrimeTable) -> EstimatorRecord:
     """Growth-product estimate (n ln n) * prod(1 + 1/(k ln k - ln ln k)) * e^(-gamma).
 
     Evaluated exactly as written, flooring at the end: the one-element
@@ -113,14 +100,14 @@ def survival_estimate(n: int, params: SurvivalParams, table: PrimeTable) -> Esti
     small: the pre-asymptotic drift is one of the quantities this package
     exists to measure.
     """
-    return survival_sweep(n, n, params, table)[0]
+    return survival_sweep(n, n, table)[0]
 
 
-def survival_sweep(n_lo: int, n_hi: int, params: SurvivalParams, table: PrimeTable) -> list[EstimatorRecord]:
+def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRecord]:
     """Estimates for n in [n_lo, n_hi] with a single running product."""
     if n_lo < 3:
         raise ValueError("survival estimate needs n >= 3")
-    scale = math.exp(-params.gamma)
+    scale = math.exp(-EULER_GAMMA)
     product = 1.0
     for k in range(2, n_lo):
         product *= _growth_term(k)

@@ -29,7 +29,6 @@ from primeforms.spectral import (
     spectral_sweep,
 )
 from primeforms.survival import (
-    SurvivalParams,
     brun_partial,
     capacity_sweep,
     mertens_sweep,
@@ -176,7 +175,7 @@ def test_c09_estimator_properties(table):
 
     sweeps = {
         "spectral": spectral_sweep(10, 10_000, calibrated, table),
-        "survival": survival_sweep(10, 10_000, SurvivalParams(), table),
+        "survival": survival_sweep(10, 10_000, table),
         "capacity": capacity_sweep(10, 10_000, table),
     }
     for name, records in sweeps.items():

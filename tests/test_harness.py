@@ -25,7 +25,6 @@ from primeforms.harness import (
     EXIT_USAGE,
     REPORT_COLUMNS,
     RunConfig,
-    benchmark,
     main,
     precision_study,
     run,
@@ -234,9 +233,25 @@ def per_cell_csv(rows, columns):
     return buffer.getvalue()
 
 
-def written_csv(rows):
+def per_cell_json(rows, columns):
+    """Reference JSON: every cell converted on its own, rationals as n/d, blanks as null."""
+
+    def cell(value):
+        if isinstance(value, Fraction):
+            return harness._fraction_str(value)
+        if isinstance(value, str) and value == "":
+            return None
+        return value
+
     buffer = io.StringIO()
-    harness.write_rows(rows, "csv", buffer)
+    json.dump([{c: cell(row.get(c, "")) for c in columns} for row in rows], buffer, indent=1)
+    buffer.write("\n")
+    return buffer.getvalue()
+
+
+def written(rows, fmt="csv"):
+    buffer = io.StringIO()
+    harness.write_rows(rows, fmt, buffer)
     return buffer.getvalue()
 
 
@@ -249,8 +264,9 @@ def test_write_rows_matches_per_cell_rule_on_mixed_rows():
         {},
     ]
     with int_digit_limit(640):
-        text = written_csv(rows)
+        text = written(rows)
         assert text == per_cell_csv(rows, REPORT_COLUMNS)
+        assert written(rows, "json") == per_cell_json(rows, REPORT_COLUMNS)
     assert "5/1" in text.splitlines()[1].split(",")
     assert text.splitlines()[2].startswith('"a,b",')
 
@@ -259,7 +275,7 @@ def test_write_rows_matches_per_cell_rule_on_mixed_rows():
 def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
     rows, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
-    assert written_csv(rows) == per_cell_csv(rows, REPORT_COLUMNS)
+    assert written(rows) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
 def test_survival_rows_interleave_by_n():
@@ -303,7 +319,8 @@ def test_sieve_limit_message_names_required_limit(capsys):
     assert "--sieve-limit" in message
 
 
-def test_invariant_violation_exit_code(monkeypatch):
+@pytest.mark.parametrize("command", ["certify", "report"])
+def test_invariant_violation_exit_code(monkeypatch, command):
     # exact modules cannot be made to fail honestly, so corrupt one report
     from primeforms import sieve_identity
 
@@ -315,7 +332,7 @@ def test_invariant_violation_exit_code(monkeypatch):
         return report
 
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", corrupted)
-    config = RunConfig(command="certify", n_max=3, sieve_limit=LIMIT)
+    config = RunConfig(command=command, n_max=3, sieve_limit=LIMIT, alpha_override=0.0)
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
 
 
@@ -497,18 +514,32 @@ def test_cli_entry_point_subprocess():
     assert "101" in proc.stdout
 
 
-def test_benchmark_rows_and_csv_shape(table):
-    rows = benchmark(10, table)
-    gandhi_rows = [r for r in rows if r["operation"] == "survivor_probability"]
-    assert len(gandhi_rows) == 7
-    scan_rows = [r for r in rows if r["operation"] == "next_prime_via_filter"]
-    assert [r["n"] for r in scan_rows] == list(range(1, 11))
-    buffer = io.StringIO()
-    harness.write_rows(rows, "csv", buffer, columns=harness.BENCHMARK_COLUMNS)
-    buffer.seek(0)
-    parsed = list(csv.reader(buffer))
-    assert parsed[0] == harness.BENCHMARK_COLUMNS
-    assert len(parsed) == len(rows) + 1
+def test_cli_closed_pipe_exits_zero_without_traceback():
+    # ~0.5 MB of rows: far more than the pipe holds once the reader is gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primeforms", "spectral", "--n-max", "5000", "--alpha", "0",
+         "--sieve-limit", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"source,n,")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_residuals_script_refuses_n_min_below_three():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "estimator_residuals.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--n-min", "2", "--sieve-limit", "20000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "--n-min" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_precision_study_shape(table):
@@ -519,3 +550,4 @@ def test_precision_study_shape(table):
     assert rows[4]["survival_sign"] in (-1, 0, 1)
     assert summary["first_float_floor_break"] == ""
     assert summary["max_abs_float_gap"] >= 0.0
+    assert summary["violations"] == []

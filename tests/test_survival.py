@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from primeforms.survival import (
     EULER_GAMMA,
-    SurvivalParams,
     brun_partial,
     capacity,
     capacity_estimate,
@@ -32,9 +31,7 @@ from primeforms.survival import _capacity_terms
 
 
 def test_params_pin_the_density_constant():
-    assert 0.5614 < math.exp(-SurvivalParams().gamma) < 0.5615
-    with pytest.raises(ValueError):
-        SurvivalParams(gamma=0.5)
+    assert 0.5614 < math.exp(-EULER_GAMMA) < 0.5615
 
 
 # -- Mertens products ---------------------------------------------------------
@@ -103,7 +100,7 @@ def test_survival_estimate_hand_product(table):
     d2 = 2 * math.log(2) - math.log(math.log(2))
     d3 = 3 * math.log(3) - math.log(math.log(3))
     expected = 3 * math.log(3) * (1 + 1 / d2) * (1 + 1 / d3) * math.exp(-EULER_GAMMA)
-    record = survival_estimate(3, SurvivalParams(), table)
+    record = survival_estimate(3, table)
     assert math.isclose(record.estimate, expected, rel_tol=1e-14)
     assert record.floored == math.floor(expected)
 
@@ -111,35 +108,33 @@ def test_survival_estimate_hand_product(table):
 def test_survival_estimate_records_residual_sign_at_100(table):
     # measured: the estimator overshoots p_100 = 541 (residual < 0); recorded,
     # not asserted, since no error bound exists for this expression.
-    record = survival_estimate(100, SurvivalParams(), table)
+    record = survival_estimate(100, table)
     assert math.isfinite(record.estimate) and record.estimate > 0
     assert record.residual == record.p_n - record.estimate
 
 
 def test_survival_sweep_matches_per_call(table):
-    params = SurvivalParams()
-    sweep = survival_sweep(3, 400, params, table)
+    sweep = survival_sweep(3, 400, table)
     for n in (3, 57, 400):
-        record = survival_estimate(n, params, table)
+        record = survival_estimate(n, table)
         matching = next(r for r in sweep if r.n == n)
         assert math.isclose(record.estimate, matching.estimate, rel_tol=1e-12)
 
 
 def test_survival_estimate_equals_direct_product_exactly(table):
-    params = SurvivalParams()
     for n in (3, 4, 57, 400):
         product = 1.0
         for k in range(2, n + 1):
             product *= 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
-        expected = n * math.log(n) * product * math.exp(-params.gamma)
-        record = survival_estimate(n, params, table)
+        expected = n * math.log(n) * product * math.exp(-EULER_GAMMA)
+        record = survival_estimate(n, table)
         assert (record.estimate, record.floored) == (expected, math.floor(expected))
         assert record.residual == record.p_n - expected
         assert record.rel_error == (record.p_n - expected) / record.p_n
 
 
 def test_survival_sweep_strictly_increasing(table):
-    sweep = survival_sweep(3, 2_000, SurvivalParams(), table)
+    sweep = survival_sweep(3, 2_000, table)
     assert all(b.estimate > a.estimate for a, b in zip(sweep, sweep[1:]))
 
 
