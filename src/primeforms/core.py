@@ -10,8 +10,10 @@ and to the explicit float-precision probes.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +27,21 @@ class InvariantViolation(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A computation was refused because its cost grows past the configured bound."""
+
+
+def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for a pair already in lowest terms, denominator > 0.
+
+    `Fraction` reduces by a full-size gcd on construction; a caller that
+    has proved the pair coprime skips it through the constructor CPython
+    keeps for its own arithmetic (`_from_coprime_ints` from 3.12 on, the
+    `_normalize=False` keyword before).  Both are private, so the tests
+    compare this against `Fraction(numerator, denominator)` on every
+    supported version.
+    """
+    if sys.version_info >= (3, 12):
+        return Fraction._from_coprime_ints(numerator, denominator)
+    return Fraction(numerator, denominator, _normalize=False)
 
 
 @dataclass
@@ -64,6 +81,8 @@ class PrimeTable:
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
+    # (n, N, D, hi) of the last harmonic certificate, see sieve_identity
+    _harmonic: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def index(self) -> dict[int, int]:

@@ -88,7 +88,8 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
     if n > FEASIBLE_N and not allow_large:
         raise ResourceLimitError(
             f"n={n} needs 2^{n} - 1 = {(1 << n) - 1} inclusion-exclusion terms over "
-            f"{table.primorial(n)}-bit integers; pass allow_large=True to force it"
+            f"{table.primorial(n)}-bit integers; pass --allow-large-gandhi "
+            "(allow_large=True) to force it"
         )
     primes = [table.nth(i) for i in range(1, n + 1)]
     exponent_total = table.primorial(n)

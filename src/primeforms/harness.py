@@ -160,6 +160,20 @@ def _to_decimal(value: int):
     return _to_decimal(high) * _decimal_pow2(k) + _to_decimal(low)
 
 
+def _signed_decimal(value: int):
+    """Exact Decimal of any int; call inside `_exact_decimals`."""
+    return -_to_decimal(-value) if value < 0 else _to_decimal(value)
+
+
+def _exact_decimals():
+    """Context manager for `decimal` integer arithmetic that never rounds."""
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact.traps[decimal.Inexact] = True
+    return decimal.localcontext(exact)
+
+
 def _int_str(value: int) -> str:
     """Decimal digits of value, equal to str(value) without its digit limit.
 
@@ -172,19 +186,49 @@ def _int_str(value: int) -> str:
     """
     if value.bit_length() <= _STR_BITS:
         return str(value)
-    if value < 0:
-        return "-" + _int_str(-value)
-    import decimal
-
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    exact.traps[decimal.Inexact] = True
-    with decimal.localcontext(exact):
-        return str(_to_decimal(value))
+    with _exact_decimals():
+        return str(_signed_decimal(value))
 
 
 def _fraction_str(value: Fraction) -> str:
     """"numerator/denominator" in decimal, under any int-to-str digit limit."""
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
+def _fraction_strs(cells: list) -> list:
+    """The cells of one row with each Fraction written as `_fraction_str` writes it.
+
+    Fractions in a row often share a denominator D above _STR_BITS: a
+    certificate's exact_sum and margin are (N + D)/D and N/D.  D is then
+    converted once, and a numerator that differs from an earlier one over
+    D by k*D is that one's Decimal plus k*D, so such a row needs two big
+    conversions, not four.
+    """
+    shared = {}  # D -> (digits of D, Decimal D, [(numerator, its Decimal), ...])
+    out = []
+    with _exact_decimals():
+        for cell in cells:
+            if not isinstance(cell, Fraction):
+                out.append(cell)
+                continue
+            numerator, denominator = cell.numerator, cell.denominator
+            if denominator.bit_length() <= _STR_BITS:
+                out.append(_fraction_str(cell))
+                continue
+            if denominator not in shared:
+                decimal_denominator = _to_decimal(denominator)
+                shared[denominator] = (str(decimal_denominator), decimal_denominator, [])
+            digits, decimal_denominator, seen = shared[denominator]
+            for earlier, decimal_earlier in seen:
+                k, rest = divmod(numerator - earlier, denominator)
+                if not rest:
+                    decimal_numerator = decimal_earlier + _signed_decimal(k) * decimal_denominator
+                    break
+            else:
+                decimal_numerator = _signed_decimal(numerator)
+            seen.append((numerator, decimal_numerator))
+            out.append(f"{decimal_numerator}/{digits}")
+    return out
 
 
 def _csv_cells(rows: list[dict], columns: list[str]):
@@ -198,7 +242,7 @@ def _csv_cells(rows: list[dict], columns: list[str]):
     for row in rows:
         cells = [*map(row.get, columns, blanks)]
         if Fraction in map(type, cells):
-            cells = [_fraction_str(c) if isinstance(c, Fraction) else c for c in cells]
+            cells = _fraction_strs(cells)
         yield cells
 
 

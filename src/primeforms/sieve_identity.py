@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable
+from .core import InvariantViolation, PrimeTable, coprime_fraction
 
 MACHINE_EPSILON = 2.22e-16  # 64-bit epsilon, as used by the float probes
 FLOAT_GAP_THRESHOLD = 1e3 * MACHINE_EPSILON
@@ -169,32 +169,49 @@ def _harmonic_split(terms: list[int], lo: int, hi: int) -> tuple[int, int]:
 def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     """Exact rational harmonic sum over the filter survivors in [1, 2 p_n].
 
-    Only survivors contribute (the filter vanishes elsewhere).  The margin
-    sum of 1/q over the survivors q > 1 is built by binary splitting
-    (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-    rational numbers", ANTS 1998) as one product tree N/D.  That fraction
-    is already in lowest terms: a survivor q > 1 has no prime factor up to
-    p_n, and a composite with that property exceeds 2 p_n, so every q is a
-    distinct prime, D is their product, and N = D/q (mod q) is nonzero mod
-    each of them.  The one gcd `Fraction` takes on construction therefore
-    finds 1.  The float shadow re-accumulates the same terms in 64-bit
-    arithmetic ascending in m, matching the naive implementation the
-    precision study critiques.
+    Only survivors contribute (the filter vanishes elsewhere).  A survivor
+    q > 1 has no prime factor up to p_n, and a composite with that property
+    exceeds 2 p_n, so the survivors above 1 are the primes in (p_n, 2 p_n].
+    Their sum of 1/q, the margin, is kept as an unreduced pair N/D with D
+    their product, on the table from one call to the next.  A call for the
+    previous n + 1 advances it: p_n leaves the set, exactly, as
+    N' = (N - D/p_n)/p_n over D' = D/p_n (every other term D/q is a
+    multiple of p_n), and the primes in (2 p_{n-1}, 2 p_n] join it through
+    a small product tree.  Any other call builds the whole pair as one
+    product tree by binary splitting (Haible & Papanikolaou, "Fast
+    multiprecision evaluation of series of rational numbers", ANTS 1998).
+    The pair is already in lowest terms: every q is a distinct prime, D is
+    their product, and N = D/q (mod q) is nonzero mod each of them.  So the
+    margin N/D and the sum (N + D)/D are built without a gcd.  The float
+    shadow re-accumulates the same terms in 64-bit arithmetic ascending in
+    m, matching the naive loop the precision study critiques bit for bit.
     """
     bound = 2 * table.nth(n)
     if bound > table.limit:
         raise ValueError(f"scan range [1, {bound}] is beyond sieve limit {table.limit}")
-    survivors = table.primorial_coprime(n, bound)
-    if len(survivors) < 2:
+    primes = table.primes
+    hi = table.pi(bound)  # the survivors above 1 are primes[n:hi]
+    if hi <= n:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
-    margin = Fraction(*_harmonic_split(survivors, 1, len(survivors)))
-    exact = margin + 1
-    shadow = 0.0
-    for m in survivors:
-        shadow += 1.0 / m
+    memo = table._harmonic
+    if memo is not None and memo[0] == n - 1:
+        _, numerator, denominator, joined = memo
+        p = primes[n - 1]
+        denominator //= p
+        numerator = (numerator - denominator) // p
+        if hi > joined:
+            n2, d2 = _harmonic_split(primes, joined, hi)
+            numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
+    else:
+        numerator, denominator = _harmonic_split(primes, n, hi)
+    table._harmonic = (n, numerator, denominator, hi)
+    margin = coprime_fraction(numerator, denominator)
+    exact = coprime_fraction(numerator + denominator, denominator)
+    # cumsum adds in index order, one term at a time, as a Python loop would
+    shadow = float(np.cumsum(1.0 / np.array([1, *primes[n:hi]], dtype=np.float64))[-1])
     return CertificateReport(
         n=n,
-        next_prime=survivors[1],
+        next_prime=primes[n],
         exact_sum=exact,
         exact_floor=exact.numerator // exact.denominator,
         margin=margin,

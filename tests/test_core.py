@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms.core import log_integral, sieve
+from primeforms.core import coprime_fraction, log_integral, sieve
 
 
 # -- an independent segmented re-sieve, used only as a cross-check oracle ----
@@ -254,6 +254,30 @@ def test_rational_canonical_form(n, d):
     f = Fraction(n, d)
     assert f.denominator >= 1
     assert math.gcd(abs(f.numerator), f.denominator) == 1
+
+
+@settings(max_examples=200)
+@given(a=st.integers(-(2**2200), 2**2200), b=st.integers(1, 2**2200))
+@example(a=-5, b=3)
+@example(a=1, b=1)
+@example(a=3**1500 + 1, b=2**2100 + 1)  # both operands above 2048 bits
+@example(a=-(5**1000), b=2**3001 - 1)
+def test_coprime_fraction_equals_fraction(a, b):
+    # the helper reaches a private constructor that differs by version, so
+    # pin it to the public one wherever the suite runs
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    built, expected = coprime_fraction(a, b), Fraction(a, b)
+    assert type(built) is Fraction
+    assert built == expected
+    assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+    assert hash(built) == hash(expected)
+
+
+def test_coprime_fraction_skips_the_reduction():
+    # no gcd is taken: a pair that is not coprime stays as given
+    built = coprime_fraction(2, 4)
+    assert (built.numerator, built.denominator) == (2, 4)
 
 
 # -- offset logarithmic integral -----------------------------------------------------

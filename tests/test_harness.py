@@ -257,16 +257,26 @@ def written(rows, fmt="csv"):
 
 def test_write_rows_matches_per_cell_rule_on_mixed_rows():
     wide = Fraction(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
+    d = 5**3000  # a shared denominator above 2048 bits
+    a = 7**2500 + 1  # coprime to d
     rows = [
         {"source": "x", "n": 5, "margin": Fraction(5), "exact_sum": Fraction(-7, 3), "estimate": 1e16},
         {"source": "a,b", "estimate": -0.0, "residual": 5e-324, "rel_error": 0.1, "floored": -3},
         {"probability": wide, "mc_estimate": 0.25, "weights": "1:1.0;2:-1.0", "x": ""},
         {},
+        # numerators over one denominator that differ from the first by D, -D and 3 D
+        {"exact_sum": Fraction(a, d), "margin": Fraction(a + d, d), "probability": Fraction(a - d, d),
+         "half_excess": Fraction(a + 3 * d, d), "scaled_remainder": Fraction(-a, d)},
+        # a shared denominator the numerators do not differ by a multiple of, a small
+        # numerator over it, and one Fraction repeated
+        {"exact_sum": Fraction(a, d), "margin": Fraction(a + 2, d), "probability": Fraction(2, d),
+         "half_excess": wide, "scaled_remainder": wide, "float_gap": 0.5},
     ]
-    with int_digit_limit(640):
-        text = written(rows)
-        assert text == per_cell_csv(rows, REPORT_COLUMNS)
-        assert written(rows, "json") == per_cell_json(rows, REPORT_COLUMNS)
+    for limit in (0, 640, 4300):
+        with int_digit_limit(limit):
+            text = written(rows)
+            assert text == per_cell_csv(rows, REPORT_COLUMNS), limit
+            assert written(rows, "json") == per_cell_json(rows, REPORT_COLUMNS), limit
     assert "5/1" in text.splitlines()[1].split(",")
     assert text.splitlines()[2].startswith('"a,b",')
 
@@ -296,9 +306,10 @@ def test_identical_config_yields_byte_identical_reports():
     assert first.getvalue() == second.getvalue()
 
 
-def test_gandhi_resource_limit_exit_code():
+def test_gandhi_resource_limit_exit_code(capsys):
     config = RunConfig(command="gandhi", n=9, sieve_limit=LIMIT)
     assert run(config, stream=io.StringIO()) == EXIT_RESOURCE
+    assert "--allow-large-gandhi" in capsys.readouterr().err  # the flag a CLI user can pass
 
 
 def test_usage_error_exit_codes():

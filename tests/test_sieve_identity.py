@@ -5,10 +5,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms.core import InvariantViolation, PrimeTable
+from primeforms.core import InvariantViolation, PrimeTable, sieve
 from primeforms.sieve_identity import (
     LN2_LOWER,
     CertificateReport,
@@ -109,15 +109,60 @@ def test_margin_includes_next_prime_term(table):
         assert report.margin >= Fraction(1, report.next_prime)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 400))
-def test_certificate_matches_naive_sum_in_lowest_terms(table, n):
-    survivors = table.primorial_coprime(n, 2 * table.nth(n))
-    report = harmonic_certificate(n, table)
+def assert_naive_sum_in_lowest_terms(report, table):
+    survivors = table.primorial_coprime(report.n, 2 * table.nth(report.n))
     assert report.exact_sum == sum(Fraction(1, m) for m in survivors)
     margin = report.margin
     assert math.gcd(margin.numerator, margin.denominator) == 1
     assert margin.denominator == math.prod(survivors[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400))
+def test_certificate_matches_naive_sum_in_lowest_terms(table, n):
+    assert_naive_sum_in_lowest_terms(harmonic_certificate(n, table), table)
+
+
+@st.composite
+def certificate_calls(draw):
+    """(table, n) calls: ascending runs, a repeated n, jumps both ways, a second table."""
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(["run", "repeat", "other"]))
+        if step == "run" or not calls:
+            start = draw(st.integers(1, 200))
+            calls += [("main", n) for n in range(start, start + draw(st.integers(1, 8)))]
+        elif step == "repeat":
+            calls.append(calls[-1])
+        else:
+            calls.append(("other", draw(st.integers(1, 200))))
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=certificate_calls())
+@example(
+    calls=[("main", 1), ("main", 2), ("main", 3), ("main", 3), ("main", 4), ("main", 10),
+           ("main", 9), ("other", 4), ("main", 10), ("main", 11), ("main", 5), ("main", 6)]
+)
+def test_certificate_memo_matches_naive_sum_in_any_call_order(table, small_table, calls):
+    # each table advances its own running sum only on a call for its previous n + 1
+    tables = {"main": table, "other": small_table}
+    for name, n in calls:
+        assert_naive_sum_in_lowest_terms(harmonic_certificate(n, tables[name]), tables[name])
+
+
+def test_probe_running_sum_matches_cold_certificates(table):
+    reports = precision_probe(3000, table)
+    assert [r.n for r in reports] == list(range(1, 3001))
+    for n in [*range(1, 3001, 97), 2999, 3000]:
+        # a fresh table has no running sum, so its first certificate is one product tree
+        cold = harmonic_certificate(n, sieve(2 * table.nth(n)))
+        assert reports[n - 1] == cold, n
+        shadow = 0.0
+        for m in table.primorial_coprime(n, 2 * table.nth(n)):
+            shadow += 1.0 / m
+        assert reports[n - 1].float_sum.hex() == shadow.hex(), n
 
 
 def test_ln2_lower_bound_has_thirty_correct_digits():
