@@ -10,6 +10,8 @@ and to the explicit float-precision probes.
 from __future__ import annotations
 
 import math
+import os
+import resource
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -281,13 +283,21 @@ class PrimeTable:
         return ks[:cut], log_ks[:cut], weights[:cut]
 
 
+def _memory_budget() -> int:
+    """Bytes a table may take: physical memory, or the soft address-space cap if lower."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
+
+
 def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to `limit` inclusive, built as its SPF table.
 
     Each p <= sqrt(limit) still unmarked is prime and claims the multiples
     from p^2 on that no smaller prime has, so every composite ends holding
     its smallest prime factor.  The entries above 1 still unmarked are the
-    primes, each its own smallest factor.
+    primes, each its own smallest factor.  A limit past the int32 table, or
+    whose tables would not fit in memory, is refused before allocating.
     """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
@@ -295,6 +305,15 @@ def sieve(limit: int) -> PrimeTable:
         raise ResourceLimitError(
             f"sieve limit {limit} is past the int32 smallest-prime-factor table "
             f"(at most {np.iinfo(np.int32).max})"
+        )
+    # int32 SPF entries, then per prime an int64 index, a list slot and an
+    # int object, with pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld)
+    needed = 4 * (limit + 1) + 48 * math.ceil(1.25506 * limit / math.log(limit))
+    budget = _memory_budget()
+    if needed > budget:
+        raise ResourceLimitError(
+            f"--sieve-limit {limit} needs about {needed >> 20} MiB for its tables, more than "
+            f"the {budget >> 20} MiB this process may use; pass a smaller --sieve-limit"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):

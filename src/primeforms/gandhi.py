@@ -9,19 +9,39 @@ denominator.  The next prime is then the unique exponent m placing
 2^m * (probability - 1/2) inside (1, 2), read off by exact doubling; a
 64-bit floor-log2 readout of the same quantity exists purely to exhibit
 where float arithmetic loses the signal.
+
+Golomb's reading ("A direct interpretation of Gandhi's formula", Amer.
+Math. Monthly 81, 1974) gives the same numerator a second way.  Write
+P = P_n and q = 2^P - 1.  The draw survives when it is coprime to P, and
+sum_{j >= 0} 2^-(k + jP) = 2^(P-k) / q, so the probability is A/q with
+A = sum_{k <= P, gcd(k, P) = 1} 2^(P-k): the bit string of the coprime
+mask over k = 1..P.  Both routes are computed, and a disagreement is an
+invariant violation.
+
+A/q is reduced without a gcd of the two P-bit operands.  Let a prime l
+divide both A and q, and let d = ord_l(2).  Then l is odd, d | P and
+d | l - 1.  P is squarefree, so gcd(d, P/d) = 1 and, by the CRT, each
+unit class mod d holds phi(P/d) of the k.  2 is a primitive d-th root of
+unity mod l, so A is congruent mod l to phi(P/d) * c_d(1) = +-phi(P/d),
+with c_d(1) = mu(d) Ramanujan's sum.  So l divides phi(P/d), a product of
+factors p_i - 1, and l < p_n: the common part g = gcd(A, q) is read off
+from the valuations at the odd primes below p_n, each a division by a
+small integer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, ResourceLimitError
+from .core import InvariantViolation, PrimeTable, ResourceLimitError, coprime_fraction
 
-# P_8 is a ~9.7e6-bit exponent; past n = 7 the subset terms stop being cheap.
+# The gate bounds output size: a row holds three P_n-bit rationals, and
+# P_8 = 9699690 bits take about 13 s to print in decimal.
 FEASIBLE_N = 7
 
 # Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.
@@ -81,7 +101,9 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
     """Exact probability that a geometric(1/2) draw is coprime to the first n primes.
 
     Every subset of the first n primes contributes (-1)^|S| / (2^E - 1),
-    E the product of S; the empty subset supplies the leading +1.
+    E the product of S; the empty subset supplies the leading +1.  The sum
+    is checked against Golomb's bit string and returned in lowest terms,
+    reduced by the small-prime valuations of the module docstring.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
@@ -91,7 +113,7 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
             f"{table.primorial(n)}-bit integers; pass --allow-large-gandhi "
             "(allow_large=True) to force it"
         )
-    primes = [table.nth(i) for i in range(1, n + 1)]
+    primes = table.primes[:n]
     exponent_total = table.primorial(n)
     numerator = 0
     for mask in range(1 << n):
@@ -101,7 +123,24 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
             numerator -= term
         else:
             numerator += term
-    return Fraction(numerator, (1 << exponent_total) - 1)  # over q = 2^(P_n) - 1
+    if numerator != _golomb_numerator(exponent_total, primes):
+        raise InvariantViolation(
+            f"n={n}: inclusion-exclusion numerator differs from Golomb's coprime bit string"
+        )
+    q = (1 << exponent_total) - 1
+    common = 1  # gcd(numerator, q), whose primes are odd and below p_n
+    for ell in table.primes[1 : n - 1]:
+        while numerator % (common * ell) == 0 and q % (common * ell) == 0:
+            common *= ell
+    return coprime_fraction(numerator // common, q // common)
+
+
+def _golomb_numerator(exponent_total: int, primes: list[int]) -> int:
+    """sum 2^(P-k) over the k in [1, P] coprime to the primes, P their product."""
+    coprime = np.ones(exponent_total, dtype=bool)  # entry k - 1 stands for k
+    for p in primes:
+        coprime[p - 1 :: p] = False
+    return int.from_bytes(np.packbits(coprime).tobytes(), "big") >> (-exponent_total % 8)
 
 
 def extract_prime(probability: Fraction) -> int:
@@ -157,15 +196,29 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
 
     Draws geometric(1/2) variates by inverse transform on a PCG64 stream:
     u uniform on (0, 1] maps to ceil(-log2 u), the toss count up to the
-    first head of a fair coin.  Deterministic for a fixed seed.
+    first head of a fair coin.  Deterministic for a fixed seed.  The draws
+    for one (samples, seed) are made once and kept as a histogram, so a
+    sweep over n only masks its at most 54 values.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
+    counts = _draw_counts(samples, seed)
+    values = np.arange(counts.size)
+    coprime = np.ones(counts.size, dtype=bool)
+    for p in table.primes[:n]:
+        coprime &= values % p != 0
+    # coprime.mean() over the draws gave this same quotient: its float64 sum
+    # of booleans is exact below 2^53 draws
+    return int(counts[coprime].sum()) / samples
+
+
+@functools.lru_cache(maxsize=4)
+def _draw_counts(samples: int, seed: int) -> np.ndarray:
+    """Read-only histogram of the seeded draws: entry v counts the draws equal to v."""
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(samples)  # (0, 1]
     draws = np.ceil(-np.log2(u)).astype(np.int64)
     np.maximum(draws, 1, out=draws)
-    coprime = np.ones(samples, dtype=bool)
-    for i in range(1, n + 1):
-        coprime &= (draws % table.nth(i)) != 0
-    return float(coprime.mean())
+    counts = np.bincount(draws)  # draws are at most 53, since u >= 2^-53
+    counts.flags.writeable = False
+    return counts

@@ -101,18 +101,17 @@ def test_sieve_boundaries_match_trial_division(limit):
 
 
 def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
-    # 2^31 would wrap in the int32 SPF table; 2^31 - 1 is allowed, so under
-    # the 1 GiB cap its 8 GiB table fails to allocate
+    # 2^31 would wrap in the int32 SPF table; 2^31 - 1 fits it, but its 8 GiB
+    # table is past the 1 GiB cap, so both are refused before allocating
     probe = (
         "from primeforms.core import ResourceLimitError, sieve\n"
-        "try:\n"
-        "    sieve(2**31)\n"
-        "except ResourceLimitError as exc:\n"
-        "    print('refused:', exc)\n"
-        "try:\n"
-        "    sieve(2**31 - 1)\n"
-        "except MemoryError:\n"
-        "    print('allocating')\n"
+        "for limit in (2**31, 2**31 - 1):\n"
+        "    try:\n"
+        "        sieve(limit)\n"
+        "    except ResourceLimitError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    except MemoryError:\n"
+        "        print('allocating')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -122,9 +121,10 @@ def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
         preexec_fn=capped_address_space,
     )
     assert proc.returncode == 0, proc.stderr
-    refused, allocating = proc.stdout.splitlines()
-    assert refused.startswith("refused: sieve limit 2147483648") and "int32" in refused
-    assert allocating == "allocating"
+    past_int32, past_memory = proc.stdout.splitlines()
+    assert past_int32.startswith("refused: sieve limit 2147483648") and "int32" in past_int32
+    assert past_memory.startswith("refused: --sieve-limit 2147483647"), past_memory
+    assert "MiB" in past_memory
 
 
 def test_sieve_million_matches_segmented_resieve(table):

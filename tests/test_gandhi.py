@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeforms import gandhi
 from primeforms.core import ResourceLimitError
 from primeforms.gandhi import (
     CancellationError,
@@ -39,6 +41,40 @@ def test_probability_hand_values(table):
     assert survivor_probability(1, table) == Fraction(2, 3)
     expected = 1 - Fraction(1, 3) - Fraction(1, 7) + Fraction(1, 63)
     assert survivor_probability(2, table) == expected
+
+
+def _inclusion_exclusion_numerator(n, table):
+    """Gandhi's sum times q = 2^P - 1, each q / (2^E - 1) spelled as E-bit blocks 0..01."""
+    primes, total = table.primes[:n], table.primorial(n)
+    numerator = 0
+    for mask in range(1 << n):
+        e = math.prod(p for j, p in enumerate(primes) if mask >> j & 1)
+        term = int(("0" * (e - 1) + "1") * (total // e), 2)
+        numerator += -term if mask.bit_count() % 2 else term
+    return numerator
+
+
+def test_probability_is_the_gcd_reduced_inclusion_exclusion_sum(table):
+    common_factors = []
+    for n in range(1, 8):
+        numerator = _inclusion_exclusion_numerator(n, table)
+        q = (1 << table.primorial(n)) - 1
+        common = math.gcd(numerator, q)
+        probability = survivor_probability(n, table)
+        assert (probability.numerator, probability.denominator) == (
+            numerator // common,
+            q // common,
+        ), n
+        common_factors.append(q // probability.denominator)
+        assert gandhi._golomb_numerator(table.primorial(n), table.primes[:n]) == numerator, n
+    assert common_factors == [1, 1, 1, 3, 3, 9, 9]
+
+
+def test_evaluation_past_the_gate_reduces_without_a_big_gcd(table):
+    ev = evaluate(8, table, allow_large=True)
+    assert ev.extracted_prime == 23
+    assert ev.violations() == []
+    assert ev.probability.denominator == ((1 << table.primorial(8)) - 1) // 9
 
 
 def test_probability_matches_direct_survivor_measure(table):
@@ -132,3 +168,40 @@ def test_monte_carlo_is_deterministic(table):
 def test_monte_carlo_rejects_tiny_sample_counts(table):
     with pytest.raises(ValueError):
         monte_carlo_survivor_fraction(1, 9_999, 42, table)
+
+
+def _per_sample_reference(draws, n, table):
+    """The estimate as one boolean per draw, the way it was computed before the histogram."""
+    coprime = np.ones(draws.size, dtype=bool)
+    for i in range(1, n + 1):
+        coprime &= (draws % table.nth(i)) != 0
+    return float(coprime.mean())
+
+
+def _reference_draws(samples, seed):
+    rng = np.random.default_rng(seed)
+    u = 1.0 - rng.random(samples)
+    draws = np.ceil(-np.log2(u)).astype(np.int64)
+    np.maximum(draws, 1, out=draws)
+    return draws
+
+
+def test_monte_carlo_matches_the_per_sample_estimate_bit_for_bit(table):
+    seeds = (0, 1, 42, 12345)
+    for samples in (10_000, 10_001, 1_000_000):
+        draws = {seed: _reference_draws(samples, seed) for seed in seeds}
+        # descending n with the seeds interleaved, so a stale memo shows
+        for n in range(7, 0, -1):
+            for seed in seeds:
+                expected = _per_sample_reference(draws[seed], n, table)
+                got = monte_carlo_survivor_fraction(n, samples, seed, table)
+                assert type(got) is float
+                assert got == expected, (samples, seed, n)
+
+
+def test_monte_carlo_draw_counts_are_read_only():
+    counts = gandhi._draw_counts(10_000, 42)
+    assert counts.sum() == 10_000
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[1] += 1

@@ -347,6 +347,23 @@ def test_invariant_violation_exit_code(monkeypatch, command):
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
 
 
+def test_gandhi_routes_disagreeing_exit_code(monkeypatch, capsys):
+    # one inclusion-exclusion term off by one; Golomb's bit string must catch it
+    from primeforms import gandhi
+
+    real = gandhi._spaced_ones
+
+    def off_by_one(stride, count):
+        term = real(stride, count)
+        return term + 1 if stride == 2 else term
+
+    monkeypatch.setattr(gandhi, "_spaced_ones", off_by_one)
+    config = RunConfig(command="gandhi", n=3, sieve_limit=LIMIT)
+    assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: n=3:") and "Golomb" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
