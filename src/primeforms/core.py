@@ -9,6 +9,7 @@ and to the explicit float-precision probes.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import resource
@@ -16,7 +17,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,7 +32,13 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because its cost grows past the configured bound."""
 
 
-def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+class DecimalFraction(Fraction):
+    """A Fraction also holding its numerator and denominator as exact Decimals, for printing."""
+
+    __slots__ = ("decimals",)
+
+
+def coprime_fraction(numerator: int, denominator: int, decimals: tuple | None = None) -> Fraction:
     """Fraction(numerator, denominator) for a pair already in lowest terms, denominator > 0.
 
     `Fraction` reduces by a full-size gcd on construction; a caller that
@@ -39,11 +46,64 @@ def coprime_fraction(numerator: int, denominator: int) -> Fraction:
     keeps for its own arithmetic (`_from_coprime_ints` from 3.12 on, the
     `_normalize=False` keyword before).  Both are private, so the tests
     compare this against `Fraction(numerator, denominator)` on every
-    supported version.
+    supported version.  Given the pair's exact Decimals, the result is a
+    DecimalFraction holding them.
     """
+    cls = Fraction if decimals is None else DecimalFraction
     if sys.version_info >= (3, 12):
-        return Fraction._from_coprime_ints(numerator, denominator)
-    return Fraction(numerator, denominator, _normalize=False)
+        value = cls._from_coprime_ints(numerator, denominator)
+    else:
+        value = cls(numerator, denominator, _normalize=False)
+    if decimals is not None:
+        value.decimals = decimals
+    return value
+
+
+# A Mersenne prime: a Decimal and the int it stands for must agree modulo it.
+TWIN_MODULUS = (1 << 61) - 1
+
+
+def check_twins(where: str, *pairs: tuple) -> None:
+    """InvariantViolation unless each (int, Decimal) pair agrees mod TWIN_MODULUS; exact context only."""
+    for exact, twin in pairs:
+        if twin % TWIN_MODULUS != exact % TWIN_MODULUS:
+            raise InvariantViolation(f"{where}: a Decimal twin differs from its int modulo 2^61 - 1")
+
+
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = True
+
+
+def exact_decimals():
+    """Context manager for `decimal` integer arithmetic that never rounds."""
+    return decimal.localcontext(_EXACT)
+
+
+# Integers up to this many bits (617 digits) convert to Decimal directly.
+_STR_BITS = 2048
+
+
+@cache
+def _decimal_pow2(k: int) -> decimal.Decimal:
+    """Decimal 2^(2^k) for 2^k >= _STR_BITS, by repeated squaring; exact context only."""
+    if 1 << k == _STR_BITS:
+        return decimal.Decimal(1 << _STR_BITS)
+    return _decimal_pow2(k - 1) * _decimal_pow2(k - 1)
+
+
+def to_decimal(value: int) -> decimal.Decimal:
+    """Exact Decimal of value >= 0; exact context only.
+
+    CPython's int-to-decimal conversion is quadratic, so a value above
+    _STR_BITS is split at the largest 2^(2^k) below its top bit and
+    recombined by `decimal`'s subquadratic multiplication, as in CPython
+    3.12's Lib/_pylong.py.
+    """
+    if value.bit_length() <= _STR_BITS:
+        return decimal.Decimal(value)
+    k = (value.bit_length() - 1).bit_length() - 1
+    high = value >> (1 << k)
+    return to_decimal(high) * _decimal_pow2(k) + to_decimal(value - (high << (1 << k)))
 
 
 @dataclass
@@ -83,7 +143,7 @@ class PrimeTable:
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
-    # (n, N, D, hi) of the last harmonic certificate, see sieve_identity
+    # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
     _harmonic: tuple | None = field(default=None, repr=False)
 
     @cached_property

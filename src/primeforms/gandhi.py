@@ -41,7 +41,7 @@ import numpy as np
 from .core import InvariantViolation, PrimeTable, ResourceLimitError, coprime_fraction
 
 # The gate bounds output size: a row holds three P_n-bit rationals, and
-# P_8 = 9699690 bits take about 13 s to print in decimal.
+# the row for P_8 = 9699690 bits takes about 3 s to print in decimal.
 FEASIBLE_N = 7
 
 # Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.

@@ -11,7 +11,6 @@ documents.  Exit codes: 0 success, 1 exact-module invariant violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -124,141 +123,71 @@ def _table(limit: int) -> core.PrimeTable:
     return _TABLES[limit]
 
 
-# Integers up to this many bits print through str(): at most 617 digits, under
-# the smallest digit limit CPython accepts (640).  Larger ones are split.
-_STR_BITS = 2048
-
-# Decimal(2 ** 2 ** k), keyed by k >= 11 and shared by every call.  Each entry
-# is an exact constant, so a racing writer can only store the same value.
-_DECIMAL_POW2: dict = {}
-
-
-def _decimal_pow2(k: int):
-    """Decimal 2^(2^k) for 2^k >= _STR_BITS, by repeated squaring; exact context only."""
-    power = _DECIMAL_POW2.get(k)
-    if power is None:
-        if 1 << k == _STR_BITS:
-            from decimal import Decimal
-
-            power = Decimal(1 << _STR_BITS)
-        else:
-            half = _decimal_pow2(k - 1)
-            power = half * half
-        _DECIMAL_POW2[k] = power
-    return power
-
-
-def _to_decimal(value: int):
-    """Exact Decimal of value >= 0, split at the largest 2^(2^k) below its top bit."""
-    if value.bit_length() <= _STR_BITS:
-        from decimal import Decimal
-
-        return Decimal(value)
-    k = (value.bit_length() - 1).bit_length() - 1
-    high = value >> (1 << k)
-    low = value - (high << (1 << k))
-    return _to_decimal(high) * _decimal_pow2(k) + _to_decimal(low)
-
-
-def _signed_decimal(value: int):
-    """Exact Decimal of any int; call inside `_exact_decimals`."""
-    return -_to_decimal(-value) if value < 0 else _to_decimal(value)
-
-
-def _exact_decimals():
-    """Context manager for `decimal` integer arithmetic that never rounds."""
-    import decimal
-
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    exact.traps[decimal.Inexact] = True
-    return decimal.localcontext(exact)
-
-
 def _int_str(value: int) -> str:
-    """Decimal digits of value, equal to str(value) without its digit limit.
-
-    CPython before 3.12 converts ints to decimal in quadratic time (about
-    0.4 s for 510k bits).  Larger integers are instead split by divide and
-    conquer, as in CPython 3.12's Lib/_pylong.py, and recombined by
-    `decimal`'s subquadratic multiplication in an exact context; str() of a
-    Decimal ignores the int-to-str digit limit, so the process-wide limit
-    is neither read nor changed.
-    """
-    if value.bit_length() <= _STR_BITS:
-        return str(value)
-    with _exact_decimals():
-        return str(_signed_decimal(value))
+    """str(value) without the int-to-str digit limit, which is neither read nor changed."""
+    with core.exact_decimals():
+        digits = str(core.to_decimal(abs(value)))
+    return "-" + digits if value < 0 else digits
 
 
 def _fraction_str(value: Fraction) -> str:
-    """"numerator/denominator" in decimal, under any int-to-str digit limit."""
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    """"numerator/denominator" in decimal; a DecimalFraction prints its Decimals unconverted."""
+    decimals = getattr(value, "decimals", None)
+    if decimals is None:
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return f"{decimals[0]}/{decimals[1]}"
 
 
-def _fraction_strs(cells: list) -> list:
-    """The cells of one row with each Fraction written as `_fraction_str` writes it.
-
-    Fractions in a row often share a denominator D above _STR_BITS: a
-    certificate's exact_sum and margin are (N + D)/D and N/D.  D is then
-    converted once, and a numerator that differs from an earlier one over
-    D by k*D is that one's Decimal plus k*D, so such a row needs two big
-    conversions, not four.
-    """
-    shared = {}  # D -> (digits of D, Decimal D, [(numerator, its Decimal), ...])
-    out = []
-    with _exact_decimals():
-        for cell in cells:
-            if not isinstance(cell, Fraction):
-                out.append(cell)
-                continue
-            numerator, denominator = cell.numerator, cell.denominator
-            if denominator.bit_length() <= _STR_BITS:
-                out.append(_fraction_str(cell))
-                continue
-            if denominator not in shared:
-                decimal_denominator = _to_decimal(denominator)
-                shared[denominator] = (str(decimal_denominator), decimal_denominator, [])
-            digits, decimal_denominator, seen = shared[denominator]
-            for earlier, decimal_earlier in seen:
-                k, rest = divmod(numerator - earlier, denominator)
-                if not rest:
-                    decimal_numerator = decimal_earlier + _signed_decimal(k) * decimal_denominator
-                    break
-            else:
-                decimal_numerator = _signed_decimal(numerator)
-            seen.append((numerator, decimal_numerator))
-            out.append(f"{decimal_numerator}/{digits}")
-    return out
+def _csv_text(value) -> str:
+    """A cell as `csv.writer` writes it: floats by float.__repr__ (not numpy 2's repr), else str()."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return _fraction_str(value) if isinstance(value, Fraction) else str(value)
 
 
-def _csv_cells(rows: list[dict], columns: list[str]):
-    """Each row's cells in column order, absent columns blank.
+_COLUMN_INDEX = {column: i for i, column in enumerate(REPORT_COLUMNS)}
 
-    `csv` itself writes floats by repr() and other cells by str(); only a
-    row carrying a Fraction is re-mapped, to "numerator/denominator".  JSON
-    reads the same cells, with a blank as null.
-    """
-    blanks = [""] * len(columns)
+
+def _cells(rows, convert):
+    """Each row's values in column order through `convert`, absent columns blank."""
+    blanks = [""] * len(REPORT_COLUMNS)
     for row in rows:
-        cells = [*map(row.get, columns, blanks)]
-        if Fraction in map(type, cells):
-            cells = _fraction_strs(cells)
+        cells = blanks.copy()
+        for column, value in row.items():
+            cells[_COLUMN_INDEX[column]] = value if value.__class__ is str else convert(value)
         yield cells
 
 
-def write_rows(rows: list[dict], fmt: str, stream) -> None:
-    columns = REPORT_COLUMNS
+def _csv_line(cells: list[str]) -> str:
+    """One record with `csv.writer`'s bytes; no cell the commands write needs its quoting."""
+    line = ",".join(cells)
+    if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+        quoted = ('"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\r\n') else c for c in cells)
+        line = ",".join(quoted)
+    return line + "\r\n"
+
+
+def write_rows(rows, fmt: str, stream) -> None:
+    """Write `rows`, dicts keyed by REPORT_COLUMNS, each as soon as it is produced.
+
+    A failure while producing a row leaves the rows before it written (a
+    JSON array still closed).
+    """
     if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(columns)
-        writer.writerows(_csv_cells(rows, columns))
-    else:
-        payload = [
-            {c: None if cell == "" else cell for c, cell in zip(columns, cells)}
-            for cells in _csv_cells(rows, columns)
-        ]
-        json.dump(payload, stream, indent=1)
-        stream.write("\n")
+        stream.write(_csv_line(REPORT_COLUMNS))
+        for cells in _cells(rows, _csv_text):
+            stream.write(_csv_line(cells))
+        return
+    # the bytes json.dump(list, stream, indent=1) writes, one element at a time
+    separator = "\n"
+    stream.write("[")
+    try:
+        for cells in _cells(rows, lambda cell: _fraction_str(cell) if isinstance(cell, Fraction) else cell):
+            payload = {c: None if cell == "" else cell for c, cell in zip(REPORT_COLUMNS, cells)}
+            stream.write(separator + json.dumps([payload], indent=1)[2:-2])
+            separator = ",\n"
+    finally:
+        stream.write("]\n" if separator == "\n" else "\n]\n")
 
 
 def _estimator_row(source: str, record: core.EstimatorRecord) -> dict:
@@ -348,25 +277,51 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     return rows, violations
 
 
-def _certificates(n_max: int, table: core.PrimeTable):
-    """Certificates for n = 1..n_max, each built once, and every exact invariant they break."""
-    reports = sieve_identity.precision_probe(n_max, table)
-    violations = []
-    for report in reports:
+def _certificates(n_max: int, table: core.PrimeTable, violations: list):
+    """Certificates for n = 1..n_max, each built as the caller asks for it.
+
+    The filter's survivors in [1, 2 p_n] must be 1 and the primes the
+    certificate summed, which checks both filter routes and its lemma (a
+    composite survivor exceeds 2 p_n).  Broken invariants go to `violations`.
+    """
+    for n, passed in sieve_identity._filter_windows(1, n_max, table):
+        report = sieve_identity.harmonic_certificate(n, table)
         violations.extend(report.violations())
-        expected = table.nth(report.n + 1)
-        if report.next_prime != expected:
-            violations.append(
-                f"n={report.n}: certificate survivor {report.next_prime}, oracle {expected}"
-            )
-    return reports, violations
+        survivors = (passed.nonzero()[0] + 1).tolist()
+        summed = [1, *table.primes[n : table.pi(len(passed))]]
+        if survivors != summed:
+            stray = sorted(set(survivors).symmetric_difference(summed))
+            violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+        yield report
 
 
 def _run_certify(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     _check_scan_range(table, config.n_max)
-    reports, violations = _certificates(config.n_max, table)
-    return [_certificate_row(report, table) for report in reports], violations
+    violations = []
+    reports = _certificates(config.n_max, table, violations)
+    return (_certificate_row(report, table) for report in reports), violations
+
+
+def _gandhi_rationals(evaluation: gandhi.GandhiEvaluation, table: core.PrimeTable) -> list:
+    """probability, half_excess and scaled_remainder as DecimalFractions, from one radix conversion.
+
+    With the probability N/D in lowest terms, D = (2^P_n - 1)/g is odd, so
+    half_excess is (2N - D)/(2D) and scaled_remainder is
+    ((2N - D) 2^(m-1) - D)/D, each in lowest terms.  D's Decimal is
+    Decimal(2)^P_n - 1 divided by the small g, so only N is converted.
+    """
+    values = (evaluation.probability, evaluation.half_excess, evaluation.scaled_remainder)
+    exponent, m = table.primorial(evaluation.n), evaluation.extracted_prime
+    common = ((1 << exponent) - 1) // values[0].denominator  # g: a one-digit quotient, linear time
+    with core.exact_decimals():
+        twin_d = (core.to_decimal(2) ** exponent - 1) // common
+        twin_n = core.to_decimal(values[0].numerator)
+        excess = 2 * twin_n - twin_d
+        decimals = [(twin_n, twin_d), (excess, 2 * twin_d), (excess * (1 << m - 1) - twin_d, twin_d)]
+        parts = [(value.numerator, value.denominator) for value in values]
+        core.check_twins(f"n={evaluation.n}", *zip(sum(parts, ()), sum(decimals, ())))
+    return [core.coprime_fraction(*part, twin) for part, twin in zip(parts, decimals)]
 
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
@@ -382,16 +337,17 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
                 f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}"
             )
         mc_estimate = gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table)
+        probability, half_excess, scaled_remainder = _gandhi_rationals(evaluation, table)
         rows.append(
             {
                 "source": "gandhi",
                 "n": n,
                 "p_n": table.nth(n),
                 "next_prime": expected,
-                "probability": evaluation.probability,
-                "half_excess": evaluation.half_excess,
+                "probability": probability,
+                "half_excess": half_excess,
                 "extracted_prime": evaluation.extracted_prime,
-                "scaled_remainder": evaluation.scaled_remainder,
+                "scaled_remainder": scaled_remainder,
                 "subset_count": evaluation.subset_count,
                 "mc_estimate": mc_estimate,
             }
@@ -472,12 +428,17 @@ def precision_study(n_max: int, table: core.PrimeTable, amplitude: float) -> tup
     absolute float gap, and the exact invariants the certificates broke;
     it is emitted even when nothing deviated.
     """
-    reports, violations = _certificates(n_max, table)
+    summary = {"violations": []}
+    return list(_precision_rows(n_max, table, amplitude, summary)), summary
+
+
+def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, summary: dict):
+    """`precision_study`'s rows, each as it is produced; `summary` is filled after the last."""
     spectral_params = spectral.SpectralParams(amplitude=amplitude)
     survival_records = {r.n: r for r in survival.survival_sweep(3, n_max, table)}
     spectral_records = {r.n: r for r in spectral.spectral_sweep(3, n_max, spectral_params, table)}
-    rows = []
-    for report in reports:
+    first_break, anomalies, max_gap = "", 0, 0.0
+    for report in _certificates(n_max, table, summary["violations"]):
         row = {
             "source": "precision",
             "n": report.n,
@@ -494,30 +455,30 @@ def precision_study(n_max: int, table: core.PrimeTable, amplitude: float) -> tup
         spectral_record = spectral_records.get(report.n)
         if spectral_record is not None:
             row["residual"] = spectral_record.residual
-        rows.append(row)
-    anomalies = sieve_identity.float_anomalies(reports)
-    floor_breaks = [r.n for r in reports if r.float_floor != 1]
-    summary = {
-        "first_float_floor_break": floor_breaks[0] if floor_breaks else "",
-        "anomaly_count": len(anomalies),
-        "max_abs_float_gap": max(abs(r.float_gap) for r in reports),
-        "violations": violations,
-    }
-    return rows, summary
+        if report.float_floor != 1 and first_break == "":
+            first_break = report.n
+        anomalies += report.float_anomalous
+        max_gap = max(max_gap, abs(report.float_gap))
+        yield row
+    summary.update(first_float_floor_break=first_break, anomaly_count=anomalies, max_abs_float_gap=max_gap)
 
 
 def _run_report(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     _check_scan_range(table, config.n_max)
     amplitude = _resolve_amplitude(config, table)
-    rows, summary = precision_study(config.n_max, table, amplitude)
-    summary_row = {
-        "source": "summary",
-        "first_float_floor_break": summary["first_float_floor_break"],
-        "anomaly_count": summary["anomaly_count"],
-        "float_gap": summary["max_abs_float_gap"],
-    }
-    return rows + [summary_row], summary["violations"]
+    summary = {"violations": []}
+
+    def rows():
+        yield from _precision_rows(config.n_max, table, amplitude, summary)
+        yield {
+            "source": "summary",
+            "first_float_floor_break": summary["first_float_floor_break"],
+            "anomaly_count": summary["anomaly_count"],
+            "float_gap": summary["max_abs_float_gap"],
+        }
+
+    return rows(), summary["violations"]
 
 
 _EXECUTORS = {
@@ -535,12 +496,18 @@ _EXECUTORS = {
 def run(config: RunConfig, stream=None) -> int:
     """Dispatch one configured command; returns the process exit code.
 
-    Rows stream in ascending n; the report is written even when an exact
-    invariant failed, but the exit code then flags the failure.
+    Rows are written in ascending n as the command produces them (`certify`
+    and `report` stream them).  Invariants the rows break are printed after
+    the full report, with exit 1.  An InvariantViolation raised while rows
+    are produced ends the report early: the rows before it stay written, on
+    `stream`, on stdout or in --out alike, its message follows those of the
+    earlier rows, and the exit code is 1.
     """
+    violations = []
     try:
         table = _table(config.sieve_limit)
         rows, violations = _EXECUTORS[config.command](config, table)
+        _write_report(rows, config, stream)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -548,9 +515,13 @@ def run(config: RunConfig, stream=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except core.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        violations.append(str(exc))
+    for violation in violations:
+        print(f"invariant violation: {violation}", file=sys.stderr)
+    return EXIT_INVARIANT if violations else EXIT_OK
 
+
+def _write_report(rows, config: RunConfig, stream) -> None:
     if stream is not None:
         write_rows(rows, config.fmt, stream)
     elif config.out is None:
@@ -569,14 +540,7 @@ def run(config: RunConfig, stream=None) -> int:
             with open(config.out, "w", encoding="utf-8", newline="") as handle:
                 write_rows(rows, config.fmt, handle)
         except OSError as exc:
-            print(f"error: cannot write --out {config.out!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-
-    if violations:
-        for violation in violations:
-            print(f"invariant violation: {violation}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+            raise UsageError(f"cannot write --out {config.out!r}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

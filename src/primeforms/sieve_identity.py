@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, coprime_fraction
+from .core import InvariantViolation, PrimeTable, check_twins, coprime_fraction, exact_decimals, to_decimal
 
 MACHINE_EPSILON = 2.22e-16  # 64-bit epsilon, as used by the float probes
 FLOAT_GAP_THRESHOLD = 1e3 * MACHINE_EPSILON
@@ -112,7 +112,7 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     moebius_sum = np.full(bound + 1, mu[1], dtype=np.int32)  # d = 1 divides every m
     for n, p in enumerate(table.primes[:hi], start=1):
         struck[p::p] = True
-        new = p * np.flatnonzero(divides[: bound // p + 1])
+        new = p * divides[: bound // p + 1].nonzero()[0]
         divides[new] = True
         for d, weight in zip(new.tolist(), mu[new].tolist()):
             moebius_sum[d::d] += weight
@@ -120,7 +120,7 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
             continue
         window = 2 * p
         passed = ~struck[1 : window + 1]
-        mismatch = np.flatnonzero(moebius_sum[1 : window + 1] != passed)
+        mismatch = (moebius_sum[1 : window + 1] != passed).nonzero()[0]
         if mismatch.size:
             m = int(mismatch[0]) + 1
             raise InvariantViolation(
@@ -182,9 +182,12 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     multiprecision evaluation of series of rational numbers", ANTS 1998).
     The pair is already in lowest terms: every q is a distinct prime, D is
     their product, and N = D/q (mod q) is nonzero mod each of them.  So the
-    margin N/D and the sum (N + D)/D are built without a gcd.  The float
-    shadow re-accumulates the same terms in 64-bit arithmetic ascending in
-    m, matching the naive loop the precision study critiques bit for bit.
+    margin N/D and the sum (N + D)/D are built without a gcd.  A `decimal`
+    twin of (N, D) takes the same steps, each big by small and so linear in
+    the size under libmpdec; only a cold call converts.  The Fractions carry
+    it, checked against the ints, to the report writer.  The float shadow
+    re-accumulates the same terms in 64-bit arithmetic ascending in m,
+    matching the naive loop the precision study critiques bit for bit.
     """
     bound = 2 * table.nth(n)
     if bound > table.limit:
@@ -194,19 +197,28 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     if hi <= n:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
     memo = table._harmonic
-    if memo is not None and memo[0] == n - 1:
-        _, numerator, denominator, joined = memo
-        p = primes[n - 1]
-        denominator //= p
-        numerator = (numerator - denominator) // p
-        if hi > joined:
-            n2, d2 = _harmonic_split(primes, joined, hi)
-            numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
-    else:
-        numerator, denominator = _harmonic_split(primes, n, hi)
-    table._harmonic = (n, numerator, denominator, hi)
-    margin = coprime_fraction(numerator, denominator)
-    exact = coprime_fraction(numerator + denominator, denominator)
+    with exact_decimals():
+        if memo is not None and memo[0] == n - 1:
+            _, numerator, denominator, joined, (twin_n, twin_d) = memo
+            p = primes[n - 1]
+            denominator //= p
+            numerator = (numerator - denominator) // p
+            twin_d, rest_d = divmod(twin_d, p)  # `//` would drop a remainder unseen
+            twin_n, rest_n = divmod(twin_n - twin_d, p)
+            if rest_d or rest_n:
+                raise InvariantViolation(f"n={n}: the Decimal twin is not a multiple of p_n = {p}")
+            if hi > joined:
+                n2, d2 = _harmonic_split(primes, joined, hi)
+                numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
+                twin_n, twin_d = twin_n * d2 + n2 * twin_d, twin_d * d2
+        else:
+            numerator, denominator = _harmonic_split(primes, n, hi)
+            twin_n, twin_d = to_decimal(numerator), to_decimal(denominator)
+        check_twins(f"n={n}", (numerator, twin_n), (denominator, twin_d))
+        twin_sum = twin_n + twin_d
+    margin = coprime_fraction(numerator, denominator, (twin_n, twin_d))
+    exact = coprime_fraction(numerator + denominator, denominator, (twin_sum, twin_d))
+    table._harmonic = (n, numerator, denominator, hi, (twin_n, twin_d))
     # cumsum adds in index order, one term at a time, as a Python loop would
     shadow = float(np.cumsum(1.0 / np.array([1, *primes[n:hi]], dtype=np.float64))[-1])
     return CertificateReport(

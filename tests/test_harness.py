@@ -13,11 +13,12 @@ import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms import gandhi, harness
+from primeforms import core, gandhi, harness
 from primeforms.harness import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -281,10 +282,44 @@ def test_write_rows_matches_per_cell_rule_on_mixed_rows():
     assert text.splitlines()[2].startswith('"a,b",')
 
 
+# The cell types the commands put in rows, and text that needs csv quoting.
+schema_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.just(""),
+    st.lists(st.tuples(st.integers(1, 200), st.floats()), max_size=4).map(
+        lambda pairs: ";".join(f"{d}:{w!r}" for d, w in pairs)
+    ),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.sampled_from(REPORT_COLUMNS), schema_values), max_size=4))
+@example(rows=[{"source": 'a,"b"\r\n', "n": 3, "weights": "1:1.0;2:-1.0"}, {"estimate": np.float64(0.5)}])
+def test_joined_lines_are_csv_writer_bytes(rows):
+    # csv.writer writes every float, numpy's included, by float.__repr__
+    def cells(row, blank):
+        values = [row.get(column, "") for column in REPORT_COLUMNS]
+        return [f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else blank if v == "" else v
+                for v in values]
+
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([REPORT_COLUMNS, *(cells(row, "") for row in rows)])
+    assert written(rows) == buffer.getvalue()
+    buffer = io.StringIO()
+    json.dump([dict(zip(REPORT_COLUMNS, cells(row, None))) for row in rows], buffer, indent=1)
+    assert written(rows, "json") == buffer.getvalue() + "\n"
+
+
 @pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
 def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
     rows, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
+    rows = list(rows)  # certify yields its rows
     assert written(rows) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
@@ -345,6 +380,69 @@ def test_invariant_violation_exit_code(monkeypatch, command):
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", corrupted)
     config = RunConfig(command=command, n_max=3, sieve_limit=LIMIT, alpha_override=0.0)
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize(
+    "fmt, spoil, message",
+    [
+        # N - D/p_7 is then no multiple of p_7 = 17
+        ("csv", lambda n, d: (n + 1, d), "n=7: the Decimal twin is not a multiple of p_n = 17"),
+        # the step divides exactly but leaves D/17 + 17 and N' - 1
+        ("json", lambda n, d: (n, d + 17 * 17), "n=7: a Decimal twin differs from its int modulo 2^61 - 1"),
+    ],
+)
+def test_spoiled_twin_step_leaves_the_rows_before_it(monkeypatch, capsys, tmp_path, fmt, spoil, message):
+    # the memo's Decimal pair is spoiled after the certificate for n = 6
+    from primeforms import sieve_identity
+
+    real = sieve_identity.harmonic_certificate
+
+    def spoiled(n, table):
+        report = real(n, table)
+        if n == 6:
+            *pair, twins = table._harmonic
+            table._harmonic = (*pair, spoil(*twins))
+        return report
+
+    monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))  # its memo is left spoiled
+    config = RunConfig(command="certify", n_max=10, fmt=fmt, sieve_limit=1_000)
+    complete = io.StringIO()
+    assert run(config, stream=complete) == EXIT_OK
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", spoiled)
+    partial = io.StringIO()
+    assert run(config, stream=partial) == EXIT_INVARIANT
+    out = tmp_path / "report"
+    config.out = str(out)
+    assert run(config) == EXIT_INVARIANT
+    assert out.read_bytes().decode() == partial.getvalue()
+    assert capsys.readouterr().err == 2 * f"invariant violation: {message}\n"
+    if fmt == "csv":
+        assert partial.getvalue() == "".join(complete.getvalue().splitlines(keepends=True)[:7])
+    else:
+        assert json.loads(partial.getvalue()) == json.loads(complete.getvalue())[:6]
+
+
+def mutant_table(table, drop=(), insert=()):
+    """A fresh table over the same sieve whose prime list lost `drop` and gained `insert`."""
+    primes = sorted({*table.primes} - {*drop} | {*insert})
+    return core.PrimeTable(limit=table.limit, primes=primes, _spf=table._spf)
+
+
+@pytest.mark.parametrize(
+    "mutation, first",
+    [
+        # 41 lies in (p_9, 2 p_9] = (23, 46]: the certificate no longer sums it
+        ({"drop": [41]}, "n=9: the filter and the certificate disagree on the survivors [41]"),
+        # 25 = 5^2 lies in (p_6, 2 p_6] = (13, 26]; being no squarefree divisor of
+        # any primorial, it leaves both filter routes in agreement
+        ({"insert": [25]}, "n=6: the filter and the certificate disagree on the survivors [25]"),
+    ],
+)
+def test_certificates_are_checked_against_the_filter(monkeypatch, capsys, small_table, mutation, first):
+    monkeypatch.setitem(harness._TABLES, small_table.limit, mutant_table(small_table, **mutation))
+    config = RunConfig(command="certify", n_max=12, sieve_limit=small_table.limit)
+    assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith(f"invariant violation: {first}\n")
 
 
 def test_gandhi_routes_disagreeing_exit_code(monkeypatch, capsys):

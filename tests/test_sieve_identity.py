@@ -1,6 +1,7 @@
 """Filter, survivor scan, and exact certificate tests."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -150,6 +151,26 @@ def test_certificate_memo_matches_naive_sum_in_any_call_order(table, small_table
     tables = {"main": table, "other": small_table}
     for name, n in calls:
         assert_naive_sum_in_lowest_terms(harmonic_certificate(n, tables[name]), tables[name])
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@settings(max_examples=15, deadline=None)
+@given(calls=certificate_calls())
+@example(calls=[("main", 900), ("main", 901), ("other", 1200), ("main", 2500), ("main", 2501), ("main", 2500)])
+def test_certificate_decimals_print_the_binary_digits(table, small_table, limit, calls):
+    # the twin's digits, under any int-to-str limit, are str() of the ints without one
+    tables = {"main": table, "other": small_table}
+    previous = sys.get_int_max_str_digits()
+    for name, n in calls:
+        report = harmonic_certificate(n, tables[name])
+        values = (report.margin, report.exact_sum)
+        try:
+            sys.set_int_max_str_digits(limit)
+            printed = [str(twin) for value in values for twin in value.decimals]
+            sys.set_int_max_str_digits(0)
+            assert printed == [str(part) for value in values for part in (value.numerator, value.denominator)]
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 def test_probe_running_sum_matches_cold_certificates(table):
