@@ -16,16 +16,16 @@ import math
 import sys
 
 from primeforms.core import DEFAULT_SIEVE_LIMIT, sieve
-from primeforms.harness import _estimator_row, write_rows
+from primeforms.harness import _estimator_lane, write_rows
 from primeforms.spectral import SpectralParams, calibrate_amplitude, spectral_sweep
 from primeforms.survival import capacity_sweep, survival_sweep
 
 
-def decade_stats(records):
+def decade_stats(columns):
     buckets = {}
-    for r in records:
-        decade = 10 ** int(math.log10(r.n))
-        buckets.setdefault(decade, []).append(abs(r.rel_error))
+    for n, rel_error in zip(columns.n, columns.rel_error):
+        decade = 10 ** int(math.log10(n))
+        buckets.setdefault(decade, []).append(abs(rel_error))
     return {d: sum(v) / len(v) for d, v in sorted(buckets.items())}
 
 
@@ -52,30 +52,29 @@ def main(argv=None) -> int:
         "capacity": capacity_sweep(args.n_min, args.n_max, table),
     }
 
-    for name, records in sweeps.items():
-        stats = decade_stats(records)
+    for name, columns in sweeps.items():
+        stats = decade_stats(columns)
         line = "  ".join(f"1e{int(math.log10(d))}: {v:.4f}" for d, v in stats.items())
         print(f"{name:22s} mean|rel err| by decade  {line}")
 
-    survival_records = sweeps["survival"]
-    under = sum(1 for r in survival_records if r.residual > 0)
-    over = sum(1 for r in survival_records if r.residual < 0)
+    survival_residuals = sweeps["survival"].residual
+    under = sum(1 for r in survival_residuals if r > 0)
+    over = sum(1 for r in survival_residuals if r < 0)
     print(f"survival residual sign: {under} underestimates, {over} overestimates")
 
     if args.out:
-        rows = []
         source_names = {
             "spectral(calibrated)": "spectral",
             "spectral(alpha=0)": "spectral_alpha0",
             "survival": "survival",
             "capacity": "capacity",
         }
-        for name, records in sweeps.items():
-            rows.extend(_estimator_row(source_names[name], r) for r in records)
-        rows.sort(key=lambda row: (row["n"], row["source"]))
+        # every sweep covers the same n, so one block of lanes in source order sorts by (n, source)
+        names = sorted(sweeps, key=source_names.get)
+        lanes = tuple(_estimator_lane(source_names[name], sweeps[name]) for name in names)
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_rows(rows, "csv", handle)
-        print(f"wrote {len(rows)} records to {args.out}")
+            write_rows([lanes], "csv", handle)
+        print(f"wrote {sum(len(columns.n) for columns in sweeps.values())} records to {args.out}")
     return 0
 
 

@@ -15,6 +15,7 @@ command-line entry point producing CSV/JSON reports.
 
 from .core import (
     DEFAULT_SIEVE_LIMIT,
+    EstimatorColumns,
     EstimatorRecord,
     InvariantViolation,
     PrimeTable,
@@ -69,6 +70,7 @@ __all__ = [
     "DEFAULT_SIEVE_LIMIT",
     "EULER_GAMMA",
     "CertificateReport",
+    "EstimatorColumns",
     "EstimatorRecord",
     "GandhiEvaluation",
     "InvariantViolation",

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import os
 import resource
 import sys
+from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -106,22 +109,33 @@ def to_decimal(value: int) -> decimal.Decimal:
     return to_decimal(high) * _decimal_pow2(k) + to_decimal(value - (high << (1 << k)))
 
 
-@dataclass
-class EstimatorRecord:
-    """One estimator evaluation against the oracle prime."""
+# One estimate of p_n scored against the oracle: a row of an EstimatorColumns.
+EstimatorRecord = namedtuple("EstimatorRecord", "n p_n estimate floored residual rel_error")
 
-    n: int
-    p_n: int
-    estimate: float
-    floored: int
-    residual: float  # p_n - estimate
-    rel_error: float  # residual / p_n
+
+class EstimatorColumns(namedtuple("EstimatorColumns", EstimatorRecord._fields)):
+    """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
+
+    n is a range, p_n and floored are lists, and estimate, residual and
+    rel_error are `array("d")`s: eight bytes a value, read back as the
+    Python floats put in.
+    """
+
+    __slots__ = ()
 
     @classmethod
-    def against(cls, n: int, p_n: int, estimate: float) -> EstimatorRecord:
-        """Score `estimate` of the n-th prime against the oracle value p_n."""
-        residual = p_n - estimate
-        return cls(n, p_n, estimate, math.floor(estimate), residual, residual / p_n)
+    def against(cls, n_lo: int, p_n: list[int], estimates: list[float]) -> EstimatorColumns:
+        """Score `estimates` of p_n, n = n_lo, n_lo + 1, ..., in Python floats; all must be finite."""
+        if not all(map(math.isfinite, estimates)):
+            i, estimate = next((i, e) for i, e in enumerate(estimates) if not math.isfinite(e))
+            raise OverflowError(f"the estimate of p_{n_lo + i} is {estimate}, not a finite number")
+        residual = array("d", map(operator.sub, p_n, estimates))
+        rel_error = array("d", map(operator.truediv, residual, p_n))
+        n = range(n_lo, n_lo + len(p_n))
+        return cls(n, p_n, array("d", estimates), list(map(math.floor, estimates)), residual, rel_error)
+
+    def record(self, i: int) -> EstimatorRecord:
+        return EstimatorRecord(*(column[i] for column in self))
 
 
 @dataclass(eq=False)
@@ -142,6 +156,7 @@ class PrimeTable:
     _spf: np.ndarray = field(repr=False)
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
+    _floats: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
     # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
     _harmonic: tuple | None = field(default=None, repr=False)
@@ -149,6 +164,12 @@ class PrimeTable:
     @cached_property
     def index(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.primes, start=1)}
+
+    def float_primes(self, count: int) -> np.ndarray:
+        """The first `count` primes as float64, sliced from a prefix memo grown by doubling."""
+        if len(self._floats) < count:
+            self._floats = np.array(self.primes[: max(count, 2 * len(self._floats))], dtype=np.float64)
+        return self._floats[:count]
 
     # -- ordinal / counting lookups -------------------------------------
 
@@ -175,11 +196,6 @@ class PrimeTable:
         if i == len(self.primes):
             raise ValueError(f"no prime above {x} within sieve limit {self.limit}")
         return self.primes[i]
-
-    def is_prime(self, m: int) -> bool:
-        if m > self.limit:
-            raise ValueError(f"{m} is beyond sieve limit {self.limit}")
-        return m >= 2 and int(self._spf[m]) == m
 
     def twin_pairs(self, x_max: int) -> list[tuple[int, int]]:
         """Twin pairs (p, p+2), both prime, with p + 2 <= x_max."""

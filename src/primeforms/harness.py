@@ -17,6 +17,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, islice, tee
+from json.encoder import encode_basestring_ascii
 
 from . import core, gandhi, sieve_identity, spectral, survival
 
@@ -138,68 +141,84 @@ def _fraction_str(value: Fraction) -> str:
     return f"{decimals[0]}/{decimals[1]}"
 
 
-def _csv_text(value) -> str:
-    """A cell as `csv.writer` writes it: floats by float.__repr__ (not numpy 2's repr), else str()."""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return _fraction_str(value) if isinstance(value, Fraction) else str(value)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
+_LAYOUTS: dict[tuple, dict] = {}  # (keys, kinds) -> per format: template, column order, converters
 
 
-_COLUMN_INDEX = {column: i for i, column in enumerate(REPORT_COLUMNS)}
+def _csv_texts(cells):
+    """Text cells, each quoted as csv.writer quotes it (QUOTE_MINIMAL) if a scan finds any that needs it."""
+    joined = "".join(cells)
+    if "," not in joined and '"' not in joined and "\r" not in joined and "\n" not in joined:
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\r\n') else c for c in cells]
 
 
-def _cells(rows, convert):
-    """Each row's values in column order through `convert`, absent columns blank."""
-    blanks = [""] * len(REPORT_COLUMNS)
-    for row in rows:
-        cells = blanks.copy()
-        for column, value in row.items():
-            cells[_COLUMN_INDEX[column]] = value if value.__class__ is str else convert(value)
-        yield cells
+def _converters(kind: type) -> tuple:
+    """(CSV, JSON) converters of a column of `kind`s, each from the column to its cells; None keeps it."""
+    if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
+        reprs = partial(map, float.__repr__)
+        return reprs, lambda column: map(_JSON_NONFINITE.get, *tee(reprs(column)))
+    if issubclass(kind, Fraction):
+        texts = partial(map, _fraction_str)
+        return texts, lambda column: map(encode_basestring_ascii, texts(column))
+    if issubclass(kind, str):
+        return _csv_texts, partial(map, encode_basestring_ascii)
+    if kind is int:  # "%s" prints an int as both formats do
+        return None, None
+    return lambda column: _csv_texts([*map(str, column)]), partial(map, json.dumps)
 
 
-def _csv_line(cells: list[str]) -> str:
-    """One record with `csv.writer`'s bytes; no cell the commands write needs its quoting."""
-    line = ",".join(cells)
-    if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
-        quoted = ('"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\r\n') else c for c in cells)
-        line = ",".join(quoted)
-    return line + "\r\n"
+def _lines(keys: tuple, columns, fmt: str):
+    """The rows of one lane, equal-length `columns` under `keys`, in the layout compiled for them.
+
+    A layout is compiled once per `keys` and the types of the columns' values: a CSV line
+    and an element of json.dump(..., indent=1), absent columns already blank or null.
+    """
+    kinds = tuple([type(column[0]) if len(column) else str for column in columns])
+    if (keys, kinds) not in _LAYOUTS:
+        at = dict(sorted((REPORT_COLUMNS.index(key), j) for j, key in enumerate(keys)))  # column -> key index
+        cells = ["%s" if i in at else "" for i in range(len(REPORT_COLUMNS))]
+        members = ",\n".join(f'  "{column}": {cell or "null"}' for column, cell in zip(REPORT_COLUMNS, cells))
+        order = [*at.values()]
+        converters = [_converters(kinds[j]) for j in order]
+        _LAYOUTS[keys, kinds] = {
+            "csv": ((",".join(cells) + "\r\n").__mod__, order, [c for c, _ in converters]),
+            "json": ((" {\n" + members + "\n }").__mod__, order, [j for _, j in converters]),
+        }
+    fill, order, converters = _LAYOUTS[keys, kinds][fmt]
+    cells = [columns[j] if convert is None else convert(columns[j]) for j, convert in zip(order, converters)]
+    return map(fill, zip(*cells) if cells else [()])
 
 
 def write_rows(rows, fmt: str, stream) -> None:
-    """Write `rows`, dicts keyed by REPORT_COLUMNS, each as soon as it is produced.
+    """Write `rows`, each item as soon as it is produced, in the CSV or JSON report layout.
 
-    A failure while producing a row leaves the rows before it written (a
+    An item is a dict keyed by REPORT_COLUMNS ("" is a blank cell) or a block: lanes
+    (keys, columns), all columns of one length, of which it writes row i of every lane
+    in turn.  A failure while producing an item leaves the items before it written (a
     JSON array still closed).
     """
-    if fmt == "csv":
-        stream.write(_csv_line(REPORT_COLUMNS))
-        for cells in _cells(rows, _csv_text):
-            stream.write(_csv_line(cells))
-        return
-    # the bytes json.dump(list, stream, indent=1) writes, one element at a time
-    separator = "\n"
-    stream.write("[")
+    separator, joiner = ("", "") if fmt == "csv" else ("\n", ",\n")
+    stream.write(",".join(REPORT_COLUMNS) + "\r\n" if fmt == "csv" else "[")
     try:
-        for cells in _cells(rows, lambda cell: _fraction_str(cell) if isinstance(cell, Fraction) else cell):
-            payload = {c: None if cell == "" else cell for c, cell in zip(REPORT_COLUMNS, cells)}
-            stream.write(separator + json.dumps([payload], indent=1)[2:-2])
-            separator = ",\n"
+        for item in rows:
+            if isinstance(item, dict):
+                kept = {k: (v,) for k, v in item.items() if v.__class__ is not str or v}
+                chunks = [[*_lines(tuple(kept), [*kept.values()], fmt)]]
+            else:
+                lines = chain.from_iterable(zip(*(_lines(*lane, fmt) for lane in item)))
+                chunks = iter(lambda: list(islice(lines, 1024)), [])
+            for chunk in chunks:
+                stream.write(separator + joiner.join(chunk))
+                separator = joiner
     finally:
-        stream.write("]\n" if separator == "\n" else "\n]\n")
+        if fmt == "json":
+            stream.write("]\n" if separator == "\n" else "\n]\n")
 
 
-def _estimator_row(source: str, record: core.EstimatorRecord) -> dict:
-    return {
-        "source": source,
-        "n": record.n,
-        "p_n": record.p_n,
-        "estimate": record.estimate,
-        "floored": record.floored,
-        "residual": record.residual,
-        "rel_error": record.rel_error,
-    }
+def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:
+    """A sweep's columns as a report lane whose rows name `source`."""
+    return ("source", *columns._fields), ([source] * len(columns.n), *columns)
 
 
 def _certificate_row(report: sieve_identity.CertificateReport, table: core.PrimeTable) -> dict:
@@ -266,15 +285,10 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_scan_range(table, hi)
     found = sieve_identity.next_prime_sweep(lo, hi, table)
-    rows, violations = [], []
-    for n, next_prime in zip(range(lo, hi + 1), found):
-        expected = table.nth(n + 1)
-        if next_prime != expected:
-            violations.append(f"n={n}: filter found {next_prime}, oracle has {expected}")
-        rows.append(
-            {"source": "sieve_identity", "n": n, "p_n": table.nth(n), "next_prime": next_prime}
-        )
-    return rows, violations
+    ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
+    violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
+    columns = (["sieve_identity"] * len(ns), ns, table.primes[lo - 1 : hi], found)
+    return [((("source", "n", "p_n", "next_prime"), columns),)], violations
 
 
 def _certificates(n_max: int, table: core.PrimeTable, violations: list):
@@ -355,15 +369,12 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     return rows, violations
 
 
-def _spectral_params(config: RunConfig) -> spectral.SpectralParams:
-    return spectral.SpectralParams(calib_lo=config.calib_lo, calib_hi=config.calib_hi)
-
-
 def _resolve_amplitude(config: RunConfig, table: core.PrimeTable) -> float:
     if config.alpha_override is not None:
         return config.alpha_override
     _check_tabulated(table, config.calib_hi, "--calib-hi")
-    return spectral.calibrate_amplitude(_spectral_params(config), table)
+    params = spectral.SpectralParams(calib_lo=config.calib_lo, calib_hi=config.calib_hi)
+    return spectral.calibrate_amplitude(params, table)
 
 
 def _run_spectral(config: RunConfig, table: core.PrimeTable):
@@ -372,11 +383,12 @@ def _run_spectral(config: RunConfig, table: core.PrimeTable):
         raise UsageError("spectral sweep needs --n-max >= 3")
     _check_tabulated(table, config.n_max, "--n-max")
     amplitude = _resolve_amplitude(config, table)
-    params = spectral.SpectralParams(
-        amplitude=amplitude, calib_lo=config.calib_lo, calib_hi=config.calib_hi
-    )
-    records = spectral.spectral_sweep(3, config.n_max, params, table)
-    return [_estimator_row("spectral", r) for r in records], []
+    params = spectral.SpectralParams(amplitude=amplitude, calib_lo=config.calib_lo, calib_hi=config.calib_hi)
+    try:
+        columns = spectral.spectral_sweep(3, config.n_max, params, table)
+    except OverflowError as exc:
+        raise UsageError(f"{exc}; pass a smaller --alpha") from None
+    return [(_estimator_lane("spectral", columns),)], []
 
 
 def _run_survival(config: RunConfig, table: core.PrimeTable):
@@ -384,15 +396,11 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
     if config.n_max < 3:
         raise UsageError("survival sweep needs --n-max >= 3")
     _check_tabulated(table, config.n_max, "--n-max")
-    rows = []
-    for grown, capped in zip(
-        survival.survival_sweep(3, config.n_max, table),
-        survival.capacity_sweep(3, config.n_max, table),
-    ):
-        if grown.n != capped.n:
-            raise core.InvariantViolation(f"survival row n={grown.n} meets capacity row n={capped.n}")
-        rows += (_estimator_row("survival", grown), _estimator_row("capacity", capped))
-    return rows, []
+    grown = survival.survival_sweep(3, config.n_max, table)
+    capped = survival.capacity_sweep(3, config.n_max, table)
+    if grown.n != capped.n:
+        raise core.InvariantViolation(f"survival rows {grown.n} meet capacity rows {capped.n}")
+    return [(_estimator_lane("survival", grown), _estimator_lane("capacity", capped))], []
 
 
 def _run_selberg(config: RunConfig, table: core.PrimeTable):
@@ -435,8 +443,8 @@ def precision_study(n_max: int, table: core.PrimeTable, amplitude: float) -> tup
 def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, summary: dict):
     """`precision_study`'s rows, each as it is produced; `summary` is filled after the last."""
     spectral_params = spectral.SpectralParams(amplitude=amplitude)
-    survival_records = {r.n: r for r in survival.survival_sweep(3, n_max, table)}
-    spectral_records = {r.n: r for r in spectral.spectral_sweep(3, n_max, spectral_params, table)}
+    survival_residuals = survival.survival_sweep(3, n_max, table).residual
+    spectral_residuals = spectral.spectral_sweep(3, n_max, spectral_params, table).residual
     first_break, anomalies, max_gap = "", 0, 0.0
     for report in _certificates(n_max, table, summary["violations"]):
         row = {
@@ -449,12 +457,10 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, summar
             "float_floor": report.float_floor,
             "survival_sign": "",  # the estimator is undefined below n = 3
         }
-        survival_record = survival_records.get(report.n)
-        if survival_record is not None:
-            row["survival_sign"] = (survival_record.residual > 0) - (survival_record.residual < 0)
-        spectral_record = spectral_records.get(report.n)
-        if spectral_record is not None:
-            row["residual"] = spectral_record.residual
+        if report.n >= 3:
+            residual = survival_residuals[report.n - 3]
+            row["survival_sign"] = (residual > 0) - (residual < 0)
+            row["residual"] = spectral_residuals[report.n - 3]
         if report.float_floor != 1 and first_break == "":
             first_break = report.n
         anomalies += report.float_anomalous

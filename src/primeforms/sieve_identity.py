@@ -220,7 +220,7 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     exact = coprime_fraction(numerator + denominator, denominator, (twin_sum, twin_d))
     table._harmonic = (n, numerator, denominator, hi, (twin_n, twin_d))
     # cumsum adds in index order, one term at a time, as a Python loop would
-    shadow = float(np.cumsum(1.0 / np.array([1, *primes[n:hi]], dtype=np.float64))[-1])
+    shadow = float(np.cumsum(1.0 / np.concatenate(([1.0], table.float_primes(hi)[n:])))[-1])
     return CertificateReport(
         n=n,
         next_prime=primes[n],

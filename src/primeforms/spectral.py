@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorRecord, PrimeTable
+from .core import EstimatorColumns, EstimatorRecord, PrimeTable
 
 
 @dataclass
@@ -105,15 +105,17 @@ def calibrate_amplitude(params: SpectralParams, table: PrimeTable) -> float:
 
 
 def spectral_estimate(n: int, params: SpectralParams, table: PrimeTable) -> EstimatorRecord:
-    """Drift plus amplitude-scaled resonance; the unresolved tail contributes zero."""
+    """Drift plus amplitude-scaled resonance: the one-element view of `spectral_sweep`."""
     if n < 3:
         raise ValueError("spectral estimate needs n >= 3")
-    estimate = cipolla_drift(n) + params.amplitude * oscillation_sum(n, table)
-    return EstimatorRecord.against(n, table.nth(n), estimate)
+    return spectral_sweep(n, n, params, table).record(0)
 
 
-def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTable) -> list[EstimatorRecord]:
-    """Estimates for n in [n_lo, n_hi], ascending."""
+def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTable) -> EstimatorColumns:
+    """Estimates for n in [n_lo, n_hi], ascending; the unresolved tail contributes zero."""
     if n_lo < 3:
         raise ValueError("sweep needs n_lo >= 3")
-    return [spectral_estimate(n, params, table) for n in range(n_lo, n_hi + 1)]
+    table.nth(n_hi)  # range check
+    amplitude = params.amplitude
+    estimates = [cipolla_drift(n) + amplitude * oscillation_sum(n, table) for n in range(n_lo, n_hi + 1)]
+    return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simpson, sieve
+from .core import EstimatorColumns, EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simpson, sieve
 
 # Euler-Mascheroni constant, 50 digits (rounds to the nearest float64).
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
@@ -95,27 +95,28 @@ def survival_estimate(n: int, table: PrimeTable) -> EstimatorRecord:
     """Growth-product estimate (n ln n) * prod(1 + 1/(k ln k - ln ln k)) * e^(-gamma).
 
     Evaluated exactly as written, flooring at the end: the one-element
-    slice of `survival_sweep`, which multiplies the same terms in the same
+    view of `survival_sweep`, which multiplies the same terms in the same
     order.  The residual against the oracle is recorded, never asserted
     small: the pre-asymptotic drift is one of the quantities this package
     exists to measure.
     """
-    return survival_sweep(n, n, table)[0]
+    return survival_sweep(n, n, table).record(0)
 
 
-def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRecord]:
+def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     """Estimates for n in [n_lo, n_hi] with a single running product."""
     if n_lo < 3:
         raise ValueError("survival estimate needs n >= 3")
+    table.nth(n_hi)  # range check
     scale = math.exp(-EULER_GAMMA)
     product = 1.0
     for k in range(2, n_lo):
         product *= _growth_term(k)
-    out = []
+    estimates = []
     for n in range(n_lo, n_hi + 1):
         product *= _growth_term(n)
-        out.append(EstimatorRecord.against(n, table.nth(n), n * math.log(n) * product * scale))
-    return out
+        estimates.append(n * math.log(n) * product * scale)
+    return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)
 
 
 # -- Selberg quadratic form --------------------------------------------------
@@ -249,7 +250,7 @@ def capacity_estimate(n: int, table: PrimeTable, *, use_fixed_point: bool = Fals
 
     The identity is self-referential (z depends on the p_n it estimates), so
     by default the oracle p_n feeds z and the module measures the identity's
-    residual: the one-element slice of `capacity_sweep`.  The fixed-point
+    residual: the one-element view of `capacity_sweep`.  The fixed-point
     variant instead bootstraps z from sqrt(n ln n) and iterates twice.  z is
     clamped to >= 2; the sub-leading remainder is carried as zero and
     absorbed into the residual.
@@ -257,22 +258,21 @@ def capacity_estimate(n: int, table: PrimeTable, *, use_fixed_point: bool = Fals
     if n < 2:
         raise ValueError("capacity estimate needs n >= 2")
     if not use_fixed_point:
-        return capacity_sweep(n, n, table)[0]
+        return capacity_sweep(n, n, table).record(0)
     z = max(2, math.isqrt(int(n * math.log(n))))
     for _ in range(2):
         z = max(2, math.isqrt(int(n * capacity(z, table)[0])))
-    return EstimatorRecord.against(n, table.nth(n), n * capacity(z, table)[0])
+    return EstimatorColumns.against(n, [table.nth(n)], [n * capacity(z, table)[0]]).record(0)
 
 
-def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> list[EstimatorRecord]:
+def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     """Oracle-fed capacity estimates n * V(max(2, isqrt(p_n))) for n in [n_lo, n_hi]."""
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table)).tolist()
-    return [
-        EstimatorRecord.against(n, p, n * v[max(2, math.isqrt(p)) - 1])
-        for n, p in enumerate(table.primes[n_lo - 1 : n_hi], start=n_lo)
-    ]
+    p_n = table.primes[n_lo - 1 : n_hi]
+    estimates = [n * v[max(2, math.isqrt(p)) - 1] for n, p in enumerate(p_n, start=n_lo)]
+    return EstimatorColumns.against(n_lo, p_n, estimates)
 
 
 # -- Brun partial sums --------------------------------------------------------

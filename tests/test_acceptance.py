@@ -178,10 +178,11 @@ def test_c09_estimator_properties(table):
         "survival": survival_sweep(10, 10_000, table),
         "capacity": capacity_sweep(10, 10_000, table),
     }
-    for name, records in sweeps.items():
-        if not all(math.isfinite(r.estimate) and r.estimate > 0 for r in records):
+    for name, columns in sweeps.items():
+        estimates = columns.estimate
+        if not all(math.isfinite(e) and e > 0 for e in estimates):
             failures.append(f"{name}: non-finite or non-positive estimate")
-        if not all(b.estimate > a.estimate for a, b in zip(records, records[1:])):
+        if not all(b > a for a, b in zip(estimates, estimates[1:])):
             failures.append(f"{name}: not strictly increasing")
 
     window = range(params.calib_lo, params.calib_hi + 1)

@@ -297,10 +297,54 @@ schema_values = st.one_of(
 )
 
 
+# One kind of value per column, as the sweeps write them.
+column_kinds = st.sampled_from(
+    [
+        st.integers(-(2**70), 2**70),
+        st.one_of(
+            st.floats(),
+            st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324]),
+            st.floats().map(np.float64),
+        ),
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+    ]
+)
+
+
+@st.composite
+def blocks(draw):
+    """One or two lanes (keys, columns) whose columns all hold the same number of rows."""
+    length, lanes = draw(st.integers(1, 3)), []
+    for _ in range(draw(st.integers(1, 2))):
+        keys = draw(st.lists(st.sampled_from(REPORT_COLUMNS), min_size=1, max_size=5, unique=True))
+        values = [draw(column_kinds) for _ in keys]
+        lanes.append((tuple(keys), [draw(st.lists(v, min_size=length, max_size=length)) for v in values]))
+    return tuple(lanes)
+
+
+def block_rows(block):
+    """A block's rows as dicts: row i of every lane (keys, columns) in turn."""
+    rows = []
+    for i in range(len(block[0][1][0])):
+        rows += (dict(zip(keys, (column[i] for column in columns))) for keys, columns in block)
+    return rows
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.dictionaries(st.sampled_from(REPORT_COLUMNS), schema_values), max_size=4))
-@example(rows=[{"source": 'a,"b"\r\n', "n": 3, "weights": "1:1.0;2:-1.0"}, {"estimate": np.float64(0.5)}])
-def test_joined_lines_are_csv_writer_bytes(rows):
+@given(rows=st.lists(st.dictionaries(st.sampled_from(REPORT_COLUMNS), schema_values), max_size=4), block=blocks())
+@example(
+    rows=[{"source": 'a,"b"\r\n', "n": 3, "weights": "1:1.0;2:-1.0"}, {"estimate": np.float64(0.5)}],
+    block=(
+        (
+            ("source", "estimate", "residual", "margin"),
+            [["a,b", "", 'q"\n'], [float("nan"), -0.0, np.float64(5e-324)],
+             [float("inf"), float("-inf"), 1e16], [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]],
+        ),
+        (("n", "weights"), [[1, 2, 3], ["1:1.0;2:-1.0", "é", "x"]]),
+    ),
+)
+def test_joined_lines_are_csv_writer_bytes(rows, block):
     # csv.writer writes every float, numpy's included, by float.__repr__
     def cells(row, blank):
         values = [row.get(column, "") for column in REPORT_COLUMNS]
@@ -314,13 +358,31 @@ def test_joined_lines_are_csv_writer_bytes(rows):
     json.dump([dict(zip(REPORT_COLUMNS, cells(row, None))) for row in rows], buffer, indent=1)
     assert written(rows, "json") == buffer.getvalue() + "\n"
 
+    # The block after the dict rows, through the layouts compiled for its lanes: a
+    # column's "" is text, and only an absent column is blank (null in JSON).
+    def present(row, absent):
+        values = [row.get(column, absent) for column in REPORT_COLUMNS]
+        return [f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v for v in values]
+
+    block_cells = block_rows(block)
+    for fmt, blank in (("csv", ""), ("json", None)):
+        expected = [*(cells(row, blank) for row in rows), *(present(row, blank) for row in block_cells)]
+        buffer = io.StringIO()
+        if fmt == "csv":
+            csv.writer(buffer).writerows([REPORT_COLUMNS, *expected])
+        else:
+            json.dump([dict(zip(REPORT_COLUMNS, values)) for values in expected], buffer, indent=1)
+            buffer.write("\n")
+        assert written([*rows, block], fmt) == buffer.getvalue(), fmt
+
 
 @pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
 def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
-    rows, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
-    rows = list(rows)  # certify yields its rows
-    assert written(rows) == per_cell_csv(rows, REPORT_COLUMNS)
+    items, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
+    items = list(items)  # certify yields its rows; survival returns one block of two lanes
+    rows = [row for item in items for row in ([item] if isinstance(item, dict) else block_rows(item))]
+    assert written(items) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
 def test_survival_rows_interleave_by_n():
@@ -445,6 +507,23 @@ def test_certificates_are_checked_against_the_filter(monkeypatch, capsys, small_
     assert capsys.readouterr().err.startswith(f"invariant violation: {first}\n")
 
 
+def test_sieve_next_flags_a_next_prime_off_the_oracle(monkeypatch, capsys):
+    # the sweep reports 12 for n = 4; the report is still written in full
+    from primeforms import sieve_identity
+
+    real = sieve_identity.next_prime_sweep
+
+    def off_at_four(lo, hi, table):
+        return [12 if n == 4 else p for n, p in zip(range(lo, hi + 1), real(lo, hi, table))]
+
+    monkeypatch.setattr(sieve_identity, "next_prime_sweep", off_at_four)
+    buffer = io.StringIO()
+    assert run(RunConfig(command="sieve-next", n_max=6, sieve_limit=LIMIT), stream=buffer) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: n=4: filter found 12, oracle has 11\n"
+    assert buffer.getvalue().splitlines()[4].startswith("sieve_identity,4,7,12,")
+    assert len(buffer.getvalue().splitlines()) == 7
+
+
 def test_gandhi_routes_disagreeing_exit_code(monkeypatch, capsys):
     # one inclusion-exclusion term off by one; Golomb's bit string must catch it
     from primeforms import gandhi
@@ -487,6 +566,7 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         (["gandhi", "--n", "1", "--sieve-limit", "2"], "--sieve-limit"),
         (["gandhi", "--n-max", "7", "--sieve-limit", "17", "--samples", "10000"], "--sieve-limit"),
         (["brun", "--X", "10", "--out", ""], "--out"),
+        (["spectral", "--n-max", "20", "--alpha", "1e308"], "--alpha"),
     ],
 )
 def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):

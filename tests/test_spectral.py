@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from primeforms.core import EstimatorRecord
 from primeforms.spectral import (
     SpectralParams,
     calibrate_amplitude,
@@ -121,7 +122,24 @@ def test_sweep_is_deterministic(table):
     params = SpectralParams(amplitude=0.0459)
     first = spectral_sweep(10, 200, params, table)
     second = spectral_sweep(10, 200, params, table)
-    assert all(a.estimate == b.estimate for a, b in zip(first, second))
+    assert all(a == b for a, b in zip(first.estimate, second.estimate))
+
+
+def bits(values):
+    """Values with every float as its hex string, so -0.0 and nan compare by their bits."""
+    return [value.hex() if isinstance(value, float) else value for value in values]
+
+
+def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table):
+    params = SpectralParams(amplitude=0.0459)
+    columns = spectral_sweep(3, 2_000, params, table)
+    assert {len(getattr(columns, field)) for field in EstimatorRecord._fields} == {1_998}
+    for n in (3, 4, 97, 1_000, 2_000):
+        estimate = cipolla_drift(n) + params.amplitude * oscillation_sum(n, table)
+        residual = table.nth(n) - estimate
+        expected = (n, table.nth(n), estimate, math.floor(estimate), residual, residual / table.nth(n))
+        row = [getattr(columns, field)[n - 3] for field in EstimatorRecord._fields]
+        assert bits(row) == bits(expected) == bits(spectral_estimate(n, params, table)), n
 
 
 def test_params_validation():

@@ -27,6 +27,7 @@ from primeforms.survival import (
     survival_estimate,
     survival_sweep,
 )
+from primeforms.core import EstimatorRecord
 from primeforms.survival import _capacity_terms
 
 
@@ -117,8 +118,24 @@ def test_survival_sweep_matches_per_call(table):
     sweep = survival_sweep(3, 400, table)
     for n in (3, 57, 400):
         record = survival_estimate(n, table)
-        matching = next(r for r in sweep if r.n == n)
-        assert math.isclose(record.estimate, matching.estimate, rel_tol=1e-12)
+        assert sweep.n[n - 3] == n
+        assert math.isclose(record.estimate, sweep.estimate[n - 3], rel_tol=1e-12)
+
+
+def bits(record):
+    """A record's fields with every float as its hex string, so -0.0 and nan compare by their bits."""
+    return [value.hex() if isinstance(value, float) else value for value in record]
+
+
+@pytest.mark.parametrize(
+    "sweep, scalar, n_lo", [(survival_sweep, survival_estimate, 3), (capacity_sweep, capacity_estimate, 2)]
+)
+def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table, sweep, scalar, n_lo):
+    columns = sweep(n_lo, 3_000, table)
+    assert {len(getattr(columns, field)) for field in EstimatorRecord._fields} == {3_001 - n_lo}
+    for n in (n_lo, 4, 97, 1_000, 3_000):
+        row = [getattr(columns, field)[n - n_lo] for field in EstimatorRecord._fields]
+        assert bits(row) == bits(scalar(n, table)), n
 
 
 def test_survival_estimate_equals_direct_product_exactly(table):
@@ -134,8 +151,8 @@ def test_survival_estimate_equals_direct_product_exactly(table):
 
 
 def test_survival_sweep_strictly_increasing(table):
-    sweep = survival_sweep(3, 2_000, table)
-    assert all(b.estimate > a.estimate for a, b in zip(sweep, sweep[1:]))
+    estimates = survival_sweep(3, 2_000, table).estimate
+    assert all(b > a for a, b in zip(estimates, estimates[1:]))
 
 
 # -- Selberg quadratic form ----------------------------------------------------------
@@ -231,7 +248,7 @@ def test_capacity_fixed_point_variant_runs(table):
 def test_capacity_sweep_matches_per_call(table):
     sweep = capacity_sweep(2, 3_000, table)
     for n in range(2, 3_001):
-        assert capacity_estimate(n, table).estimate == sweep[n - 2].estimate
+        assert capacity_estimate(n, table).estimate == sweep.estimate[n - 2]
 
 
 def test_capacity_terms_are_reciprocal_totients_on_squarefree(table):
@@ -250,8 +267,8 @@ def test_capacity_is_the_running_sum_in_ascending_d(table):
 
 
 def test_capacity_sweep_strictly_increasing(table):
-    sweep = capacity_sweep(2, 2_000, table)
-    assert all(b.estimate > a.estimate for a, b in zip(sweep, sweep[1:]))
+    estimates = capacity_sweep(2, 2_000, table).estimate
+    assert all(b > a for a, b in zip(estimates, estimates[1:]))
 
 
 # -- Brun partial sums ----------------------------------------------------------------
