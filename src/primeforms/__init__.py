@@ -9,14 +9,15 @@ Three formula families are implemented and profiled against a sieve oracle:
 * spectral-resonance and survival-dynamics estimators whose residuals are
   measured, never asserted (`spectral`, `survival`).
 
-`core` holds the sieve oracle and arithmetic functions; `harness` is the
-command-line entry point producing CSV/JSON reports.
+The certificates and the estimators are computed as sweeps over a range of n
+(`certificate_sweep`, `spectral_sweep`, `survival_sweep`, `capacity_sweep`);
+a one-n sweep is the value at that n.  `core` holds the sieve oracle and
+arithmetic functions; `harness` is the CLI producing CSV/JSON reports.
 """
 
 from .core import (
     DEFAULT_SIEVE_LIMIT,
     EstimatorColumns,
-    EstimatorRecord,
     InvariantViolation,
     PrimeTable,
     ResourceLimitError,
@@ -34,19 +35,17 @@ from .gandhi import (
 )
 from .sieve_identity import (
     CertificateReport,
+    certificate_sweep,
     coprime_indicator,
-    float_anomalies,
     harmonic_certificate,
     next_prime_sweep,
     next_prime_via_filter,
-    precision_probe,
 )
 from .spectral import (
     SpectralParams,
     calibrate_amplitude,
     cipolla_drift,
     oscillation_sum,
-    spectral_estimate,
     spectral_sweep,
 )
 from .survival import (
@@ -54,15 +53,13 @@ from .survival import (
     SelbergSolution,
     brun_partial,
     capacity,
-    capacity_estimate,
+    capacity_fixed_point,
     capacity_sweep,
     entropy,
-    mertens_product,
     mertens_sweep,
     moebius_truncation_value,
     selberg_minimize,
     surprisal,
-    survival_estimate,
     survival_sweep,
 )
 
@@ -71,7 +68,6 @@ __all__ = [
     "EULER_GAMMA",
     "CertificateReport",
     "EstimatorColumns",
-    "EstimatorRecord",
     "GandhiEvaluation",
     "InvariantViolation",
     "PrimeTable",
@@ -80,33 +76,29 @@ __all__ = [
     "SpectralParams",
     "brun_partial",
     "calibrate_amplitude",
+    "certificate_sweep",
     "capacity",
-    "capacity_estimate",
+    "capacity_fixed_point",
     "capacity_sweep",
     "cipolla_drift",
     "coprime_indicator",
     "entropy",
     "evaluate",
     "extract_prime",
-    "float_anomalies",
     "float_log2_extraction",
     "geometric_divisibility",
     "harmonic_certificate",
     "log_integral",
-    "mertens_product",
     "mertens_sweep",
     "moebius_truncation_value",
     "monte_carlo_survivor_fraction",
     "next_prime_sweep",
     "next_prime_via_filter",
     "oscillation_sum",
-    "precision_probe",
     "selberg_minimize",
     "sieve",
-    "spectral_estimate",
     "spectral_sweep",
     "surprisal",
     "survivor_probability",
-    "survival_estimate",
     "survival_sweep",
 ]

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -109,11 +109,7 @@ def to_decimal(value: int) -> decimal.Decimal:
     return to_decimal(high) * _decimal_pow2(k) + to_decimal(value - (high << (1 << k)))
 
 
-# One estimate of p_n scored against the oracle: a row of an EstimatorColumns.
-EstimatorRecord = namedtuple("EstimatorRecord", "n p_n estimate floored residual rel_error")
-
-
-class EstimatorColumns(namedtuple("EstimatorColumns", EstimatorRecord._fields)):
+class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored residual rel_error")):
     """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
 
     n is a range, p_n and floored are lists, and estimate, residual and
@@ -134,18 +130,15 @@ class EstimatorColumns(namedtuple("EstimatorColumns", EstimatorRecord._fields)):
         n = range(n_lo, n_lo + len(p_n))
         return cls(n, p_n, array("d", estimates), list(map(math.floor, estimates)), residual, rel_error)
 
-    def record(self, i: int) -> EstimatorRecord:
-        return EstimatorRecord(*(column[i] for column in self))
-
 
 @dataclass(eq=False)
 class PrimeTable:
     """Sieve-of-Eratosthenes oracle for the primes up to `limit`.
 
-    `primes` is strictly increasing and `index` (built on first read) maps
-    p_n -> n (1-based, p_1 = 2).  A smallest-prime-factor array built
-    during sieving makes factor extraction, and hence the Möbius / von
-    Mangoldt / totient lookups, O(log m) instead of per-call trial division.
+    `primes` is strictly increasing with p_n at index n - 1 (p_1 = 2), so
+    `pi(p_n)` is n.  A smallest-prime-factor array built during sieving
+    makes factor extraction, and hence the Möbius / von Mangoldt / totient
+    lookups, O(log m) instead of per-call trial division.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
@@ -160,10 +153,6 @@ class PrimeTable:
     _mangoldt: tuple | None = field(default=None, repr=False)
     # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
     _harmonic: tuple | None = field(default=None, repr=False)
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.primes, start=1)}
 
     def float_primes(self, count: int) -> np.ndarray:
         """The first `count` primes as float64, sliced from a prefix memo grown by doubling."""
@@ -190,13 +179,6 @@ class PrimeTable:
             raise ValueError(f"pi({x}) is beyond sieve limit {self.limit}")
         return bisect_right(self.primes, x)
 
-    def next_prime(self, x: int) -> int:
-        """Smallest tabulated prime strictly greater than x."""
-        i = bisect_right(self.primes, x)
-        if i == len(self.primes):
-            raise ValueError(f"no prime above {x} within sieve limit {self.limit}")
-        return self.primes[i]
-
     def twin_pairs(self, x_max: int) -> list[tuple[int, int]]:
         """Twin pairs (p, p+2), both prime, with p + 2 <= x_max."""
         if x_max > self.limit:
@@ -210,13 +192,6 @@ class PrimeTable:
         return out
 
     # -- factorization --------------------------------------------------
-
-    def smallest_prime_factor(self, m: int) -> int:
-        if m < 2:
-            raise ValueError("smallest prime factor needs m >= 2")
-        if m > self.limit:
-            raise ValueError(f"{m} is beyond sieve limit {self.limit}")
-        return int(self._spf[m])
 
     def factorize(self, m: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, exponent), ...] with p ascending.
@@ -251,9 +226,6 @@ class PrimeTable:
         if m > 1:
             out.append((m, 1))  # the remaining cofactor is prime
         return out
-
-    def distinct_prime_factors(self, m: int) -> list[int]:
-        return [p for p, _ in self.factorize(m)]
 
     # -- arithmetic functions -------------------------------------------
 

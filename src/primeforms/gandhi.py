@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, ResourceLimitError, coprime_fraction
+from .core import InvariantViolation, PrimeTable, ResourceLimitError, _memory_budget, coprime_fraction
 
 # The gate bounds output size: a row holds three P_n-bit rationals, and
 # the row for P_8 = 9699690 bits takes about 3 s to print in decimal.
@@ -46,6 +46,7 @@ FEASIBLE_N = 7
 
 # Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.
 MIN_SAMPLES = 10_000
+DRAW_BYTES = 24  # peak bytes per draw of `_draw_counts` by tracemalloc: three 8-byte arrays at once
 
 
 class CancellationError(ArithmeticError):
@@ -202,6 +203,12 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
+    budget = _memory_budget()
+    if samples * DRAW_BYTES > budget:
+        raise ResourceLimitError(
+            f"--samples {samples} needs about {samples * DRAW_BYTES >> 20} MiB for its draws, more than "
+            f"the {budget >> 20} MiB this process may use; pass --samples {budget // DRAW_BYTES} or fewer"
+        )
     counts = _draw_counts(samples, seed)
     values = np.arange(counts.size)
     coprime = np.ones(counts.size, dtype=bool)

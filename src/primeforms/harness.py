@@ -291,29 +291,11 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     return [((("source", "n", "p_n", "next_prime"), columns),)], violations
 
 
-def _certificates(n_max: int, table: core.PrimeTable, violations: list):
-    """Certificates for n = 1..n_max, each built as the caller asks for it.
-
-    The filter's survivors in [1, 2 p_n] must be 1 and the primes the
-    certificate summed, which checks both filter routes and its lemma (a
-    composite survivor exceeds 2 p_n).  Broken invariants go to `violations`.
-    """
-    for n, passed in sieve_identity._filter_windows(1, n_max, table):
-        report = sieve_identity.harmonic_certificate(n, table)
-        violations.extend(report.violations())
-        survivors = (passed.nonzero()[0] + 1).tolist()
-        summed = [1, *table.primes[n : table.pi(len(passed))]]
-        if survivors != summed:
-            stray = sorted(set(survivors).symmetric_difference(summed))
-            violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
-        yield report
-
-
 def _run_certify(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     _check_scan_range(table, config.n_max)
     violations = []
-    reports = _certificates(config.n_max, table, violations)
+    reports = sieve_identity.certificate_sweep(config.n_max, table, violations)
     return (_certificate_row(report, table) for report in reports), violations
 
 
@@ -426,27 +408,21 @@ def _run_brun(config: RunConfig, table: core.PrimeTable):
     return [{"source": "brun", "n": pairs, "x": config.x_upper, "estimate": value}], []
 
 
-def precision_study(n_max: int, table: core.PrimeTable, amplitude: float) -> tuple[list[dict], dict]:
-    """Per-n float-vs-exact study plus a summary block.
+def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violations: list):
+    """The float-vs-exact precision study: one row per n = 1..n_max, then a summary row.
 
     Rows carry the exact margin (as an exact rational), its float shadow,
     the signed float gap, the float floor, the sign of the survival
-    residual, and the spectral residual.  The summary reports the first n
-    (if any) whose float floor broke, the anomaly count, the largest
-    absolute float gap, and the exact invariants the certificates broke;
-    it is emitted even when nothing deviated.
+    residual, and the spectral residual, each yielded as it is produced.
+    The summary row reports the first n (if any) whose float floor broke,
+    the anomaly count and the largest absolute float gap; it is emitted
+    even when nothing deviated.  Broken exact invariants go to `violations`.
     """
-    summary = {"violations": []}
-    return list(_precision_rows(n_max, table, amplitude, summary)), summary
-
-
-def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, summary: dict):
-    """`precision_study`'s rows, each as it is produced; `summary` is filled after the last."""
     spectral_params = spectral.SpectralParams(amplitude=amplitude)
     survival_residuals = survival.survival_sweep(3, n_max, table).residual
     spectral_residuals = spectral.spectral_sweep(3, n_max, spectral_params, table).residual
-    first_break, anomalies, max_gap = "", 0, 0.0
-    for report in _certificates(n_max, table, summary["violations"]):
+    summary = {"source": "summary", "first_float_floor_break": "", "anomaly_count": 0, "float_gap": 0.0}
+    for report in sieve_identity.certificate_sweep(n_max, table, violations):
         row = {
             "source": "precision",
             "n": report.n,
@@ -461,30 +437,19 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, summar
             residual = survival_residuals[report.n - 3]
             row["survival_sign"] = (residual > 0) - (residual < 0)
             row["residual"] = spectral_residuals[report.n - 3]
-        if report.float_floor != 1 and first_break == "":
-            first_break = report.n
-        anomalies += report.float_anomalous
-        max_gap = max(max_gap, abs(report.float_gap))
+        if report.float_floor != 1 and summary["first_float_floor_break"] == "":
+            summary["first_float_floor_break"] = report.n
+        summary["anomaly_count"] += report.float_anomalous
+        summary["float_gap"] = max(summary["float_gap"], abs(report.float_gap))
         yield row
-    summary.update(first_float_floor_break=first_break, anomaly_count=anomalies, max_abs_float_gap=max_gap)
+    yield summary
 
 
 def _run_report(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     _check_scan_range(table, config.n_max)
-    amplitude = _resolve_amplitude(config, table)
-    summary = {"violations": []}
-
-    def rows():
-        yield from _precision_rows(config.n_max, table, amplitude, summary)
-        yield {
-            "source": "summary",
-            "first_float_floor_break": summary["first_float_floor_break"],
-            "anomaly_count": summary["anomaly_count"],
-            "float_gap": summary["max_abs_float_gap"],
-        }
-
-    return rows(), summary["violations"]
+    violations = []
+    return _precision_rows(config.n_max, table, _resolve_amplitude(config, table), violations), violations
 
 
 _EXECUTORS = {

@@ -4,7 +4,7 @@ A Möbius-derived coprimality filter keeps exactly the integers sharing no
 prime factor with the n-th primorial; on [1, 2 p_n] (Bertrand's range) the
 smallest survivor above 1 is p_{n+1}, and the harmonic sum over survivors
 has floor exactly 1.  The sum is evaluated in exact rationals; a 64-bit
-float shadow of the same sum feeds the precision probes.
+float shadow of the same sum feeds the precision study.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def coprime_indicator(m: int, n: int, table: PrimeTable) -> int:
     if g > 1:
         # g divides the squarefree primorial, so its divisors are exactly the
         # subset products of its distinct primes.
-        for p in table.distinct_prime_factors(g):
+        for p, _ in table.factorize(g):
             divisors += [d * p for d in divisors]
     mu = table.moebius_values(g)
     via_moebius = sum(mu[d] for d in divisors)
@@ -232,13 +232,19 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     )
 
 
-def precision_probe(n_max: int, table: PrimeTable) -> list[CertificateReport]:
-    """Certificates for n = 1..n_max; `float_anomalous` marks floor or gap failures."""
-    if n_max < 1:
-        raise ValueError("probe needs n_max >= 1")
-    return [harmonic_certificate(n, table) for n in range(1, n_max + 1)]
+def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:
+    """Certificates for n = 1..n_max, each built as the caller asks for it.
 
-
-def float_anomalies(reports: list[CertificateReport]) -> list[int]:
-    """The n whose float shadow broke the floor or drifted past the gap threshold."""
-    return [r.n for r in reports if r.float_anomalous]
+    The filter's survivors in [1, 2 p_n] must be 1 and the primes the
+    certificate summed, which checks both filter routes and its lemma (a
+    composite survivor exceeds 2 p_n).  Broken invariants go to `violations`.
+    """
+    for n, passed in _filter_windows(1, n_max, table):
+        report = harmonic_certificate(n, table)
+        violations.extend(report.violations())
+        survivors = (passed.nonzero()[0] + 1).tolist()
+        summed = [1, *table.primes[n : table.pi(len(passed))]]
+        if survivors != summed:
+            stray = sorted(set(survivors).symmetric_difference(summed))
+            violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+        yield report

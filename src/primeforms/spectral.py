@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorColumns, EstimatorRecord, PrimeTable
+from .core import EstimatorColumns, PrimeTable
 
 
 @dataclass
@@ -104,15 +104,8 @@ def calibrate_amplitude(params: SpectralParams, table: PrimeTable) -> float:
     return least_squares_amplitude(residuals, oscillations)
 
 
-def spectral_estimate(n: int, params: SpectralParams, table: PrimeTable) -> EstimatorRecord:
-    """Drift plus amplitude-scaled resonance: the one-element view of `spectral_sweep`."""
-    if n < 3:
-        raise ValueError("spectral estimate needs n >= 3")
-    return spectral_sweep(n, n, params, table).record(0)
-
-
 def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTable) -> EstimatorColumns:
-    """Estimates for n in [n_lo, n_hi], ascending; the unresolved tail contributes zero."""
+    """Drift plus amplitude-scaled resonance for n in [n_lo, n_hi]; the unresolved tail adds zero."""
     if n_lo < 3:
         raise ValueError("sweep needs n_lo >= 3")
     table.nth(n_hi)  # range check

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimatorColumns, EstimatorRecord, InvariantViolation, PrimeTable, adaptive_simpson, sieve
+from .core import EstimatorColumns, InvariantViolation, PrimeTable, ResourceLimitError, adaptive_simpson, sieve
 
 # Euler-Mascheroni constant, 50 digits (rounds to the nearest float64).
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
@@ -28,19 +28,10 @@ ENTROPY_TOLERANCE = 1e-9  # adaptive-quadrature tolerance of `entropy`
 # -- Mertens products ------------------------------------------------------
 
 
-def mertens_product(n: int, table: PrimeTable) -> tuple[float, float]:
-    """Sieve survival product over the first n primes, plus its Mertens ratio.
-
-    Returns (product, ratio) where product = prod(1 - 1/p_k, k <= n) by
-    sequential multiplication and ratio = product * ln(p_n) / e^(-gamma);
-    Mertens' third theorem drives the ratio to 1.  This is the last row of
-    `mertens_sweep`: the same factors, multiplied in the same order.
-    """
-    return mertens_sweep(n, table)[-1][1:]
-
-
 def mertens_sweep(n_max: int, table: PrimeTable) -> list[tuple[int, float, float]]:
-    """(n, product, ratio) for n = 1..n_max with a single running product."""
+    """(n, product, ratio) for n = 1..n_max: product = prod(1 - 1/p_k, k <= n), one running product
+    in ascending k, and ratio = product * ln(p_n) / e^(-gamma), which Mertens' third theorem drives to 1.
+    """
     table.nth(n_max)
     out = []
     product = 1.0
@@ -91,20 +82,13 @@ def _growth_term(k: int) -> float:
     return 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
 
 
-def survival_estimate(n: int, table: PrimeTable) -> EstimatorRecord:
-    """Growth-product estimate (n ln n) * prod(1 + 1/(k ln k - ln ln k)) * e^(-gamma).
-
-    Evaluated exactly as written, flooring at the end: the one-element
-    view of `survival_sweep`, which multiplies the same terms in the same
-    order.  The residual against the oracle is recorded, never asserted
-    small: the pre-asymptotic drift is one of the quantities this package
-    exists to measure.
-    """
-    return survival_sweep(n, n, table).record(0)
-
-
 def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
-    """Estimates for n in [n_lo, n_hi] with a single running product."""
+    """Growth-product estimates (n ln n) * prod(1 + 1/(k ln k - ln ln k), 2 <= k <= n) * e^(-gamma).
+
+    One running product in ascending k serves every n in [n_lo, n_hi].  The
+    residual is recorded, never asserted small: the pre-asymptotic drift is
+    one of the quantities this package exists to measure.
+    """
     if n_lo < 3:
         raise ValueError("survival estimate needs n >= 3")
     table.nth(n_hi)  # range check
@@ -145,6 +129,7 @@ def squarefree_support(z: int) -> list[int]:
 
 
 SELBERG_MAX_WEIGHTS = 64  # size cap of the dense small-instance solver
+SELBERG_MAX_X = 1_000_000  # cap of the brute-force re-check, a Python loop over every m <= x
 # Largest z whose support fits the cap: the (cap + 1)-th squarefree number,
 # since the support holds only the d below z.  Squarefree density 6/pi^2
 # puts it well below 4 * cap.
@@ -184,6 +169,10 @@ def selberg_minimize(x: int, z: int) -> SelbergSolution:
     """
     if not 2 <= z <= x:
         raise ValueError("need 2 <= z <= x")
+    if x > SELBERG_MAX_X:
+        raise ResourceLimitError(
+            f"--x {x} is past the bound of the brute-force re-check; use --x {SELBERG_MAX_X} or smaller"
+        )
     divisors = squarefree_support(z)
     if len(divisors) > SELBERG_MAX_WEIGHTS:
         raise ValueError(
@@ -245,34 +234,31 @@ def capacity(z: int, table: PrimeTable) -> tuple[float, float]:
     return v, 1.0 / v
 
 
-def capacity_estimate(n: int, table: PrimeTable, *, use_fixed_point: bool = False) -> EstimatorRecord:
-    """Capacity-identity estimate n * V(z) at sieve level z ~ sqrt(p_n).
-
-    The identity is self-referential (z depends on the p_n it estimates), so
-    by default the oracle p_n feeds z and the module measures the identity's
-    residual: the one-element view of `capacity_sweep`.  The fixed-point
-    variant instead bootstraps z from sqrt(n ln n) and iterates twice.  z is
-    clamped to >= 2; the sub-leading remainder is carried as zero and
-    absorbed into the residual.
-    """
-    if n < 2:
-        raise ValueError("capacity estimate needs n >= 2")
-    if not use_fixed_point:
-        return capacity_sweep(n, n, table).record(0)
-    z = max(2, math.isqrt(int(n * math.log(n))))
-    for _ in range(2):
-        z = max(2, math.isqrt(int(n * capacity(z, table)[0])))
-    return EstimatorColumns.against(n, [table.nth(n)], [n * capacity(z, table)[0]]).record(0)
-
-
 def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
-    """Oracle-fed capacity estimates n * V(max(2, isqrt(p_n))) for n in [n_lo, n_hi]."""
+    """Capacity-identity estimates n * V(z) at sieve level z = max(2, isqrt(p_n)), n in [n_lo, n_hi].
+
+    z depends on the p_n it estimates, so the oracle p_n feeds it and the
+    residual measures the identity, its sub-leading remainder carried as zero.
+    """
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table)).tolist()
     p_n = table.primes[n_lo - 1 : n_hi]
     estimates = [n * v[max(2, math.isqrt(p)) - 1] for n, p in enumerate(p_n, start=n_lo)]
     return EstimatorColumns.against(n_lo, p_n, estimates)
+
+
+def capacity_fixed_point(n: int, table: PrimeTable) -> EstimatorColumns:
+    """The capacity estimate at n as one row, z bootstrapped instead of read off the oracle.
+
+    z starts at max(2, isqrt(n ln n)) and is replaced twice by max(2, isqrt(n V(z))).
+    """
+    if n < 2:
+        raise ValueError("capacity estimate needs n >= 2")
+    z = max(2, math.isqrt(int(n * math.log(n))))
+    for _ in range(2):
+        z = max(2, math.isqrt(int(n * capacity(z, table)[0])))
+    return EstimatorColumns.against(n, [table.nth(n)], [n * capacity(z, table)[0]])
 
 
 # -- Brun partial sums --------------------------------------------------------

@@ -3,7 +3,7 @@ import resource
 import pytest
 
 from primeforms.core import sieve
-from primeforms.sieve_identity import precision_probe
+from primeforms.sieve_identity import certificate_sweep
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +21,10 @@ def small_table():
 @pytest.fixture(scope="session")
 def certificates_500(table):
     """Exact certificates for n = 1..500, shared by the acceptance criteria."""
-    return precision_probe(500, table)
+    violations = []
+    reports = list(certificate_sweep(500, table, violations))
+    assert violations == []
+    return reports
 
 
 @pytest.fixture

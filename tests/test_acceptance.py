@@ -19,8 +19,8 @@ from primeforms.gandhi import (
     monte_carlo_survivor_fraction,
     survivor_probability,
 )
-from primeforms.harness import EXIT_OK, RunConfig, precision_study, run
-from primeforms.sieve_identity import float_anomalies, next_prime_via_filter
+from primeforms.harness import EXIT_OK, RunConfig, _precision_rows, run
+from primeforms.sieve_identity import next_prime_via_filter
 from primeforms.spectral import (
     SpectralParams,
     calibrate_amplitude,
@@ -221,12 +221,13 @@ def test_c10_precision_study(table, certificates_500):
     failures = []
     if any(report.exact_floor != 1 for report in certificates_500):
         failures.append("an exact floor deviated from 1")
-    rows, summary = precision_study(500, table, amplitude=0.0)
-    if len(rows) != 500:
-        failures.append("study row count off")
-    if "max_abs_float_gap" not in summary or "first_float_floor_break" not in summary:
+    violations = []
+    *rows, summary = _precision_rows(500, table, 0.0, violations)
+    if len(rows) != 500 or violations:
+        failures.append("study row count off or an invariant broken")
+    if summary.keys() != {"source", "first_float_floor_break", "anomaly_count", "float_gap"}:
         failures.append("summary block incomplete")
     # where the float path breaks is reported, never asserted
-    anomalies = float_anomalies(certificates_500)
+    anomalies = [report.n for report in certificates_500 if report.float_anomalous]
     print(f"[acceptance] C10 note: float anomalies on n<=500: {anomalies or 'none'}")
     _verdict("C10 precision study n<=500", failures)

@@ -63,13 +63,6 @@ def test_sieve_two():
     assert sieve(2).primes == [2]
 
 
-def test_sieve_index_is_built_on_first_read():
-    table = sieve(100)
-    assert "index" not in vars(table)
-    assert table.index[97] == 25
-    assert table.index is table.index
-
-
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve(1)
@@ -97,7 +90,7 @@ def test_sieve_boundaries_match_trial_division(limit):
     table = sieve(limit)
     span = range(2, limit + 1)
     assert table.primes == [m for m in span if trial_division_is_prime(m)]
-    assert [table.smallest_prime_factor(m) for m in span] == [least_prime_divisor(m) for m in span]
+    assert [table.factorize(m)[0][0] for m in span] == [least_prime_divisor(m) for m in span]
 
 
 def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
@@ -137,21 +130,21 @@ def test_sieve_table_invariants(small_table):
     primes = small_table.primes
     assert all(a < b for a, b in zip(primes, primes[1:]))
     assert all(trial_division_is_prime(p) for p in primes)
-    assert all(small_table.index[p] == i for i, p in enumerate(primes, start=1))
+    assert all(small_table.pi(p) == i for i, p in enumerate(primes, start=1))
     assert primes[0] == 2
     # every non-listed integer has a prime factor <= sqrt(limit)
     listed = set(primes)
     root = math.isqrt(small_table.limit)
     for m in range(2, small_table.limit + 1):
         if m not in listed:
-            assert small_table.smallest_prime_factor(m) <= root
+            assert small_table.factorize(m)[0][0] <= root
 
 
 def test_nth_and_pi_and_next_prime(table):
     assert table.nth(1) == 2
     assert table.nth(25) == 97
     assert table.pi(100) == 25
-    assert table.next_prime(97) == 101
+    assert table.primes[table.pi(97)] == 101  # the next prime above 97
     with pytest.raises(ValueError):
         table.nth(0)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms import core, gandhi, harness
+from primeforms import core, gandhi, harness, survival
 from primeforms.harness import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -27,7 +27,6 @@ from primeforms.harness import (
     REPORT_COLUMNS,
     RunConfig,
     main,
-    precision_study,
     run,
 )
 from primeforms.spectral import cipolla_drift
@@ -690,6 +689,29 @@ def test_cli_refuses_sieve_limit_past_int32(capped_address_space):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, fix",
+    [
+        # 4e9 draws take 30 GiB of uniforms: refused before numpy allocates them
+        (["gandhi", "--n", "1", "--samples", "4000000000"], "; pass --samples "),
+        # the brute-force re-check loops over every m <= x in Python
+        (["selberg", "--x", str(survival.SELBERG_MAX_X + 1), "--z", "3"], f"use --x {survival.SELBERG_MAX_X} or"),
+    ],
+)
+def test_cli_refuses_past_a_resource_bound(capped_address_space, argv, fix):
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeforms", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=capped_address_space,
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith("resource limit:") and fix in proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_sieve_next_report_bytes_are_unchanged():
     # the digest the benchmark recorded for this command
     proc = subprocess.run(
@@ -749,11 +771,13 @@ def test_residuals_script_refuses_n_min_below_three():
 
 
 def test_precision_study_shape(table):
-    rows, summary = precision_study(5, table, amplitude=0.0)
+    violations = []
+    *rows, summary = harness._precision_rows(5, table, 0.0, violations)
     assert [row["n"] for row in rows] == [1, 2, 3, 4, 5]
     assert rows[0]["margin"].numerator == 1 and rows[0]["margin"].denominator == 3
     assert rows[0]["survival_sign"] == ""  # estimator undefined below n = 3
     assert rows[4]["survival_sign"] in (-1, 0, 1)
+    assert summary["source"] == "summary"
     assert summary["first_float_floor_break"] == ""
-    assert summary["max_abs_float_gap"] >= 0.0
-    assert summary["violations"] == []
+    assert summary["float_gap"] >= 0.0
+    assert violations == []

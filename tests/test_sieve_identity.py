@@ -14,12 +14,11 @@ from primeforms.sieve_identity import (
     LN2_LOWER,
     CertificateReport,
     _filter_windows,
+    certificate_sweep,
     coprime_indicator,
-    float_anomalies,
     harmonic_certificate,
     next_prime_sweep,
     next_prime_via_filter,
-    precision_probe,
 )
 
 
@@ -174,7 +173,9 @@ def test_certificate_decimals_print_the_binary_digits(table, small_table, limit,
 
 
 def test_probe_running_sum_matches_cold_certificates(table):
-    reports = precision_probe(3000, table)
+    violations = []
+    reports = list(certificate_sweep(3000, table, violations))
+    assert violations == []
     assert [r.n for r in reports] == list(range(1, 3001))
     for n in [*range(1, 3001, 97), 2999, 3000]:
         # a fresh table has no running sum, so its first certificate is one product tree
@@ -208,15 +209,17 @@ def test_tail_check_is_exact():
 
 
 def test_probe_small_values(table):
-    reports = precision_probe(3, table)
+    violations = []
+    reports = list(certificate_sweep(3, table, violations))
     assert [r.n for r in reports] == [1, 2, 3]
     assert abs(reports[0].float_margin - 1 / 3) < 1e-15
-    assert float_anomalies(reports) == []
+    assert [r.n for r in reports if r.float_anomalous] == []
+    assert violations == []
 
 
 def test_probe_rejects_empty_range(table):
     with pytest.raises(ValueError):
-        precision_probe(0, table)
+        next(certificate_sweep(0, table, []))
 
 
 def test_scan_range_error_beyond_limit(small_table):

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from primeforms.core import EstimatorRecord
+from primeforms.core import EstimatorColumns
 from primeforms.spectral import (
     SpectralParams,
     calibrate_amplitude,
     cipolla_drift,
     least_squares_amplitude,
     oscillation_sum,
-    spectral_estimate,
     spectral_sweep,
 )
 
@@ -104,18 +103,16 @@ def test_calibration_does_not_hurt_window_residual(table):
 
 
 def test_estimate_with_zero_amplitude_floors_the_drift(table):
-    params = SpectralParams(amplitude=0.0)
+    columns = spectral_sweep(10, 5000, SpectralParams(amplitude=0.0), table)
     for n in (10, 100, 5000):
-        record = spectral_estimate(n, params, table)
-        assert record.floored == math.floor(cipolla_drift(n))
+        assert columns.floored[n - 10] == math.floor(cipolla_drift(n))
 
 
 def test_estimate_record_fields_are_consistent(table):
-    params = SpectralParams(amplitude=0.05)
-    record = spectral_estimate(100, params, table)
-    assert record.p_n == 541
-    assert record.residual == record.p_n - record.estimate
-    assert record.rel_error == record.residual / record.p_n
+    (n,), (p_n,), (estimate,), _, (residual,), (rel_error,) = spectral_sweep(100, 100, SpectralParams(0.05), table)
+    assert (n, p_n) == (100, 541)
+    assert residual == p_n - estimate
+    assert rel_error == residual / p_n
 
 
 def test_sweep_is_deterministic(table):
@@ -133,13 +130,13 @@ def bits(values):
 def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table):
     params = SpectralParams(amplitude=0.0459)
     columns = spectral_sweep(3, 2_000, params, table)
-    assert {len(getattr(columns, field)) for field in EstimatorRecord._fields} == {1_998}
+    assert {len(getattr(columns, field)) for field in EstimatorColumns._fields} == {1_998}
     for n in (3, 4, 97, 1_000, 2_000):
         estimate = cipolla_drift(n) + params.amplitude * oscillation_sum(n, table)
         residual = table.nth(n) - estimate
         expected = (n, table.nth(n), estimate, math.floor(estimate), residual, residual / table.nth(n))
-        row = [getattr(columns, field)[n - 3] for field in EstimatorRecord._fields]
-        assert bits(row) == bits(expected) == bits(spectral_estimate(n, params, table)), n
+        row = [getattr(columns, field)[n - 3] for field in EstimatorColumns._fields]
+        assert bits(row) == bits(expected), n
 
 
 def test_params_validation():

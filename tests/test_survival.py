@@ -13,21 +13,19 @@ from primeforms.survival import (
     EULER_GAMMA,
     brun_partial,
     capacity,
-    capacity_estimate,
+    capacity_fixed_point,
     capacity_sweep,
     entropy,
     entropy_integrand,
-    mertens_product,
     mertens_sweep,
     moebius_truncation_value,
     quadratic_form_value,
     selberg_minimize,
     squarefree_support,
     surprisal,
-    survival_estimate,
     survival_sweep,
 )
-from primeforms.core import EstimatorRecord
+from primeforms.core import EstimatorColumns
 from primeforms.survival import _capacity_terms
 
 
@@ -39,8 +37,9 @@ def test_params_pin_the_density_constant():
 
 
 def test_mertens_hand_values(table):
-    assert mertens_product(1, table)[0] == 0.5
-    assert math.isclose(mertens_product(3, table)[0], 4 / 15, rel_tol=1e-15)
+    rows = mertens_sweep(3, table)
+    assert rows[0][1] == 0.5
+    assert math.isclose(rows[2][1], 4 / 15, rel_tol=1e-15)
 
 
 def test_mertens_recurrence(table):
@@ -51,11 +50,11 @@ def test_mertens_recurrence(table):
 
 
 def test_mertens_product_agrees_with_sweep(table):
+    # the factors multiplied out directly, in the same order, and scaled as Mertens' theorem says
     rows = mertens_sweep(5_000, table)
     for n in (1, 2, 77, 1234, 5000):
-        product, ratio = mertens_product(n, table)
-        assert product == rows[n - 1][1]
-        assert ratio == rows[n - 1][2]
+        product = math.prod(1.0 - 1.0 / p for p in table.primes[:n])
+        assert rows[n - 1] == (n, product, product * math.log(table.nth(n)) / math.exp(-EULER_GAMMA))
 
 
 # -- surprisal and entropy -------------------------------------------------------
@@ -101,25 +100,39 @@ def test_survival_estimate_hand_product(table):
     d2 = 2 * math.log(2) - math.log(math.log(2))
     d3 = 3 * math.log(3) - math.log(math.log(3))
     expected = 3 * math.log(3) * (1 + 1 / d2) * (1 + 1 / d3) * math.exp(-EULER_GAMMA)
-    record = survival_estimate(3, table)
-    assert math.isclose(record.estimate, expected, rel_tol=1e-14)
-    assert record.floored == math.floor(expected)
+    columns = survival_sweep(3, 3, table)
+    assert math.isclose(columns.estimate[0], expected, rel_tol=1e-14)
+    assert columns.floored[0] == math.floor(expected)
 
 
 def test_survival_estimate_records_residual_sign_at_100(table):
     # measured: the estimator overshoots p_100 = 541 (residual < 0); recorded,
     # not asserted, since no error bound exists for this expression.
-    record = survival_estimate(100, table)
-    assert math.isfinite(record.estimate) and record.estimate > 0
-    assert record.residual == record.p_n - record.estimate
+    columns = survival_sweep(100, 100, table)
+    assert math.isfinite(columns.estimate[0]) and columns.estimate[0] > 0
+    assert columns.residual[0] == columns.p_n[0] - columns.estimate[0]
 
 
 def test_survival_sweep_matches_per_call(table):
+    # a sweep started at n runs the product up to n before its first row
     sweep = survival_sweep(3, 400, table)
     for n in (3, 57, 400):
-        record = survival_estimate(n, table)
-        assert sweep.n[n - 3] == n
-        assert math.isclose(record.estimate, sweep.estimate[n - 3], rel_tol=1e-12)
+        alone = survival_sweep(n, n, table)
+        assert alone.n[0] == sweep.n[n - 3] == n
+        assert alone.estimate[0] == sweep.estimate[n - 3]
+
+
+def survival_product(n, table):
+    """The growth-product estimate at n, its product multiplied out directly."""
+    product = 1.0
+    for k in range(2, n + 1):
+        product *= 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
+    return n * math.log(n) * product * math.exp(-EULER_GAMMA)
+
+
+def capacity_at_oracle_level(n, table):
+    """The capacity estimate at n: n V(z) at z = max(2, isqrt(p_n)), V summed on its own."""
+    return n * capacity(max(2, math.isqrt(table.nth(n))), table)[0]
 
 
 def bits(record):
@@ -128,26 +141,26 @@ def bits(record):
 
 
 @pytest.mark.parametrize(
-    "sweep, scalar, n_lo", [(survival_sweep, survival_estimate, 3), (capacity_sweep, capacity_estimate, 2)]
+    "sweep, scalar, n_lo", [(survival_sweep, survival_product, 3), (capacity_sweep, capacity_at_oracle_level, 2)]
 )
 def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table, sweep, scalar, n_lo):
     columns = sweep(n_lo, 3_000, table)
-    assert {len(getattr(columns, field)) for field in EstimatorRecord._fields} == {3_001 - n_lo}
+    assert {len(getattr(columns, field)) for field in EstimatorColumns._fields} == {3_001 - n_lo}
     for n in (n_lo, 4, 97, 1_000, 3_000):
-        row = [getattr(columns, field)[n - n_lo] for field in EstimatorRecord._fields]
-        assert bits(row) == bits(scalar(n, table)), n
+        estimate, p_n = scalar(n, table), table.nth(n)
+        expected = (n, p_n, estimate, math.floor(estimate), p_n - estimate, (p_n - estimate) / p_n)
+        row = [getattr(columns, field)[n - n_lo] for field in EstimatorColumns._fields]
+        assert bits(row) == bits(expected), n
 
 
 def test_survival_estimate_equals_direct_product_exactly(table):
+    columns = survival_sweep(3, 400, table)
     for n in (3, 4, 57, 400):
-        product = 1.0
-        for k in range(2, n + 1):
-            product *= 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
-        expected = n * math.log(n) * product * math.exp(-EULER_GAMMA)
-        record = survival_estimate(n, table)
-        assert (record.estimate, record.floored) == (expected, math.floor(expected))
-        assert record.residual == record.p_n - expected
-        assert record.rel_error == (record.p_n - expected) / record.p_n
+        expected = survival_product(n, table)
+        i = n - 3
+        assert (columns.estimate[i], columns.floored[i]) == (expected, math.floor(expected))
+        assert columns.residual[i] == columns.p_n[i] - expected
+        assert columns.rel_error[i] == (columns.p_n[i] - expected) / columns.p_n[i]
 
 
 def test_survival_sweep_strictly_increasing(table):
@@ -232,23 +245,25 @@ def test_capacity_hand_values(table):
 
 
 def test_capacity_estimate_small_values(table):
-    record = capacity_estimate(2, table)  # z = isqrt(3) clamps to 2
-    assert record.estimate == 2.0
-    record_100 = capacity_estimate(100, table)
-    assert math.isfinite(record_100.estimate) and record_100.estimate > 0
+    estimates = capacity_sweep(2, 100, table).estimate
+    assert estimates[0] == 2.0  # n = 2: z = isqrt(3) clamps to 2
+    assert math.isfinite(estimates[-1]) and estimates[-1] > 0
 
 
 def test_capacity_fixed_point_variant_runs(table):
-    default = capacity_estimate(100, table)
-    bootstrapped = capacity_estimate(100, table, use_fixed_point=True)
-    assert math.isfinite(bootstrapped.estimate) and bootstrapped.estimate > 0
-    assert bootstrapped.n == default.n == 100
+    bootstrapped = capacity_fixed_point(100, table)
+    assert (bootstrapped.n, bootstrapped.p_n) == (range(100, 101), [541])
+    (estimate,), (residual,) = bootstrapped.estimate, bootstrapped.residual
+    assert math.isfinite(estimate) and estimate > 0
+    assert residual == 541 - estimate
+    with pytest.raises(ValueError):
+        capacity_fixed_point(1, table)
 
 
 def test_capacity_sweep_matches_per_call(table):
     sweep = capacity_sweep(2, 3_000, table)
     for n in range(2, 3_001):
-        assert capacity_estimate(n, table).estimate == sweep.estimate[n - 2]
+        assert capacity_at_oracle_level(n, table) == sweep.estimate[n - 2]
 
 
 def test_capacity_terms_are_reciprocal_totients_on_squarefree(table):
