@@ -57,7 +57,6 @@ from .survival import (
     capacity_sweep,
     entropy,
     mertens_sweep,
-    moebius_truncation_value,
     selberg_minimize,
     surprisal,
     survival_sweep,
@@ -90,7 +89,6 @@ __all__ = [
     "harmonic_certificate",
     "log_integral",
     "mertens_sweep",
-    "moebius_truncation_value",
     "monte_carlo_survivor_fraction",
     "next_prime_sweep",
     "next_prime_via_filter",

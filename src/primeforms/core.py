@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import operator
 import os
 import resource
 import sys
@@ -66,10 +65,19 @@ def coprime_fraction(numerator: int, denominator: int, decimals: tuple | None = 
 TWIN_MODULUS = (1 << 61) - 1
 
 
+def _twin_residue(value: int) -> int:
+    """value % TWIN_MODULUS in linear time: 2^(61 k) is 1 modulo it, so the parts above and below
+    bit 61 k add up to the residue, and each such fold halves the length down to 122 bits."""
+    while (bits := value.bit_length()) > 122:
+        cut = 61 * (bits // 122)
+        value = (value >> cut) + (value & ((1 << cut) - 1))
+    return value % TWIN_MODULUS
+
+
 def check_twins(where: str, *pairs: tuple) -> None:
     """InvariantViolation unless each (int, Decimal) pair agrees mod TWIN_MODULUS; exact context only."""
     for exact, twin in pairs:
-        if twin % TWIN_MODULUS != exact % TWIN_MODULUS:
+        if twin % TWIN_MODULUS != _twin_residue(exact):
             raise InvariantViolation(f"{where}: a Decimal twin differs from its int modulo 2^61 - 1")
 
 
@@ -112,23 +120,27 @@ def to_decimal(value: int) -> decimal.Decimal:
 class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored residual rel_error")):
     """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
 
-    n is a range, p_n and floored are lists, and estimate, residual and
-    rel_error are `array("d")`s: eight bytes a value, read back as the
-    Python floats put in.
+    The sweeps compute their estimates as float64 column kernels, taking
+    every log from libm through `math.log`.  n is a range, p_n and floored
+    are lists, and estimate, residual and rel_error are `array("d")`s:
+    eight bytes a value, read back as Python floats.
     """
 
     __slots__ = ()
 
     @classmethod
-    def against(cls, n_lo: int, p_n: list[int], estimates: list[float]) -> EstimatorColumns:
-        """Score `estimates` of p_n, n = n_lo, n_lo + 1, ..., in Python floats; all must be finite."""
-        if not all(map(math.isfinite, estimates)):
-            i, estimate = next((i, e) for i, e in enumerate(estimates) if not math.isfinite(e))
-            raise OverflowError(f"the estimate of p_{n_lo + i} is {estimate}, not a finite number")
-        residual = array("d", map(operator.sub, p_n, estimates))
-        rel_error = array("d", map(operator.truediv, residual, p_n))
-        n = range(n_lo, n_lo + len(p_n))
-        return cls(n, p_n, array("d", estimates), list(map(math.floor, estimates)), residual, rel_error)
+    def against(cls, n_lo: int, p_n: list[int], estimates) -> EstimatorColumns:
+        """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite."""
+        estimates = np.asarray(estimates, dtype=np.float64)
+        if not np.isfinite(estimates).all():
+            i = int(np.argmin(np.isfinite(estimates)))
+            raise OverflowError(f"the estimate of p_{n_lo + i} is {float(estimates[i])}, not a finite number")
+        primes = np.array(p_n, dtype=np.float64)  # exact: p_n < 2^31
+        residual = np.subtract(primes, estimates)
+        columns = [array("d"), array("d"), array("d")]
+        for column, values in zip(columns, (estimates, residual, np.divide(residual, primes, out=primes))):
+            column.frombytes(memoryview(values).cast("B"))
+        return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], [*map(math.floor, columns[0])], *columns[1:])
 
 
 @dataclass(eq=False)
@@ -137,8 +149,8 @@ class PrimeTable:
 
     `primes` is strictly increasing with p_n at index n - 1 (p_1 = 2), so
     `pi(p_n)` is n.  A smallest-prime-factor array built during sieving
-    makes factor extraction, and hence the Möbius / von Mangoldt / totient
-    lookups, O(log m) instead of per-call trial division.
+    makes factor extraction, and hence the Möbius and totient lookups,
+    O(log m) instead of per-call trial division.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
@@ -242,17 +254,6 @@ class PrimeTable:
             parity ^= 1
         return -1 if parity else 1
 
-    def von_mangoldt(self, k: int) -> float:
-        """Von Mangoldt weight: ln p if k is a power of the prime p, else 0."""
-        if k < 1:
-            raise ValueError("von Mangoldt weight is defined on positive integers")
-        if k == 1:
-            return 0.0
-        factors = self.factorize(k)
-        if len(factors) == 1:
-            return math.log(factors[0][0])
-        return 0.0
-
     def totient(self, d: int) -> int:
         """Euler totient phi(d)."""
         if d < 1:
@@ -332,10 +333,19 @@ class PrimeTable:
 
 
 def _memory_budget() -> int:
-    """Bytes a table may take: physical memory, or the soft address-space cap if lower."""
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes a new table may take: physical memory, or what the soft address-space cap leaves beside
+    the process's current mappings (the size field of /proc/self/statm, 0 where it is absent)."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    budget = page * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
+    if soft == resource.RLIM_INFINITY:
+        return budget
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            mapped = page * int(statm.read().split()[0])
+    except OSError:
+        mapped = 0
+    return max(0, min(budget, soft - mapped))
 
 
 def sieve(limit: int) -> PrimeTable:

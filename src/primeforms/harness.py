@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, tee
+from itertools import chain, islice, repeat, tee
 from json.encoder import encode_basestring_ascii
 
 from . import core, gandhi, sieve_identity, spectral, survival
@@ -142,7 +142,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
-_LAYOUTS: dict[tuple, dict] = {}  # (keys, kinds) -> per format: template, column order, converters
+_LAYOUTS: dict[tuple, dict] = {}  # (keys, kinds) -> per format: template pieces, column order, converters
 
 
 def _csv_texts(cells):
@@ -154,7 +154,7 @@ def _csv_texts(cells):
 
 
 def _converters(kind: type) -> tuple:
-    """(CSV, JSON) converters of a column of `kind`s, each from the column to its cells; None keeps it."""
+    """(CSV, JSON) converters of a column of `kind`s, each from the column to its cells."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
         reprs = partial(map, float.__repr__)
         return reprs, lambda column: map(_JSON_NONFINITE.get, *tee(reprs(column)))
@@ -163,8 +163,9 @@ def _converters(kind: type) -> tuple:
         return texts, lambda column: map(encode_basestring_ascii, texts(column))
     if issubclass(kind, str):
         return _csv_texts, partial(map, encode_basestring_ascii)
-    if kind is int:  # "%s" prints an int as both formats do
-        return None, None
+    if kind is int:  # an int prints as both formats spell it
+        ints = partial(map, int.__repr__)
+        return ints, ints
     return lambda column: _csv_texts([*map(str, column)]), partial(map, json.dumps)
 
 
@@ -172,7 +173,8 @@ def _lines(keys: tuple, columns, fmt: str):
     """The rows of one lane, equal-length `columns` under `keys`, in the layout compiled for them.
 
     A layout is compiled once per `keys` and the types of the columns' values: a CSV line
-    and an element of json.dump(..., indent=1), absent columns already blank or null.
+    and an element of json.dump(..., indent=1), absent columns already blank or null, each
+    split into the text between its cells.  A row is the join of that text and its cells.
     """
     kinds = tuple([type(column[0]) if len(column) else str for column in columns])
     if (keys, kinds) not in _LAYOUTS:
@@ -182,12 +184,18 @@ def _lines(keys: tuple, columns, fmt: str):
         order = [*at.values()]
         converters = [_converters(kinds[j]) for j in order]
         _LAYOUTS[keys, kinds] = {
-            "csv": ((",".join(cells) + "\r\n").__mod__, order, [c for c, _ in converters]),
-            "json": ((" {\n" + members + "\n }").__mod__, order, [j for _, j in converters]),
+            "csv": ((",".join(cells) + "\r\n").split("%s"), order, [c for c, _ in converters]),
+            "json": ((" {\n" + members + "\n }").split("%s"), order, [j for _, j in converters]),
         }
-    fill, order, converters = _LAYOUTS[keys, kinds][fmt]
-    cells = [columns[j] if convert is None else convert(columns[j]) for j, convert in zip(order, converters)]
-    return map(fill, zip(*cells) if cells else [()])
+    texts, order, converters = _LAYOUTS[keys, kinds][fmt]
+    if not order:
+        return texts
+    parts = [repeat(texts[0])] if texts[0] else []
+    for j, convert, text in zip(order, converters, texts[1:]):
+        parts.append(convert(columns[j]))
+        if text:
+            parts.append(repeat(text))
+    return map("".join, zip(*parts))
 
 
 def write_rows(rows, fmt: str, stream) -> None:

@@ -40,22 +40,21 @@ class SpectralParams:
             raise ValueError("amplitude must be finite")
 
 
+def _cipolla(n, log_n, loglog):
+    """n times Cipolla's bracket, for one n or for float64 columns, in one operation order."""
+    return n * (
+        log_n + loglog - 1.0 + (loglog - 2.0) / log_n
+        - (loglog * loglog - 6.0 * loglog + 11.0) / (2.0 * log_n * log_n)
+    )
+
+
 def cipolla_drift(n: int) -> float:
     """Five-term asymptotic expansion of the n-th prime in powers of 1/ln n."""
     if n <= 1:
         raise ValueError("drift needs n >= 2 so that ln ln n is defined")
     if n == 2:
         warnings.warn("ln ln 2 < 0: the expansion is unreliable at n = 2", stacklevel=2)
-    log_n = math.log(n)
-    loglog = math.log(log_n)
-    bracket = (
-        log_n
-        + loglog
-        - 1.0
-        + (loglog - 2.0) / log_n
-        - (loglog * loglog - 6.0 * loglog + 11.0) / (2.0 * log_n * log_n)
-    )
-    return n * bracket
+    return _cipolla(n, math.log(n), math.log(math.log(n)))
 
 
 def oscillation_sum(n: int, table: PrimeTable) -> float:
@@ -73,19 +72,39 @@ def oscillation_sum(n: int, table: PrimeTable) -> float:
     cutoff = math.isqrt(int(drift))
     if cutoff > table.limit:
         raise ValueError(f"spectral cutoff {cutoff} is beyond sieve limit {table.limit}")
-    ks, log_ks, weights = table.mangoldt_points(cutoff)
-    if len(ks) == 0:
-        return 0.0
+    _, log_ks, weights = table.mangoldt_points(cutoff)
     terms = weights * np.cos((2.0 * math.pi * n) / log_ks)
     return math.fsum(terms.tolist())
 
 
+def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """cipolla_drift(n) and oscillation_sum(n, table), n in [n_lo, n_hi], as float64 columns on `math.log`
+    values; the cosine terms are evaluated per block of n that share a cutoff, each row `math.fsum`med."""
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    log_n = np.fromiter(map(math.log, range(n_lo, n_hi + 1)), np.float64, len(ns))
+    drift = _cipolla(ns, log_n, np.fromiter(map(math.log, memoryview(log_n)), np.float64, len(ns)))
+    del log_n
+    # isqrt(int(drift)) as floats, exact while drift < 2^52; the sum is empty below drift 4
+    cutoffs = np.sqrt(np.floor(np.maximum(drift, 0.0))).astype(np.int64)
+    cutoffs[drift < 4.0] = 0
+    oscillation = np.zeros(len(ns))
+    starts = np.flatnonzero(np.diff(cutoffs, prepend=-1)).tolist()
+    for start, stop, cutoff in zip(starts, starts[1:] + [len(ns)], cutoffs[starts].tolist()):
+        if cutoff > table.limit:
+            raise ValueError(f"spectral cutoff {cutoff} is beyond sieve limit {table.limit}")
+        _, log_ks, weights = table.mangoldt_points(cutoff)
+        terms = weights * np.cos(ns[start:stop, None] * (2.0 * math.pi) / log_ks)
+        oscillation[start:stop] = [*map(math.fsum, terms.tolist())]
+    return drift, oscillation
+
+
 def least_squares_amplitude(residuals, oscillations) -> float:
-    """Closed-form 1-D least squares: sum(r*o) / sum(o^2), 0 when degenerate."""
-    denom = math.fsum(o * o for o in oscillations)
+    """Closed-form 1-D least squares: sum(r*o) / sum(o^2), each sum exactly rounded; 0 when degenerate."""
+    residuals, oscillations = np.asarray(residuals, np.float64), np.asarray(oscillations, np.float64)
+    denom = math.fsum((oscillations * oscillations).tolist())
     if denom == 0.0:
         return 0.0
-    return math.fsum(r * o for r, o in zip(residuals, oscillations)) / denom
+    return math.fsum((residuals * oscillations).tolist()) / denom
 
 
 def calibrate_amplitude(params: SpectralParams, table: PrimeTable) -> float:
@@ -95,12 +114,9 @@ def calibrate_amplitude(params: SpectralParams, table: PrimeTable) -> float:
     window; deterministic, fixed summation order.
     """
     if params.calib_hi > len(table.primes):
-        raise ValueError(
-            f"calibration window reaches n={params.calib_hi}, beyond the oracle range"
-        )
-    window = range(params.calib_lo, params.calib_hi + 1)
-    residuals = [table.nth(n) - cipolla_drift(n) for n in window]
-    oscillations = [oscillation_sum(n, table) for n in window]
+        raise ValueError(f"calibration window reaches n={params.calib_hi}, beyond the oracle range")
+    drift, oscillations = _drift_and_oscillation(params.calib_lo, params.calib_hi, table)
+    residuals = np.subtract(table.primes[params.calib_lo - 1 : params.calib_hi], drift, out=drift)
     return least_squares_amplitude(residuals, oscillations)
 
 
@@ -109,6 +125,8 @@ def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTab
     if n_lo < 3:
         raise ValueError("sweep needs n_lo >= 3")
     table.nth(n_hi)  # range check
-    amplitude = params.amplitude
-    estimates = [cipolla_drift(n) + amplitude * oscillation_sum(n, table) for n in range(n_lo, n_hi + 1)]
+    drift, oscillation = _drift_and_oscillation(n_lo, n_hi, table)
+    with np.errstate(over="ignore"):  # `against` refuses an estimate that overflowed
+        estimates = np.add(drift, np.multiply(oscillation, params.amplitude, out=oscillation), out=drift)
+    del oscillation
     return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)

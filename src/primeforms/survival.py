@@ -78,28 +78,25 @@ def entropy(n: int) -> tuple[float, float]:
 # -- growth-product estimator ------------------------------------------------
 
 
-def _growth_term(k: int) -> float:
-    return 1.0 + 1.0 / (k * math.log(k) - math.log(math.log(k)))
-
-
 def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     """Growth-product estimates (n ln n) * prod(1 + 1/(k ln k - ln ln k), 2 <= k <= n) * e^(-gamma).
 
-    One running product in ascending k serves every n in [n_lo, n_hi].  The
-    residual is recorded, never asserted small: the pre-asymptotic drift is
-    one of the quantities this package exists to measure.
+    One running product in ascending k, `np.cumprod` of the float64 terms
+    built on `math.log`, serves every n in [n_lo, n_hi].  The residual is
+    recorded, never asserted small: the pre-asymptotic drift is one of the
+    quantities this package exists to measure.
     """
     if n_lo < 3:
         raise ValueError("survival estimate needs n >= 3")
     table.nth(n_hi)  # range check
-    scale = math.exp(-EULER_GAMMA)
-    product = 1.0
-    for k in range(2, n_lo):
-        product *= _growth_term(k)
-    estimates = []
-    for n in range(n_lo, n_hi + 1):
-        product *= _growth_term(n)
-        estimates.append(n * math.log(n) * product * scale)
+    logs = np.fromiter(map(math.log, range(2, n_hi + 1)), np.float64, n_hi - 1)
+    terms = np.fromiter(map(math.log, memoryview(logs)), np.float64, n_hi - 1)  # ln ln k
+    k_log_k = np.multiply(np.arange(2, n_hi + 1, dtype=np.float64), logs, out=logs)
+    np.subtract(k_log_k, terms, out=terms)
+    np.add(np.divide(1.0, terms, out=terms), 1.0, out=terms)
+    estimates = np.multiply(k_log_k, np.cumprod(terms, out=terms), out=k_log_k)[n_lo - 2 :]
+    del terms
+    np.multiply(estimates, math.exp(-EULER_GAMMA), out=estimates)
     return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)
 
 
@@ -147,13 +144,6 @@ def quadratic_form_value(x: int, divisors: list[int], weights) -> float:
                 inner += w
         squares.append(inner * inner)
     return math.fsum(squares)
-
-
-def moebius_truncation_value(x: int, z: int) -> float:
-    """Value of the quadratic form under truncated Möbius weights w_d = mu(d)."""
-    mu = _moebius_below(z)
-    divisors = np.flatnonzero(mu).tolist()
-    return quadratic_form_value(x, divisors, [float(mu[d]) for d in divisors])
 
 
 def selberg_minimize(x: int, z: int) -> SelbergSolution:
@@ -242,9 +232,11 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     """
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
-    v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table)).tolist()
+    v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table))
     p_n = table.primes[n_lo - 1 : n_hi]
-    estimates = [n * v[max(2, math.isqrt(p)) - 1] for n, p in enumerate(p_n, start=n_lo)]
+    # p_n < 2^31, so the float square root floors to isqrt(p_n)
+    estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
+    np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)
     return EstimatorColumns.against(n_lo, p_n, estimates)
 
 

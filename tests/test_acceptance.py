@@ -32,11 +32,12 @@ from primeforms.survival import (
     brun_partial,
     capacity_sweep,
     mertens_sweep,
-    moebius_truncation_value,
     quadratic_form_value,
     selberg_minimize,
     survival_sweep,
 )
+
+from reference import moebius_truncation_value
 
 
 def _verdict(name: str, failures: list) -> None:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms.core import coprime_fraction, log_integral, sieve
+from primeforms.core import TWIN_MODULUS, _twin_residue, coprime_fraction, log_integral, sieve
+
+from reference import von_mangoldt
 
 
 # -- an independent segmented re-sieve, used only as a cross-check oracle ----
@@ -192,15 +194,15 @@ def test_moebius_divisor_sum_identity(table):
 
 
 def test_von_mangoldt_hand_values(table):
-    assert table.von_mangoldt(1) == 0.0
-    assert table.von_mangoldt(8) == math.log(2)
-    assert table.von_mangoldt(12) == 0.0
+    assert von_mangoldt(table, 1) == 0.0
+    assert von_mangoldt(table, 8) == math.log(2)
+    assert von_mangoldt(table, 12) == 0.0
 
 
 def test_von_mangoldt_chebyshev_identity(table):
     # sum of von Mangoldt over the divisors of k telescopes to ln k
     for k in range(1, 10_001):
-        total = math.fsum(table.von_mangoldt(d) for d in range(1, k + 1) if k % d == 0)
+        total = math.fsum(von_mangoldt(table, d) for d in range(1, k + 1) if k % d == 0)
         assert abs(total - math.log(k)) <= 1e-12, k
 
 
@@ -271,6 +273,17 @@ def test_coprime_fraction_skips_the_reduction():
     # no gcd is taken: a pair that is not coprime stays as given
     built = coprime_fraction(2, 4)
     assert (built.numerator, built.denominator) == (2, 4)
+
+
+def test_twin_residue_is_the_remainder():
+    m = TWIN_MODULUS
+    rng = random.Random(2_61)
+    values = [0, 1, m - 1, m, m + 1, 1 << 61, 1 << 122, (1 << 122) - 1, (1 << 123) + m, m * m, m**7 - 1]
+    values += [rng.getrandbits(rng.randrange(30_001)) for _ in range(300)]
+    values += [rng.getrandbits(bits) for bits in (121, 122, 123, 183, 244, 245, 25_000, 30_000)]
+    for value in values:
+        assert _twin_residue(value) == value % m, value.bit_length()
+        assert _twin_residue(-value) == -value % m, value.bit_length()
 
 
 # -- offset logarithmic integral -----------------------------------------------------

@@ -573,8 +573,12 @@ def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
         [sys.executable, "-m", "primeforms", *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == EXIT_USAGE
-    assert "error:" in proc.stderr
-    assert fix in proc.stderr
+    *usage, line = proc.stderr.splitlines()
+    assert "error: " in line and fix in line
+    if usage:  # argparse prints its usage block before its error line
+        assert usage[0].startswith("usage: primeforms ") and "error:" not in "".join(usage)
+    else:  # a refusal of the harness is that one line, with no warning before it
+        assert proc.stderr == line + "\n" and line.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 
@@ -696,6 +700,8 @@ def test_cli_refuses_sieve_limit_past_int32(capped_address_space):
         (["gandhi", "--n", "1", "--samples", "4000000000"], "; pass --samples "),
         # the brute-force re-check loops over every m <= x in Python
         (["selberg", "--x", str(survival.SELBERG_MAX_X + 1), "--z", "3"], f"use --x {survival.SELBERG_MAX_X} or"),
+        # 1 GiB / 24 bytes a draw: the count fits the cap only if nothing else were mapped
+        (["gandhi", "--n", "1", "--samples", "44739242"], "; pass --samples "),
     ],
 )
 def test_cli_refuses_past_a_resource_bound(capped_address_space, argv, fix):
@@ -723,6 +729,22 @@ def test_sieve_next_report_bytes_are_unchanged():
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "b82d787f0cb3c0c61a223db7955791cffb1649798a65aea9531c4b8a38462122"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("survival", "--n-max", "20000"), "6858b569d9e80dd80b579a66a8b1328678fe72a0202ac287f78d929241cabc8c"),
+        (("spectral", "--n-max", "2000"), "e96fa9e86377b8816808284fa3891ae6fd83d114083c1b57e76957040e6eb595"),
+    ],
+)
+def test_estimator_json_report_bytes_are_unchanged(argv, digest):
+    # no benchmark workload writes JSON; these digests were recorded from the per-n estimators
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeforms", *argv, "--format", "json"], capture_output=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_main_rejects_unknown_command():
