@@ -46,7 +46,9 @@ FEASIBLE_N = 7
 
 # Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.
 MIN_SAMPLES = 10_000
-DRAW_BYTES = 24  # peak bytes per draw of `_draw_counts` by tracemalloc: three 8-byte arrays at once
+# Bytes a draw may take: `_draw_counts` peaks at 16 (its float64 uniforms and their int64
+# copy, by tracemalloc); the other 8 leave room for what the process maps while drawing.
+DRAW_BYTES = 24
 
 
 class CancellationError(ArithmeticError):
@@ -205,11 +207,18 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
     budget = _memory_budget()
     if samples * DRAW_BYTES > budget:
+        fits = budget // DRAW_BYTES
+        fits -= fits % 10 ** max(0, len(str(fits)) - 2)  # to two digits: the budget moves a little run to run
         raise ResourceLimitError(
             f"--samples {samples} needs about {samples * DRAW_BYTES >> 20} MiB for its draws, more than "
-            f"the {budget >> 20} MiB this process may use; pass --samples {budget // DRAW_BYTES} or fewer"
+            f"the {budget >> 20} MiB this process may use; pass --samples {fits} or fewer"
         )
-    counts = _draw_counts(samples, seed)
+    try:
+        counts = _draw_counts(samples, seed)
+    except MemoryError:
+        raise ResourceLimitError(
+            f"--samples {samples} ran out of memory for its draws; pass a smaller --samples"
+        ) from None
     values = np.arange(counts.size)
     coprime = np.ones(counts.size, dtype=bool)
     for p in table.primes[:n]:
@@ -223,8 +232,10 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
 def _draw_counts(samples: int, seed: int) -> np.ndarray:
     """Read-only histogram of the seeded draws: entry v counts the draws equal to v."""
     rng = np.random.default_rng(seed)
-    u = 1.0 - rng.random(samples)  # (0, 1]
-    draws = np.ceil(-np.log2(u)).astype(np.int64)
+    u = rng.random(samples)
+    np.subtract(1.0, u, out=u)  # (0, 1]
+    np.ceil(np.negative(np.log2(u, out=u), out=u), out=u)
+    draws = u.astype(np.int64)
     np.maximum(draws, 1, out=draws)
     counts = np.bincount(draws)  # draws are at most 53, since u >= 2^-53
     counts.flags.writeable = False

@@ -11,14 +11,17 @@ documents.  Exit codes: 0 success, 1 exact-module invariant violation,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
 import sys
+import warnings
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, repeat, tee
+from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
 
 from . import core, gandhi, sieve_identity, spectral, survival
@@ -212,16 +215,101 @@ def write_rows(rows, fmt: str, stream) -> None:
         for item in rows:
             if isinstance(item, dict):
                 kept = {k: (v,) for k, v in item.items() if v.__class__ is not str or v}
-                chunks = [[*_lines(tuple(kept), [*kept.values()], fmt)]]
+                chunks = nullcontext([joiner.join(_lines(tuple(kept), [*kept.values()], fmt))])
             else:
-                lines = chain.from_iterable(zip(*(_lines(*lane, fmt) for lane in item)))
-                chunks = iter(lambda: list(islice(lines, 1024)), [])
-            for chunk in chunks:
-                stream.write(separator + joiner.join(chunk))
-                separator = joiner
+                chunks = closing(_block_chunks(item, fmt, joiner))  # reaps its worker however this ends
+            with chunks as texts:
+                for text in texts:
+                    stream.write(separator + text)
+                    separator = joiner
     finally:
         if fmt == "json":
             stream.write("]\n" if separator == "\n" else "\n]\n")
+
+
+_CHUNK_LINES = 1024  # lines of a block formatted and written at a time
+
+
+def _block_chunks(lanes, fmt: str, joiner: str):
+    """A block's rows as texts of `_CHUNK_LINES` lines, each line joined to the next by `joiner`.
+
+    A block of more than one chunk forks a worker that formats the odd-numbered
+    chunks and sends them back while this process formats the even-numbered ones;
+    chunks are yielded in order.  A chunk the worker did not deliver (it ended
+    early, or no worker started) is formatted here, so the bytes never depend on
+    it.  The worker is reaped when the generator ends or is closed.
+    """
+    rows = min((len(columns[0]) for _, columns in lanes), default=0)
+    if not rows:
+        return
+    step = max(1, _CHUNK_LINES // len(lanes))
+    bounds = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    text = partial(_chunk_text, lanes, fmt, joiner)
+    pid = pipe = None
+    try:
+        if len(bounds) > 1:
+            pid, pipe = _start_worker(text, bounds[1::2])
+        for k, bound in enumerate(bounds):
+            # once the pipe has ended, every later read ends at once too
+            chunk = _receive(pipe) if k % 2 and pipe is not None else None
+            yield text(*bound) if chunk is None else chunk
+    finally:
+        if pid is not None:
+            pipe.close()  # a worker still writing gets EPIPE and exits
+            os.waitpid(pid, 0)
+
+
+def _chunk_text(lanes, fmt: str, joiner: str, lo: int, hi: int) -> str:
+    """Rows lo..hi-1 of every lane, interleaved row by row, as one text."""
+    lines = zip(*(_lines(keys, [column[lo:hi] for column in columns], fmt) for keys, columns in lanes))
+    return joiner.join(chain.from_iterable(lines))
+
+
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
+def _start_worker(text, bounds) -> tuple:
+    """(pid, read end as a binary file) of a forked worker that sends text(lo, hi) for each
+    (lo, hi) in `bounds`, each as an 8-byte length and the UTF-8 text; (None, None) if none starts."""
+    if not hasattr(os, "fork"):
+        return None, None
+    reader, writer = os.pipe()
+    with suppress(AttributeError, OSError):  # Linux: a 1 MiB pipe lets the worker run chunks ahead
+        fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = done = None
+    try:
+        # numpy's thread pool makes this process multi-threaded, which Python 3.12+
+        # warns about.  The worker runs only float.__repr__, int.__repr__, str joins
+        # and os.write: no numpy call and no lock another thread could hold.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            os.close(reader)
+            with open(writer, "wb") as pipe:
+                for lo, hi in bounds:
+                    data = text(lo, hi).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            done = True
+    except OSError:  # no fork; in the worker, a pipe the parent closed
+        pass
+    finally:
+        if pid == 0:  # the worker never leaves this function, whatever it raised
+            os._exit(0 if done else 1)
+        os.close(writer)
+    if pid is None:
+        os.close(reader)
+        return None, None
+    return pid, open(reader, "rb")
+
+
+def _receive(pipe) -> str | None:
+    """The next text the worker sent, or None if the pipe ends before all of it."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size)
+    return body.decode() if len(head) == 8 and len(body) == size else None
 
 
 def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:

@@ -7,9 +7,13 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
+import threading
+import warnings
+from array import array
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -384,6 +388,115 @@ def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     assert written(items) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
+def forking_block(rows, lanes):
+    """A block of `rows` rows in `lanes` lanes: floats, ints and a text column that needs quoting."""
+    estimates = array("d", (math.sqrt(2) * k - 1e5 for k in range(rows)))
+    estimates[:3] = array("d", [float("nan"), float("inf"), -0.0])
+    first = (("source", "n", "estimate", "weights"),
+             (["a,b"] * rows, range(3, rows + 3), estimates, [f'{k}:"{k / 7!r}"' for k in range(rows)]))
+    second = (("source", "n", "residual", "floored"),
+              (["capacity"] * rows, range(3, rows + 3), [k / 3 for k in range(rows)], [-k for k in range(rows)]))
+    return (first, second)[:lanes]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2048, 2049, 3073])
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_forked_chunks_match_the_per_cell_rule(monkeypatch, rows, lanes):
+    block = forking_block(rows, lanes)
+    parent, formatted = os.getpid(), []
+    real = harness._chunk_text
+
+    def counted(*args):
+        if os.getpid() == parent:
+            formatted.append(args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_chunk_text", counted)
+    expected = block_rows(block)
+    assert written([block]) == per_cell_csv(expected, REPORT_COLUMNS)
+    assert_no_child_left()
+    # this process formats only the even-numbered chunks; the worker sends the others
+    step = 1024 // lanes
+    assert formatted == [(lo, min(lo + step, rows)) for lo in range(0, rows, 2 * step)]
+    assert written([block], "json") == per_cell_json(expected, REPORT_COLUMNS)
+    assert_no_child_left()
+    assert '"a,b",' in written([block])
+
+
+def test_forking_beside_a_thread_warns_nothing():
+    # from Python 3.12 on, os.fork in a process with threads warns (numpy's pool is one)
+    block, stop = forking_block(2049, 1), threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = written([block])
+    finally:
+        stop.set()
+        thread.join()
+    assert [str(w.message) for w in caught] == []
+    assert text == per_cell_csv(block_rows(block), REPORT_COLUMNS)
+    assert_no_child_left()
+
+
+def _worker_fails(monkeypatch):
+    parent, real = os.getpid(), harness._chunk_text
+
+    def spoiled(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("the worker ends before sending a chunk")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_chunk_text", spoiled)
+
+
+def _fork_refused(monkeypatch):
+    def refused():
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize(
+    "spoil", [_worker_fails, _fork_refused, lambda monkeypatch: monkeypatch.delattr(os, "fork")]
+)
+def test_chunks_the_worker_does_not_deliver_are_formatted_here(monkeypatch, spoil):
+    block = forking_block(3073, 2)
+    expected = written([block]), written([block], "json")
+    spoil(monkeypatch)
+    assert (written([block]), written([block], "json")) == expected
+    assert_no_child_left()
+
+
+class FailingStream(io.StringIO):
+    """A stream whose `writes`-th write and every later one raise `error`."""
+
+    def __init__(self, writes, error):
+        super().__init__()
+        self.writes, self.error = writes, error
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
+@pytest.mark.parametrize("writes", [1, 2, 3])
+def test_a_failed_write_reaps_the_worker(writes, error):
+    # the header, then chunk 0 (formatted here), then chunk 1 (sent by the worker)
+    with pytest.raises(error):
+        harness.write_rows([forking_block(3073, 1)], "csv", FailingStream(writes, error))
+    assert_no_child_left()
+
+
 def test_survival_rows_interleave_by_n():
     code, _, rows = run_to_rows(RunConfig(command="survival", n_max=2_000, sieve_limit=LIMIT))
     assert code == EXIT_OK
@@ -718,6 +831,33 @@ def test_cli_refuses_past_a_resource_bound(capped_address_space, argv, fix):
     assert "Traceback" not in proc.stderr
 
 
+def _capped_gandhi(preexec_fn, samples, patch=""):
+    """`gandhi --n 1 --samples <samples>` under the cap, after the Python statements `patch`."""
+    argv = ["gandhi", "--n", "1", "--samples", str(samples)]
+    code = f"import sys\nfrom primeforms import gandhi, harness\n{patch}\nsys.exit(harness.main({argv!r}))"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn
+    )
+
+
+def test_cli_samples_refusal_names_a_count_that_runs(capped_address_space):
+    refused = _capped_gandhi(capped_address_space, 4_000_000_000)
+    assert refused.returncode == EXIT_RESOURCE
+    named = int(re.search(r"; pass --samples (\d+) or fewer", refused.stderr).group(1))
+    proc = _capped_gandhi(capped_address_space, named)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.count("\n") == 2 and proc.stderr == ""
+
+
+def test_cli_samples_out_of_memory_exits_three(capped_address_space):
+    # past a budget that lets every count through, 1.6 GB of uniforms fail to allocate
+    proc = _capped_gandhi(capped_address_space, 200_000_000, "gandhi._memory_budget = lambda: 1 << 40")
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith("resource limit:") and "pass a smaller --samples" in proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_sieve_next_report_bytes_are_unchanged():
     # the digest the benchmark recorded for this command
     proc = subprocess.run(
@@ -766,17 +906,50 @@ def test_cli_entry_point_subprocess():
 
 def test_cli_closed_pipe_exits_zero_without_traceback():
     # ~0.5 MB of rows: far more than the pipe holds once the reader is gone
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "primeforms", "spectral", "--n-max", "5000", "--alpha", "0",
          "--sieve-limit", "100000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline().startswith(b"source,n,")
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == EXIT_OK
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"source,n,")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_OK
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_a_chunk_failing_here_leaves_the_chunks_before_it(monkeypatch):
+    block, real = forking_block(3073, 1), harness._chunk_text
+
+    def failing(*args):
+        if args[-2] == 2048:  # chunk 2, formatted by this process
+            raise RuntimeError("chunk 2 fails")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_chunk_text", failing)
+    buffer = io.StringIO()
+    with pytest.raises(RuntimeError):
+        harness.write_rows([block], "json", buffer)
+    assert_no_child_left()
+    assert buffer.getvalue() == per_cell_json(block_rows(block)[:2048], REPORT_COLUMNS)
+
+
+def test_cli_closed_pipe_on_a_forking_block_leaves_no_process():
+    # the survival block is 196 chunks, written from this process and a forked worker
+    with subprocess.Popen(
+        [sys.executable, "-m", "primeforms", "survival", "--n-max", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"source,n,")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the session's process group is empty
 
 
 def test_residuals_script_refuses_n_min_below_three():
