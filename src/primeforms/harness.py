@@ -279,8 +279,9 @@ def _start_worker(text, bounds) -> tuple:
     pid = done = None
     try:
         # numpy's thread pool makes this process multi-threaded, which Python 3.12+
-        # warns about.  The worker runs only float.__repr__, int.__repr__, str joins
-        # and os.write: no numpy call and no lock another thread could hold.
+        # warns about.  On the commands' columns the worker runs only float.__repr__,
+        # int.__repr__, str joins and writes to the pipe it opens itself: no numpy
+        # call and no lock another thread could hold.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
