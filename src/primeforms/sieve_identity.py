@@ -52,15 +52,23 @@ class CertificateReport:
         return self.float_floor != 1 or abs(self.float_gap) > FLOAT_GAP_THRESHOLD
 
     def violations(self) -> list[str]:
-        """Exact-certificate invariant check; an empty list means all hold."""
+        """Exact-certificate invariant check; an empty list means all hold.
+
+        With margin = N/D and p = next_prime, the tail margin - 1/p is
+        excess/(D p) for excess = N p - D.  D and p are positive, so the
+        bounds compare integers cross-multiplied: margin < 1/p exactly when
+        excess < 0, and tail >= LN2_LOWER = a/b exactly when excess b >= a D p.
+        """
         out = []
         if self.exact_floor != 1:
             out.append(f"n={self.n}: exact floor is {self.exact_floor}, expected 1")
-        if self.margin < Fraction(1, self.next_prime):
-            out.append(f"n={self.n}: margin fell below 1/{self.next_prime}")
-        tail = self.margin - Fraction(1, self.next_prime)
-        if tail >= LN2_LOWER:
-            out.append(f"n={self.n}: harmonic tail {float(tail)} reached ln 2")
+        numerator, denominator = self.margin.as_integer_ratio()
+        p = self.next_prime
+        excess = numerator * p - denominator
+        if excess < 0:
+            out.append(f"n={self.n}: margin fell below 1/{p}")
+        if excess * LN2_LOWER.denominator >= LN2_LOWER.numerator * denominator * p:
+            out.append(f"n={self.n}: harmonic tail {float(self.margin - Fraction(1, p))} reached ln 2")
         return out
 
 
@@ -237,14 +245,18 @@ def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterat
 
     The filter's survivors in [1, 2 p_n] must be 1 and the primes the
     certificate summed, which checks both filter routes and its lemma (a
-    composite survivor exceeds 2 p_n).  Broken invariants go to `violations`.
+    composite survivor exceeds 2 p_n).  A gather and a count check it: 1 and
+    each summed prime pass, and no more integers pass, for a superset of the
+    right size is the set itself.  Broken invariants go to `violations`.
     """
     for n, passed in _filter_windows(1, n_max, table):
+        if n == 1:  # the range is now validated; p - 1 for every prime the sweep sums
+            offsets = np.array(table.primes[: table.pi(2 * table.nth(n_max))]) - 1
         report = harmonic_certificate(n, table)
         violations.extend(report.violations())
-        survivors = (passed.nonzero()[0] + 1).tolist()
-        summed = [1, *table.primes[n : table.pi(len(passed))]]
-        if survivors != summed:
-            stray = sorted(set(survivors).symmetric_difference(summed))
+        hi = table.pi(len(passed))
+        if not (passed[0] and passed[offsets[n:hi]].all() and np.count_nonzero(passed) == 1 + hi - n):
+            survivors = (passed.nonzero()[0] + 1).tolist()
+            stray = sorted(set(survivors).symmetric_difference([1, *table.primes[n:hi]]))
             violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
         yield report

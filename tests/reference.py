@@ -1,8 +1,10 @@
 """Reference functions the tests check the package against; no command uses them."""
 
 import math
+from fractions import Fraction
 
 from primeforms.core import PrimeTable, sieve
+from primeforms.sieve_identity import LN2_LOWER, CertificateReport
 from primeforms.survival import quadratic_form_value, squarefree_support
 
 
@@ -19,3 +21,16 @@ def moebius_truncation_value(x: int, z: int) -> float:
     mu = sieve(max(z, 2)).moebius_values(max(z, 1))
     divisors = squarefree_support(z)
     return quadratic_form_value(x, divisors, [float(mu[d]) for d in divisors])
+
+
+def certificate_violations(report: CertificateReport) -> list[str]:
+    """`CertificateReport.violations` with its bounds compared as Fractions."""
+    out = []
+    if report.exact_floor != 1:
+        out.append(f"n={report.n}: exact floor is {report.exact_floor}, expected 1")
+    if report.margin < Fraction(1, report.next_prime):
+        out.append(f"n={report.n}: margin fell below 1/{report.next_prime}")
+    tail = report.margin - Fraction(1, report.next_prime)
+    if tail >= LN2_LOWER:
+        out.append(f"n={report.n}: harmonic tail {float(tail)} reached ln 2")
+    return out

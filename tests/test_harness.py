@@ -619,6 +619,53 @@ def test_certificates_are_checked_against_the_filter(monkeypatch, capsys, small_
     assert capsys.readouterr().err.startswith(f"invariant violation: {first}\n")
 
 
+def test_certificates_are_checked_by_gather_not_only_by_count(monkeypatch, capsys):
+    # at n = 9 the window [1, 46] loses the summed prime 41 and gains 25: the
+    # count of survivors is still right, the survivors are not
+    from primeforms import sieve_identity
+
+    real = sieve_identity._filter_windows
+
+    def swapped(lo, hi, table):
+        for n, passed in real(lo, hi, table):
+            if n == 9:
+                passed = passed.copy()
+                passed[41 - 1], passed[25 - 1] = False, True
+            yield n, passed
+
+    monkeypatch.setattr(sieve_identity, "_filter_windows", swapped)
+    config = RunConfig(command="certify", n_max=12, sieve_limit=LIMIT)
+    assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation: n=9: the filter and the certificate disagree on the survivors [25, 41]\n"
+    )
+
+
+def test_certify_flags_a_margin_below_the_next_prime_term(monkeypatch, capsys):
+    # n = 5 reports a margin 10^-40 short of 1/p_6 = 1/13; every row is still written
+    from primeforms import sieve_identity
+
+    real = sieve_identity.harmonic_certificate
+
+    def short(n, table):
+        report = real(n, table)
+        if n == 5:
+            report.margin = Fraction(1, report.next_prime) - Fraction(1, 10**40)
+        return report
+
+    config = RunConfig(command="certify", n_max=10, sieve_limit=LIMIT)
+    complete = io.StringIO()
+    assert run(config, stream=complete) == EXIT_OK
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", short)
+    buffer = io.StringIO()
+    assert run(config, stream=buffer) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: n=5: margin fell below 1/13\n"
+    lines, expected = buffer.getvalue().splitlines(), complete.getvalue().splitlines()
+    assert len(lines) == len(expected) == 11
+    assert [line for i, line in enumerate(lines) if i != 5] == [line for i, line in enumerate(expected) if i != 5]
+    assert lines[5].startswith("sieve_identity,5,11,13,")
+
+
 def test_sieve_next_flags_a_next_prime_off_the_oracle(monkeypatch, capsys):
     # the sweep reports 12 for n = 4; the report is still written in full
     from primeforms import sieve_identity

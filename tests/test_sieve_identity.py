@@ -21,6 +21,8 @@ from primeforms.sieve_identity import (
     next_prime_via_filter,
 )
 
+from reference import certificate_violations
+
 
 def test_filter_hand_values(table):
     assert coprime_indicator(7, 2, table) == 1  # 7 coprime to 6
@@ -194,10 +196,10 @@ def test_ln2_lower_bound_has_thirty_correct_digits():
     assert 0 < ln2 - LN2_LOWER < Fraction(1, 10**30)
 
 
-def _report_with_tail(tail):
-    margin = Fraction(1, 1009) + tail  # p_168 = 997, p_169 = 1009
+def _report_with_tail(tail, exact_floor=1, next_prime=1009):
+    margin = Fraction(1, next_prime) + tail  # p_168 = 997, p_169 = 1009
     return CertificateReport(
-        n=168, next_prime=1009, exact_sum=1 + margin, exact_floor=1, margin=margin,
+        n=168, next_prime=next_prime, exact_sum=1 + margin, exact_floor=exact_floor, margin=margin,
         float_sum=float(1 + margin), float_floor=1,
     )
 
@@ -206,6 +208,35 @@ def test_tail_check_is_exact():
     # 1e-13 past ln 2 is below what a float comparison with 1e-12 slack sees
     assert _report_with_tail(LN2_LOWER + Fraction(1, 10**13)).violations() != []
     assert _report_with_tail(LN2_LOWER - Fraction(1, 10**30)).violations() == []
+
+
+@pytest.mark.parametrize(
+    "tail, exact_floor, fired",
+    [
+        (Fraction(0), 1, []),  # margin exactly 1/p
+        (-Fraction(1, 10**40), 1, ["n=168: margin fell below 1/1009"]),
+        (-Fraction(1, 1009 * 1010), 1, ["n=168: margin fell below 1/1009"]),  # margin 1/1010: excess -1
+        (LN2_LOWER, 1, [f"n=168: harmonic tail {float(LN2_LOWER)} reached ln 2"]),
+        (Fraction(0), 2, ["n=168: exact floor is 2, expected 1"]),
+    ],
+)
+def test_certificate_bounds_at_their_boundaries(tail, exact_floor, fired):
+    report = _report_with_tail(tail, exact_floor)
+    assert report.violations() == certificate_violations(report) == fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bound=st.sampled_from([Fraction(0), LN2_LOWER]),
+    offset=st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    scale=st.integers(0, 60),
+    exact_floor=st.integers(0, 2),
+    next_prime=st.sampled_from([3, 1009, 17393, 1299721]),
+)
+def test_integer_bounds_match_the_fraction_bounds(bound, offset, scale, exact_floor, next_prime):
+    # margins within 10^-scale of 1/p (tail 0) or of 1/p + LN2_LOWER, on either side
+    report = _report_with_tail(bound + offset / 10**scale, exact_floor, next_prime)
+    assert report.violations() == certificate_violations(report)
 
 
 def test_probe_small_values(table):
