@@ -135,7 +135,7 @@ class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored re
         if not np.isfinite(estimates).all():
             i = int(np.argmin(np.isfinite(estimates)))
             raise OverflowError(f"the estimate of p_{n_lo + i} is {float(estimates[i])}, not a finite number")
-        primes = np.array(p_n, dtype=np.float64)  # exact: p_n < 2^31
+        primes = np.array(p_n, dtype=np.float64)  # exact: a sieve that fits in memory keeps p_n < 2^53
         residual = np.subtract(primes, estimates)
         columns = [array("d"), array("d"), array("d")]
         for column, values in zip(columns, (estimates, residual, np.divide(residual, primes, out=primes))):
@@ -148,9 +148,9 @@ class PrimeTable:
     """Sieve-of-Eratosthenes oracle for the primes up to `limit`.
 
     `primes` is strictly increasing with p_n at index n - 1 (p_1 = 2), so
-    `pi(p_n)` is n.  A smallest-prime-factor array built during sieving
-    makes factor extraction, and hence the Möbius and totient lookups,
-    O(log m) instead of per-call trial division.
+    `pi(p_n)` is n.  The table keeps no per-integer array: the scalar
+    factor, Möbius and totient lookups divide by the tabulated primes, and
+    the bulk tables are sieved from them on demand.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
@@ -158,7 +158,6 @@ class PrimeTable:
 
     limit: int
     primes: list[int]
-    _spf: np.ndarray = field(repr=False)
     _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _floats: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
@@ -208,22 +207,12 @@ class PrimeTable:
     def factorize(self, m: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, exponent), ...] with p ascending.
 
-        Uses the SPF table for m <= limit; above that, trial division by
-        tabulated primes (valid while sqrt(m) <= limit).
+        Trial division by the tabulated primes up to sqrt(m), so m may
+        exceed the limit while sqrt(m) <= limit.
         """
         if m < 1:
             raise ValueError("factorization needs a positive integer")
         out: list[tuple[int, int]] = []
-        if m <= self.limit:
-            spf = self._spf
-            while m > 1:
-                p = int(spf[m])
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                out.append((p, e))
-            return out
         if math.isqrt(m) > self.limit:
             raise ValueError(f"{m} is beyond factorization range of sieve limit {self.limit}")
         for p in self.primes:
@@ -296,14 +285,16 @@ class PrimeTable:
     def primorial_coprime(self, n: int, bound: int) -> list[int]:
         """Integers in [1, bound] coprime to the n-th primorial.
 
-        Equivalent to gcd(m, P_n) = 1: m = 1 or the smallest prime factor
-        of m exceeds p_n.  Vectorized over the SPF table.
+        Equivalent to gcd(m, P_n) = 1: the multiples of p_1, ..., p_n are
+        struck from a boolean array whose entry m - 1 stands for m.
         """
-        p_n = self.nth(n)
+        self.nth(n)  # range check
         if bound > self.limit:
             raise ValueError(f"scan bound {bound} is beyond sieve limit {self.limit}")
-        survivors = np.flatnonzero(self._spf[1 : bound + 1] > p_n) + 1
-        return [1] + survivors.tolist()
+        coprime = np.ones(bound, dtype=bool)
+        for p in self.primes[:n]:
+            coprime[p - 1 :: p] = False
+        return (np.flatnonzero(coprime) + 1).tolist()
 
     def mangoldt_points(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Prime powers k <= upto with their logs and von Mangoldt weights.
@@ -349,38 +340,29 @@ def _memory_budget() -> int:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to `limit` inclusive, built as its SPF table.
+    """Sieve of Eratosthenes up to `limit` inclusive, over one boolean array.
 
-    Each p <= sqrt(limit) still unmarked is prime and claims the multiples
-    from p^2 on that no smaller prime has, so every composite ends holding
-    its smallest prime factor.  The entries above 1 still unmarked are the
-    primes, each its own smallest factor.  A limit past the int32 table, or
-    whose tables would not fit in memory, is refused before allocating.
+    Each p <= sqrt(limit) still unstruck is prime and strikes its multiples
+    from p^2 on; the entries still unstruck are the primes.  A limit whose
+    tables would not fit in memory is refused before allocating.
     """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    if limit > np.iinfo(np.int32).max:
-        raise ResourceLimitError(
-            f"sieve limit {limit} is past the int32 smallest-prime-factor table "
-            f"(at most {np.iinfo(np.int32).max})"
-        )
-    # int32 SPF entries, then per prime an int64 index, a list slot and an
-    # int object, with pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld)
-    needed = 4 * (limit + 1) + 48 * math.ceil(1.25506 * limit / math.log(limit))
+    # one byte a boolean entry, then per prime an int64 index, a list slot and
+    # an int object, with pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld)
+    needed = (limit + 1) + 48 * math.ceil(1.25506 * limit / math.log(limit))
     budget = _memory_budget()
     if needed > budget:
         raise ResourceLimitError(
             f"--sieve-limit {limit} needs about {needed >> 20} MiB for its tables, more than "
             f"the {budget >> 20} MiB this process may use; pass a smaller --sieve-limit"
         )
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            lane = spf[p * p :: p]
-            lane[lane == 0] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    return PrimeTable(limit=limit, primes=primes.tolist(), _spf=spf)
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).tolist())
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:

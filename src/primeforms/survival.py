@@ -234,7 +234,7 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
         raise ValueError("sweep needs n_lo >= 2")
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table))
     p_n = table.primes[n_lo - 1 : n_hi]
-    # p_n < 2^31, so the float square root floors to isqrt(p_n)
+    # a sieve that fits in memory keeps p_n < 2^52, where the float square root floors to isqrt(p_n)
     estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
     np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)
     return EstimatorColumns.against(n_lo, p_n, estimates)

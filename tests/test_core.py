@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms.core import TWIN_MODULUS, _twin_residue, coprime_fraction, log_integral, sieve
+from primeforms import core
+from primeforms.core import TWIN_MODULUS, ResourceLimitError, _twin_residue, coprime_fraction, log_integral, sieve
 
 from reference import von_mangoldt
 
@@ -88,16 +90,16 @@ def least_prime_divisor(m: int) -> int:
 @example(122)
 @example(961)
 def test_sieve_boundaries_match_trial_division(limit):
-    # prime squares and their neighbours sit on the isqrt edge of the SPF pass
+    # prime squares and their neighbours sit on the isqrt edge of the sieve's striking pass
     table = sieve(limit)
     span = range(2, limit + 1)
     assert table.primes == [m for m in span if trial_division_is_prime(m)]
     assert [table.factorize(m)[0][0] for m in span] == [least_prime_divisor(m) for m in span]
 
 
-def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
-    # 2^31 would wrap in the int32 SPF table; 2^31 - 1 fits it, but its 8 GiB
-    # table is past the 1 GiB cap, so both are refused before allocating
+def test_sieve_refuses_limits_past_memory_before_allocating(capped_address_space):
+    # 2^31 and 2^31 - 1 each need about 7.6 GiB for the boolean table and the
+    # prime list, past the 1 GiB cap, so both are refused before allocating
     probe = (
         "from primeforms.core import ResourceLimitError, sieve\n"
         "for limit in (2**31, 2**31 - 1):\n"
@@ -116,10 +118,24 @@ def test_sieve_refuses_limit_past_int32_before_allocating(capped_address_space):
         preexec_fn=capped_address_space,
     )
     assert proc.returncode == 0, proc.stderr
-    past_int32, past_memory = proc.stdout.splitlines()
-    assert past_int32.startswith("refused: sieve limit 2147483648") and "int32" in past_int32
-    assert past_memory.startswith("refused: --sieve-limit 2147483647"), past_memory
-    assert "MiB" in past_memory
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    for line, limit in zip(lines, (2**31, 2**31 - 1)):
+        assert line.startswith(f"refused: --sieve-limit {limit} needs about 7789 MiB"), line
+
+
+def test_sieve_memory_estimate_covers_its_allocations(monkeypatch):
+    # numpy reports its buffers to tracemalloc, so the traced peak is what the
+    # sieve allocates; a budget one byte below it must already be refused
+    tracemalloc.start()
+    try:
+        sieve(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(core, "_memory_budget", lambda: peak - 1)
+    with pytest.raises(ResourceLimitError, match="needs about"):
+        sieve(10**6)
 
 
 def test_sieve_million_matches_segmented_resieve(table):

@@ -599,7 +599,7 @@ def test_spoiled_twin_step_leaves_the_rows_before_it(monkeypatch, capsys, tmp_pa
 def mutant_table(table, drop=(), insert=()):
     """A fresh table over the same sieve whose prime list lost `drop` and gained `insert`."""
     primes = sorted({*table.primes} - {*drop} | {*insert})
-    return core.PrimeTable(limit=table.limit, primes=primes, _spf=table._spf)
+    return core.PrimeTable(limit=table.limit, primes=primes)
 
 
 @pytest.mark.parametrize(
@@ -698,6 +698,29 @@ def test_gandhi_routes_disagreeing_exit_code(monkeypatch, capsys):
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: n=3:") and "Golomb" in err
+
+
+def test_gandhi_flags_an_extraction_one_past_the_prime(monkeypatch, capsys):
+    # m + 1 doubles 2^m * half excess out of (1, 2) and its remainder out of
+    # (0, 1/2), and the oracle's p_4 = 7 no longer matches
+    real = gandhi.extract_prime
+    monkeypatch.setattr(gandhi, "extract_prime", lambda probability: real(probability) + 1)
+    config = RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=1_000)
+    assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+    assert capsys.readouterr().err.splitlines() == [
+        "invariant violation: n=3: scaled remainder 1244168833/1073741823 outside (0, 1/2)",
+        "invariant violation: n=3: 2^m * half excess lies outside (1, 2)",
+        "invariant violation: n=3: extracted 8, oracle has 7",
+    ]
+
+
+def test_selberg_flags_a_quadratic_form_mismatch(monkeypatch, capsys):
+    # the Gram minimum is re-checked against the form summed over every m <= x
+    real = survival.quadratic_form_value
+    monkeypatch.setattr(survival, "quadratic_form_value", lambda *args: real(*args) + 1.0)
+    config = RunConfig(command="selberg", x=100, z=10, sieve_limit=1_000)
+    assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("invariant violation: quadratic form mismatch for x=100, z=10:")
 
 
 @pytest.mark.parametrize(
@@ -838,8 +861,9 @@ def test_cli_fuzz_exits_zero_two_or_three(argv):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE), argv
 
 
-def test_cli_refuses_sieve_limit_past_int32(capped_address_space):
-    # under the 1 GiB cap a table allocated before the check ends in MemoryError
+def test_cli_refuses_a_sieve_limit_past_memory(capped_address_space):
+    # 2^31 needs about 7.6 GiB of sieve tables, past the 1 GiB cap; a table
+    # allocated before the memory estimate would end in MemoryError instead
     proc = subprocess.run(
         [sys.executable, "-m", "primeforms", "brun", "--X", "10", "--sieve-limit", "2147483648"],
         capture_output=True,

@@ -293,6 +293,9 @@ def test_sweep_flags_a_corrupted_moebius_value(table, corrupt_moebius_six):
         next_prime_sweep(1, 10, table)
     with pytest.raises(InvariantViolation):
         next_prime_via_filter(10, table)
+    # the scalar filter: gcd(6, P_2) = 6, so the Möbius sum reads 1 - 1 - 1 + 0
+    with pytest.raises(InvariantViolation, match="filter mismatch at m=6, n=2: Möbius sum -1, gcd test 0"):
+        coprime_indicator(6, 2, table)
 
 
 def test_sieve_next_exits_one_on_a_corrupted_moebius_value(corrupt_moebius_six, capsys):
