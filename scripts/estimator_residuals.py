@@ -16,8 +16,8 @@ import math
 import sys
 
 from primeforms.core import DEFAULT_SIEVE_LIMIT, sieve
-from primeforms.harness import _estimator_lane, write_rows
-from primeforms.spectral import SpectralParams, calibrate_amplitude, spectral_sweep
+from primeforms.harness import RunConfig, _estimator_lane, write_rows
+from primeforms.spectral import calibrate_amplitude, spectral_sweep
 from primeforms.survival import capacity_sweep, survival_sweep
 
 
@@ -40,14 +40,13 @@ def main(argv=None) -> int:
         parser.error(f"--n-min must be at least 3, where the sweeps start, not {args.n_min}")
 
     table = sieve(args.sieve_limit)
-    amplitude = calibrate_amplitude(SpectralParams(), table)
+    # the CLI's default calibration window
+    amplitude = calibrate_amplitude(RunConfig.calib_lo, RunConfig.calib_hi, table)
     print(f"calibrated spectral amplitude: {amplitude:.6f}")
 
     sweeps = {
-        "spectral(calibrated)": spectral_sweep(
-            args.n_min, args.n_max, SpectralParams(amplitude=amplitude), table
-        ),
-        "spectral(alpha=0)": spectral_sweep(args.n_min, args.n_max, SpectralParams(), table),
+        "spectral(calibrated)": spectral_sweep(args.n_min, args.n_max, amplitude, table),
+        "spectral(alpha=0)": spectral_sweep(args.n_min, args.n_max, 0.0, table),
         "survival": survival_sweep(args.n_min, args.n_max, table),
         "capacity": capacity_sweep(args.n_min, args.n_max, table),
     }

@@ -42,7 +42,6 @@ from .sieve_identity import (
     next_prime_via_filter,
 )
 from .spectral import (
-    SpectralParams,
     calibrate_amplitude,
     cipolla_drift,
     oscillation_sum,
@@ -72,7 +71,6 @@ __all__ = [
     "PrimeTable",
     "ResourceLimitError",
     "SelbergSolution",
-    "SpectralParams",
     "brun_partial",
     "calibrate_amplitude",
     "certificate_sweep",

@@ -70,7 +70,8 @@ class GandhiEvaluation:
         """Exact invariant check; an empty list means all hold."""
         out = []
         if not Fraction(0) < self.scaled_remainder < Fraction(1, 2):
-            out.append(f"n={self.n}: scaled remainder {self.scaled_remainder} outside (0, 1/2)")
+            bound = "above 0" if self.scaled_remainder <= 0 else "below 1/2"
+            out.append(f"n={self.n}: scaled remainder is not {bound}")  # its terms outgrow str() at n = 7
         scaled = self.half_excess * (1 << self.extracted_prime)
         if not Fraction(1) < scaled < Fraction(2):
             out.append(f"n={self.n}: 2^m * half excess lies outside (1, 2)")

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import json
 import math
 import os
 import sys
 import warnings
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
@@ -129,19 +127,9 @@ def _table(limit: int) -> core.PrimeTable:
     return _TABLES[limit]
 
 
-def _int_str(value: int) -> str:
-    """str(value) without the int-to-str digit limit, which is neither read nor changed."""
-    with core.exact_decimals():
-        digits = str(core.to_decimal(abs(value)))
-    return "-" + digits if value < 0 else digits
-
-
-def _fraction_str(value: Fraction) -> str:
-    """"numerator/denominator" in decimal; a DecimalFraction prints its Decimals unconverted."""
-    decimals = getattr(value, "decimals", None)
-    if decimals is None:
-        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
-    return f"{decimals[0]}/{decimals[1]}"
+def _fraction_str(value: core.DecimalFraction) -> str:
+    """"numerator/denominator" in decimal, printed from the exact Decimals the value carries."""
+    return "%s/%s" % value.decimals
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
@@ -157,11 +145,11 @@ def _csv_texts(cells):
 
 
 def _converters(kind: type) -> tuple:
-    """(CSV, JSON) converters of a column of `kind`s, each from the column to its cells."""
+    """(CSV, JSON) converters, each from a column to its cells, of floats, DecimalFractions, text or ints."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
         reprs = partial(map, float.__repr__)
         return reprs, lambda column: map(_JSON_NONFINITE.get, *tee(reprs(column)))
-    if issubclass(kind, Fraction):
+    if issubclass(kind, core.DecimalFraction):
         texts = partial(map, _fraction_str)
         return texts, lambda column: map(encode_basestring_ascii, texts(column))
     if issubclass(kind, str):
@@ -169,7 +157,7 @@ def _converters(kind: type) -> tuple:
     if kind is int:  # an int prints as both formats spell it
         ints = partial(map, int.__repr__)
         return ints, ints
-    return lambda column: _csv_texts([*map(str, column)]), partial(map, json.dumps)
+    raise TypeError(f"a report cell cannot hold a {kind.__module__}.{kind.__qualname__}")
 
 
 def _lines(keys: tuple, columns, fmt: str):
@@ -357,18 +345,16 @@ def _check_tabulated(table: core.PrimeTable, n: int, flag: str) -> None:
         )
 
 
-def _check_scan_range(table: core.PrimeTable, n_max: int) -> None:
+def _check_scan_range(table: core.PrimeTable, n: int, flag: str) -> None:
     """The certificate scan reaches 2 p_n; fail naming the limit actually needed."""
-    if n_max > len(table.primes):
+    if n > len(table.primes):
         raise UsageError(
-            f"n_max={n_max} is beyond the {len(table.primes)} tabulated primes; "
-            f"needs roughly --sieve-limit {2 * _approx_limit(n_max)}"
+            f"{flag} {n} is beyond the {len(table.primes)} tabulated primes; "
+            f"needs roughly --sieve-limit {2 * _approx_limit(n)}"
         )
-    required = 2 * table.nth(n_max)
+    required = 2 * table.nth(n)
     if required > table.limit:
-        raise UsageError(
-            f"n_max={n_max} scans up to {required}; needs --sieve-limit {required}"
-        )
+        raise UsageError(f"{flag} {n} scans up to {required}; needs --sieve-limit {required}")
 
 
 def _ordinal_range(config: RunConfig) -> tuple[int, int]:
@@ -380,7 +366,7 @@ def _ordinal_range(config: RunConfig) -> tuple[int, int]:
 
 def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
-    _check_scan_range(table, hi)
+    _check_scan_range(table, hi, "--n-max" if config.n is None else "--n")
     found = sieve_identity.next_prime_sweep(lo, hi, table)
     ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
     violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
@@ -390,7 +376,7 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
 
 def _run_certify(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
-    _check_scan_range(table, config.n_max)
+    _check_scan_range(table, config.n_max, "--n-max")
     violations = []
     reports = sieve_identity.certificate_sweep(config.n_max, table, violations)
     return (_certificate_row(report, table) for report in reports), violations
@@ -448,12 +434,12 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     return rows, violations
 
 
-def _resolve_amplitude(config: RunConfig, table: core.PrimeTable) -> float:
+def _resolve_amplitude(config: RunConfig, table: core.PrimeTable, window_end: str) -> float:
+    """--alpha, or the amplitude fitted over the calibration window, whose end `window_end` names."""
     if config.alpha_override is not None:
         return config.alpha_override
-    _check_tabulated(table, config.calib_hi, "--calib-hi")
-    params = spectral.SpectralParams(calib_lo=config.calib_lo, calib_hi=config.calib_hi)
-    return spectral.calibrate_amplitude(params, table)
+    _check_tabulated(table, config.calib_hi, window_end)
+    return spectral.calibrate_amplitude(config.calib_lo, config.calib_hi, table)
 
 
 def _run_spectral(config: RunConfig, table: core.PrimeTable):
@@ -461,10 +447,9 @@ def _run_spectral(config: RunConfig, table: core.PrimeTable):
     if config.n_max < 3:
         raise UsageError("spectral sweep needs --n-max >= 3")
     _check_tabulated(table, config.n_max, "--n-max")
-    amplitude = _resolve_amplitude(config, table)
-    params = spectral.SpectralParams(amplitude=amplitude, calib_lo=config.calib_lo, calib_hi=config.calib_hi)
+    amplitude = _resolve_amplitude(config, table, "--calib-hi")
     try:
-        columns = spectral.spectral_sweep(3, config.n_max, params, table)
+        columns = spectral.spectral_sweep(3, config.n_max, amplitude, table)
     except OverflowError as exc:
         raise UsageError(f"{exc}; pass a smaller --alpha") from None
     return [(_estimator_lane("spectral", columns),)], []
@@ -513,9 +498,8 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violat
     the anomaly count and the largest absolute float gap; it is emitted
     even when nothing deviated.  Broken exact invariants go to `violations`.
     """
-    spectral_params = spectral.SpectralParams(amplitude=amplitude)
     survival_residuals = survival.survival_sweep(3, n_max, table).residual
-    spectral_residuals = spectral.spectral_sweep(3, n_max, spectral_params, table).residual
+    spectral_residuals = spectral.spectral_sweep(3, n_max, amplitude, table).residual
     summary = {"source": "summary", "first_float_floor_break": "", "anomaly_count": 0, "float_gap": 0.0}
     for report in sieve_identity.certificate_sweep(n_max, table, violations):
         row = {
@@ -542,9 +526,10 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violat
 
 def _run_report(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
-    _check_scan_range(table, config.n_max)
+    _check_scan_range(table, config.n_max, "--n-max")
     violations = []
-    return _precision_rows(config.n_max, table, _resolve_amplitude(config, table), violations), violations
+    amplitude = _resolve_amplitude(config, table, "the calibration window's end n =")
+    return _precision_rows(config.n_max, table, amplitude, violations), violations
 
 
 _EXECUTORS = {

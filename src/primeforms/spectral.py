@@ -12,32 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EstimatorColumns, PrimeTable
-
-
-@dataclass
-class SpectralParams:
-    """Resonance amplitude and calibration window.
-
-    The spectral cutoff rule k <= floor(sqrt(drift(n))) is fixed, not a
-    parameter.
-    """
-
-    amplitude: float = 0.0
-    calib_lo: int = 10
-    calib_hi: int = 1000
-
-    def __post_init__(self):
-        if self.calib_lo < 3:
-            raise ValueError("calibration window must start at n >= 3")
-        if self.calib_hi <= self.calib_lo:
-            raise ValueError("calibration window is empty")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
 
 
 def _cipolla(n, log_n, loglog):
@@ -107,26 +85,32 @@ def least_squares_amplitude(residuals, oscillations) -> float:
     return math.fsum((residuals * oscillations).tolist()) / denom
 
 
-def calibrate_amplitude(params: SpectralParams, table: PrimeTable) -> float:
+def calibrate_amplitude(lo: int, hi: int, table: PrimeTable) -> float:
     """Least-squares amplitude of the oscillation against oracle drift residuals.
 
     Fits p_n - drift(n) ~ amplitude * oscillation(n) over the calibration
-    window; deterministic, fixed summation order.
+    window lo <= n <= hi; deterministic, fixed summation order.
     """
-    if params.calib_hi > len(table.primes):
-        raise ValueError(f"calibration window reaches n={params.calib_hi}, beyond the oracle range")
-    drift, oscillations = _drift_and_oscillation(params.calib_lo, params.calib_hi, table)
-    residuals = np.subtract(table.primes[params.calib_lo - 1 : params.calib_hi], drift, out=drift)
+    if lo < 3:
+        raise ValueError("calibration window must start at n >= 3")
+    if hi <= lo:
+        raise ValueError("calibration window is empty")
+    if hi > len(table.primes):
+        raise ValueError(f"calibration window reaches n={hi}, beyond the oracle range")
+    drift, oscillations = _drift_and_oscillation(lo, hi, table)
+    residuals = np.subtract(table.primes[lo - 1 : hi], drift, out=drift)
     return least_squares_amplitude(residuals, oscillations)
 
 
-def spectral_sweep(n_lo: int, n_hi: int, params: SpectralParams, table: PrimeTable) -> EstimatorColumns:
+def spectral_sweep(n_lo: int, n_hi: int, amplitude: float, table: PrimeTable) -> EstimatorColumns:
     """Drift plus amplitude-scaled resonance for n in [n_lo, n_hi]; the unresolved tail adds zero."""
     if n_lo < 3:
         raise ValueError("sweep needs n_lo >= 3")
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     table.nth(n_hi)  # range check
     drift, oscillation = _drift_and_oscillation(n_lo, n_hi, table)
     with np.errstate(over="ignore"):  # `against` refuses an estimate that overflowed
-        estimates = np.add(drift, np.multiply(oscillation, params.amplitude, out=oscillation), out=drift)
+        estimates = np.add(drift, np.multiply(oscillation, amplitude, out=oscillation), out=drift)
     del oscillation
     return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)

@@ -22,7 +22,6 @@ from primeforms.gandhi import (
 from primeforms.harness import EXIT_OK, RunConfig, _precision_rows, run
 from primeforms.sieve_identity import next_prime_via_filter
 from primeforms.spectral import (
-    SpectralParams,
     calibrate_amplitude,
     cipolla_drift,
     oscillation_sum,
@@ -170,12 +169,11 @@ def test_c08_brun_partial_sums(table):
 
 def test_c09_estimator_properties(table):
     failures = []
-    params = SpectralParams()
-    amplitude = calibrate_amplitude(params, table)
-    calibrated = SpectralParams(amplitude=amplitude)
+    calib_lo, calib_hi = 10, 1000
+    amplitude = calibrate_amplitude(calib_lo, calib_hi, table)
 
     sweeps = {
-        "spectral": spectral_sweep(10, 10_000, calibrated, table),
+        "spectral": spectral_sweep(10, 10_000, amplitude, table),
         "survival": survival_sweep(10, 10_000, table),
         "capacity": capacity_sweep(10, 10_000, table),
     }
@@ -186,7 +184,7 @@ def test_c09_estimator_properties(table):
         if not all(b > a for a, b in zip(estimates, estimates[1:])):
             failures.append(f"{name}: not strictly increasing")
 
-    window = range(params.calib_lo, params.calib_hi + 1)
+    window = range(calib_lo, calib_hi + 1)
     residuals = [table.nth(n) - cipolla_drift(n) for n in window]
     oscillations = [oscillation_sum(n, table) for n in window]
     ssr_zero = math.fsum(r * r for r in residuals)

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import warnings
 from array import array
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,12 +148,22 @@ def int_digit_limit(limit):
         sys.set_int_max_str_digits(previous)
 
 
+def decimal_fraction(*args):
+    """Fraction(*args) as the commands hand a rational to the writer: with the Decimals it prints."""
+    value = Fraction(*args)
+    with core.exact_decimals():
+        magnitude = core.to_decimal(abs(value.numerator))
+        decimals = (-magnitude if value < 0 else magnitude, core.to_decimal(value.denominator))
+    return core.coprime_fraction(value.numerator, value.denominator, decimals)
+
+
 @pytest.mark.parametrize("limit", [0, 4300])
 @pytest.mark.parametrize("value", [Fraction(2, 3), Fraction(3**20000, 2**40001)])
 def test_fraction_str_leaves_digit_limit_unchanged(limit, value):
     # 0 means unlimited; the 12k-digit denominator exceeds the default 4300
+    cell = decimal_fraction(value)
     with int_digit_limit(limit):
-        text = harness._fraction_str(value)
+        text = harness._fraction_str(cell)
         after = sys.get_int_max_str_digits()
     assert after == limit
     with int_digit_limit(0):
@@ -178,11 +190,12 @@ def wide_ints(draw):
 @example(value=2**4096 + 1)
 @example(value=-(2 ** (2**19)) + 1)
 def test_int_str_matches_str(limit, value):
-    with int_digit_limit(limit):
-        text = harness._int_str(value)
+    # the divide-and-conquer conversion that Gandhi's N and a cold certificate go through
+    with int_digit_limit(limit), core.exact_decimals():
+        digits = str(core.to_decimal(abs(value)))
         assert sys.get_int_max_str_digits() == limit
     with int_digit_limit(0):
-        assert text == str(value)
+        assert ("-" if value < 0 else "") + digits == str(value)
 
 
 @contextmanager
@@ -260,20 +273,22 @@ def written(rows, fmt="csv"):
 
 
 def test_write_rows_matches_per_cell_rule_on_mixed_rows():
-    wide = Fraction(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
+    wide = decimal_fraction(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
     d = 5**3000  # a shared denominator above 2048 bits
     a = 7**2500 + 1  # coprime to d
     rows = [
-        {"source": "x", "n": 5, "margin": Fraction(5), "exact_sum": Fraction(-7, 3), "estimate": 1e16},
+        {"source": "x", "n": 5, "margin": decimal_fraction(5), "exact_sum": decimal_fraction(-7, 3), "estimate": 1e16},
         {"source": "a,b", "estimate": -0.0, "residual": 5e-324, "rel_error": 0.1, "floored": -3},
         {"probability": wide, "mc_estimate": 0.25, "weights": "1:1.0;2:-1.0", "x": ""},
         {},
         # numerators over one denominator that differ from the first by D, -D and 3 D
-        {"exact_sum": Fraction(a, d), "margin": Fraction(a + d, d), "probability": Fraction(a - d, d),
-         "half_excess": Fraction(a + 3 * d, d), "scaled_remainder": Fraction(-a, d)},
+        {"exact_sum": decimal_fraction(a, d), "margin": decimal_fraction(a + d, d),
+         "probability": decimal_fraction(a - d, d), "half_excess": decimal_fraction(a + 3 * d, d),
+         "scaled_remainder": decimal_fraction(-a, d)},
         # a shared denominator the numerators do not differ by a multiple of, a small
         # numerator over it, and one Fraction repeated
-        {"exact_sum": Fraction(a, d), "margin": Fraction(a + 2, d), "probability": Fraction(2, d),
+        {"exact_sum": decimal_fraction(a, d), "margin": decimal_fraction(a + 2, d),
+         "probability": decimal_fraction(2, d),
          "half_excess": wide, "scaled_remainder": wide, "float_gap": 0.5},
     ]
     for limit in (0, 640, 4300):
@@ -295,7 +310,7 @@ schema_values = st.one_of(
     st.lists(st.tuples(st.integers(1, 200), st.floats()), max_size=4).map(
         lambda pairs: ";".join(f"{d}:{w!r}" for d, w in pairs)
     ),
-    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.builds(decimal_fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
 )
 
@@ -309,7 +324,7 @@ column_kinds = st.sampled_from(
             st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324]),
             st.floats().map(np.float64),
         ),
-        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+        st.builds(decimal_fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
         st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
     ]
 )
@@ -342,7 +357,8 @@ def block_rows(block):
         (
             ("source", "estimate", "residual", "margin"),
             [["a,b", "", 'q"\n'], [float("nan"), -0.0, np.float64(5e-324)],
-             [float("inf"), float("-inf"), 1e16], [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]],
+             [float("inf"), float("-inf"), 1e16],
+             [decimal_fraction(1, 3), decimal_fraction(-2), decimal_fraction(5, 7)]],
         ),
         (("n", "weights"), [[1, 2, 3], ["1:1.0;2:-1.0", "é", "x"]]),
     ),
@@ -377,6 +393,16 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
             json.dump([dict(zip(REPORT_COLUMNS, values)) for values in expected], buffer, indent=1)
             buffer.write("\n")
         assert written([*rows, block], fmt) == buffer.getvalue(), fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [Fraction(1, 3), True, np.int64(3)], ids=["Fraction", "bool", "int64"])
+def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
+    # a plain Fraction has no Decimals to print, and a bool or numpy int prints unlike an int
+    kind = f"{type(value).__module__}.{type(value).__qualname__}"
+    for rows in ([{"margin": value}], [((("n", "margin"), ([1], [value])),)]):
+        with pytest.raises(TypeError, match=re.escape(kind)):
+            written(rows, fmt)
 
 
 @pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
@@ -650,7 +676,7 @@ def test_certify_flags_a_margin_below_the_next_prime_term(monkeypatch, capsys):
     def short(n, table):
         report = real(n, table)
         if n == 5:
-            report.margin = Fraction(1, report.next_prime) - Fraction(1, 10**40)
+            report.margin = decimal_fraction(Fraction(1, report.next_prime) - Fraction(1, 10**40))
         return report
 
     config = RunConfig(command="certify", n_max=10, sieve_limit=LIMIT)
@@ -702,16 +728,45 @@ def test_gandhi_routes_disagreeing_exit_code(monkeypatch, capsys):
 
 def test_gandhi_flags_an_extraction_one_past_the_prime(monkeypatch, capsys):
     # m + 1 doubles 2^m * half excess out of (1, 2) and its remainder out of
-    # (0, 1/2), and the oracle's p_4 = 7 no longer matches
+    # (0, 1/2), and the oracle's p_{n+1} no longer matches; at n = 7 the
+    # remainder's terms have ~150k digits, past the digit limit str() obeys
     real = gandhi.extract_prime
     monkeypatch.setattr(gandhi, "extract_prime", lambda probability: real(probability) + 1)
-    config = RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=1_000)
+    for n, extracted, expected in ((3, 8, 7), (7, 20, 19)):
+        config = RunConfig(command="gandhi", n=n, samples=10_000, sieve_limit=1_000)
+        with int_digit_limit(640):
+            assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
+        assert capsys.readouterr().err.splitlines() == [
+            f"invariant violation: n={n}: scaled remainder is not below 1/2",
+            f"invariant violation: n={n}: 2^m * half excess lies outside (1, 2)",
+            f"invariant violation: n={n}: extracted {extracted}, oracle has {expected}",
+        ]
+
+
+@pytest.mark.parametrize(
+    "config, mutation, probability, message",
+    [
+        # an excess of 0 over 1/2, which no doubling lifts past 1
+        (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
+         Fraction(1, 2), "survivor probability does not exceed 1/2"),
+        # an excess of 1/4, which doubling takes from 1/2 straight to 2
+        (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
+         Fraction(3, 4), "no exponent places the scaled excess inside (1, 2)"),
+        # 1 listed as p_1 strikes every m, so nothing in [2, 2 p_1] survives
+        (RunConfig(command="sieve-next", n=1, sieve_limit=20_000), {"insert": [1]}, None,
+         "no filter survivor in [2, 2] for n=1; the scan range guarantees one"),
+        # with 3 gone, no tabulated prime lies in (p_1, 2 p_1] = (2, 4]
+        (RunConfig(command="certify", n_max=1, sieve_limit=20_000), {"drop": [3]}, None,
+         "no filter survivor above 1 in [1, 4] for n=1"),
+    ],
+    ids=["gandhi-excess-zero", "gandhi-excess-quarter", "sieve-next-no-survivor", "certify-no-survivor"],
+)
+def test_exit_one_sites_fire_through_run(monkeypatch, capsys, small_table, config, mutation, probability, message):
+    monkeypatch.setitem(harness._TABLES, small_table.limit, mutant_table(small_table, **mutation))
+    if probability is not None:  # survivor_probability returns it at every n
+        monkeypatch.setattr(gandhi, "survivor_probability", lambda n, table, allow_large=False: probability)
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
-    assert capsys.readouterr().err.splitlines() == [
-        "invariant violation: n=3: scaled remainder 1244168833/1073741823 outside (0, 1/2)",
-        "invariant violation: n=3: 2^m * half excess lies outside (1, 2)",
-        "invariant violation: n=3: extracted 8, oracle has 7",
-    ]
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
 
 
 def test_selberg_flags_a_quadratic_form_mismatch(monkeypatch, capsys):
@@ -749,6 +804,14 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         (["gandhi", "--n-max", "7", "--sieve-limit", "17", "--samples", "10000"], "--sieve-limit"),
         (["brun", "--X", "10", "--out", ""], "--out"),
         (["spectral", "--n-max", "20", "--alpha", "1e308"], "--alpha"),
+        (["sieve-next", "--n", "200000"], "error: --n 200000 is beyond the 148933 tabulated primes"),
+        (["sieve-next", "--n-max", "200000"], "error: --n-max 200000 is beyond"),
+        (["certify", "--n-max", "200000"], "error: --n-max 200000 is beyond"),
+        (["report", "--n-max", "200000"], "error: --n-max 200000 is beyond"),
+        (["certify", "--n-max", "100", "--sieve-limit", "1000"], "error: --n-max 100 scans up to 1082"),
+        # report takes no --calib-hi, so its refusal names the window's end
+        (["report", "--n-max", "10", "--sieve-limit", "500"],
+         "error: the calibration window's end n = 1000 is beyond the 95 tabulated primes"),
     ],
 )
 def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
@@ -929,17 +992,47 @@ def test_cli_samples_out_of_memory_exits_three(capped_address_space):
     assert "Traceback" not in proc.stderr
 
 
-def test_sieve_next_report_bytes_are_unchanged():
-    # the digest the benchmark recorded for this command
+def recorded_workloads():
+    """Every command the benchmark runs, with the digest `perfbench/workloads.py` records for it."""
+    limit = csv.field_size_limit()  # the module lifts csv's field limit when it loads
+    try:
+        workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
+    finally:
+        csv.field_size_limit(limit)
+    return [pytest.param(c.argv, c.sha256, id=" ".join(c.argv)) for commands in workloads.values() for c in commands]
+
+
+def report_digest(argv):
+    """sha256 of a command's report, run under the smallest legal int-to-str digit limit."""
     proc = subprocess.run(
-        [sys.executable, "-m", "primeforms", "sieve-next", "--n-max", "500"],
+        [sys.executable, "-m", "primeforms", *argv],
         capture_output=True,
-        timeout=120,
+        timeout=300,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"},
     )
-    assert proc.returncode == EXIT_OK
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "b82d787f0cb3c0c61a223db7955791cffb1649798a65aea9531c4b8a38462122"
-    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", recorded_workloads())
+def test_workload_report_bytes_are_unchanged(argv, digest):
+    assert report_digest(argv) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("certify", "--n-max", "50"), "704efa5b7b19a8977812495987ebc6b62026508e956a05ff2638e77a3473b4fc"),
+        (("report", "--n-max", "200"), "001fa159f17378fceb2d92d8deab13b8e73a3e0c1bf6d3c54b7953e00f66633b"),
+        (
+            ("gandhi", "--n-max", "5", "--samples", "20000"),
+            "f6f50c0a423e8705e1aa52793e57c6e204f7f7267d809ee6ffa369a59790c417",
+        ),
+    ],
+)
+def test_exact_json_report_bytes_are_unchanged(argv, digest):
+    # no benchmark workload writes a rational cell to JSON
+    assert report_digest([*argv, "--format", "json"]) == digest
 
 
 @pytest.mark.parametrize(

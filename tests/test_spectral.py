@@ -7,7 +7,6 @@ import pytest
 
 from primeforms.core import EstimatorColumns
 from primeforms.spectral import (
-    SpectralParams,
     calibrate_amplitude,
     cipolla_drift,
     least_squares_amplitude,
@@ -69,8 +68,7 @@ def test_oscillation_bounded_by_chebyshev_psi(table):
 
 def test_calibration_degenerate_window_gives_zero(table):
     # every oscillation in [3, 6] is the empty sum, so the regressor vanishes
-    params = SpectralParams(calib_lo=3, calib_hi=6)
-    assert calibrate_amplitude(params, table) == 0.0
+    assert calibrate_amplitude(3, 6, table) == 0.0
 
 
 def test_calibration_matches_grid_search_oracle(table):
@@ -94,9 +92,8 @@ def test_calibration_invariant_under_duplicated_window(table):
 
 
 def test_calibration_does_not_hurt_window_residual(table):
-    params = SpectralParams()
-    amplitude = calibrate_amplitude(params, table)
-    window = range(params.calib_lo, params.calib_hi + 1)
+    amplitude = calibrate_amplitude(10, 1000, table)
+    window = range(10, 1001)
     residuals = [table.nth(n) - cipolla_drift(n) for n in window]
     oscillations = [oscillation_sum(n, table) for n in window]
     ssr_zero = math.fsum(r * r for r in residuals)
@@ -105,22 +102,21 @@ def test_calibration_does_not_hurt_window_residual(table):
 
 
 def test_estimate_with_zero_amplitude_floors_the_drift(table):
-    columns = spectral_sweep(10, 5000, SpectralParams(amplitude=0.0), table)
+    columns = spectral_sweep(10, 5000, 0.0, table)
     for n in (10, 100, 5000):
         assert columns.floored[n - 10] == math.floor(cipolla_drift(n))
 
 
 def test_estimate_record_fields_are_consistent(table):
-    (n,), (p_n,), (estimate,), _, (residual,), (rel_error,) = spectral_sweep(100, 100, SpectralParams(0.05), table)
+    (n,), (p_n,), (estimate,), _, (residual,), (rel_error,) = spectral_sweep(100, 100, 0.05, table)
     assert (n, p_n) == (100, 541)
     assert residual == p_n - estimate
     assert rel_error == residual / p_n
 
 
 def test_sweep_is_deterministic(table):
-    params = SpectralParams(amplitude=0.0459)
-    first = spectral_sweep(10, 200, params, table)
-    second = spectral_sweep(10, 200, params, table)
+    first = spectral_sweep(10, 200, 0.0459, table)
+    second = spectral_sweep(10, 200, 0.0459, table)
     assert all(a == b for a, b in zip(first.estimate, second.estimate))
 
 
@@ -130,13 +126,13 @@ def bits(values):
 
 
 def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table):
-    params = SpectralParams(amplitude=0.0459)
+    amplitude = 0.0459
     # on some numpy builds, numpy's log differs from math.log in the last bit at n = 9170
     for n_lo, n_hi in ((3, 10_000), (3, 3), (997, 1_200)):
-        columns = spectral_sweep(n_lo, n_hi, params, table)
+        columns = spectral_sweep(n_lo, n_hi, amplitude, table)
         assert {len(getattr(columns, field)) for field in EstimatorColumns._fields} == {n_hi - n_lo + 1}
         for n in range(n_lo, n_hi + 1):
-            estimate = cipolla_drift(n) + params.amplitude * oscillation_sum(n, table)
+            estimate = cipolla_drift(n) + amplitude * oscillation_sum(n, table)
             residual = table.nth(n) - estimate
             expected = (n, table.nth(n), estimate, math.floor(estimate), residual, residual / table.nth(n))
             row = [getattr(columns, field)[n - n_lo] for field in EstimatorColumns._fields]
@@ -145,18 +141,20 @@ def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table):
 
 def test_calibrated_amplitude_is_the_scalar_fit_bit_for_bit(table):
     for lo, hi in ((10, 1_000), (3, 40), (997, 1_200)):
-        params = SpectralParams(calib_lo=lo, calib_hi=hi)
-        window = range(params.calib_lo, params.calib_hi + 1)
+        window = range(lo, hi + 1)
         residuals = [table.nth(n) - cipolla_drift(n) for n in window]
         oscillations = [oscillation_sum(n, table) for n in window]
         fit = math.fsum(r * o for r, o in zip(residuals, oscillations)) / math.fsum(o * o for o in oscillations)
-        assert calibrate_amplitude(params, table).hex() == fit.hex(), window
+        assert calibrate_amplitude(lo, hi, table).hex() == fit.hex(), window
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SpectralParams(calib_lo=2)
-    with pytest.raises(ValueError):
-        SpectralParams(calib_lo=10, calib_hi=10)
-    with pytest.raises(ValueError):
-        SpectralParams(amplitude=math.inf)
+def test_params_validation(small_table):
+    with pytest.raises(ValueError, match="start at n >= 3"):
+        calibrate_amplitude(2, 10, small_table)
+    with pytest.raises(ValueError, match="window is empty"):
+        calibrate_amplitude(10, 10, small_table)
+    with pytest.raises(ValueError, match="beyond the oracle range"):
+        calibrate_amplitude(10, len(small_table.primes) + 1, small_table)
+    for amplitude in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            spectral_sweep(3, 10, amplitude, small_table)
