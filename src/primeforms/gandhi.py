@@ -38,7 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, ResourceLimitError, _memory_budget, coprime_fraction
+from .core import DecimalFraction, InvariantViolation, PrimeTable, ResourceLimitError, _memory_budget, check_twins
+from .core import coprime_fraction, exact_decimals, to_decimal
 
 # The gate bounds output size: a row holds three P_n-bit rationals, and
 # the row for P_8 = 9699690 bits takes about 3 s to print in decimal.
@@ -60,10 +61,10 @@ class GandhiEvaluation:
     """Exact inclusion-exclusion record for one step of Gandhi's formula."""
 
     n: int
-    probability: Fraction  # survivor probability of the geometric(1/2) draw
-    half_excess: Fraction  # probability - 1/2
+    probability: DecimalFraction  # survivor probability of the geometric(1/2) draw
+    half_excess: DecimalFraction  # probability - 1/2
     extracted_prime: int  # the exponent m with 2^m * half_excess in (1, 2)
-    scaled_remainder: Fraction  # 2^m * half_excess - 1, lies in (0, 1/2)
+    scaled_remainder: DecimalFraction  # 2^m * half_excess - 1, lies in (0, 1/2)
     subset_count: int  # inclusion-exclusion terms evaluated (2^n - 1)
 
     def violations(self) -> list[str]:
@@ -101,6 +102,16 @@ def _spaced_ones(stride: int, count: int) -> int:
     return result
 
 
+def check_feasible(n: int, table: PrimeTable, allow_large: bool) -> None:
+    """ResourceLimitError for an n past the gate, unless `allow_large`."""
+    if n > FEASIBLE_N and not allow_large:
+        raise ResourceLimitError(
+            f"n={n} needs 2^{n} - 1 = {(1 << n) - 1} inclusion-exclusion terms over "
+            f"{table.primorial(n)}-bit integers; pass --allow-large-gandhi "
+            "(allow_large=True) to force it"
+        )
+
+
 def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False) -> Fraction:
     """Exact probability that a geometric(1/2) draw is coprime to the first n primes.
 
@@ -111,12 +122,7 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    if n > FEASIBLE_N and not allow_large:
-        raise ResourceLimitError(
-            f"n={n} needs 2^{n} - 1 = {(1 << n) - 1} inclusion-exclusion terms over "
-            f"{table.primorial(n)}-bit integers; pass --allow-large-gandhi "
-            "(allow_large=True) to force it"
-        )
+    check_feasible(n, table, allow_large)
     primes = table.primes[:n]
     exponent_total = table.primorial(n)
     numerator = 0
@@ -178,21 +184,36 @@ def float_log2_extraction(probability: Fraction) -> int:
     return math.floor(1.0 - math.log2(excess))
 
 
+def _readout(numerator, denominator, m: int) -> tuple:
+    """(numerator, denominator) of N/D, of N/D - 1/2 and of 2^m (N/D - 1/2) - 1, for ints or exact Decimals.
+
+    With N/D in lowest terms and D odd, as (2^P_n - 1)/g is, each pair is in lowest terms: 2N - D
+    is odd and shares no prime with D (2N shares none), and nor does (2N - D) 2^(m-1).
+    """
+    excess = 2 * numerator - denominator
+    return (numerator, denominator), (excess, 2 * denominator), (excess * (1 << m - 1) - denominator, denominator)
+
+
 def evaluate(n: int, table: PrimeTable, *, allow_large: bool = False) -> GandhiEvaluation:
-    """Full exact evaluation at step n: probability, extraction, remainder."""
+    """Full exact evaluation at step n: probability, extraction, remainder.
+
+    The rationals are `_readout` of (N, D, m), built with no gcd, each carrying its exact Decimals,
+    checked against the ints; D's is (Decimal(2)^P_n - 1)/g with g = (2^P_n - 1)/D small, so N is
+    the only integer converted to decimal.
+    """
     probability = survivor_probability(n, table, allow_large=allow_large)
-    half_excess = probability - Fraction(1, 2)
-    m = extract_prime(probability)
-    # Fraction's own gcds here run against 2^m and 1, never two huge operands.
-    scaled_remainder = half_excess * (1 << m) - 1
-    return GandhiEvaluation(
-        n=n,
-        probability=probability,
-        half_excess=half_excess,
-        extracted_prime=m,
-        scaled_remainder=scaled_remainder,
-        subset_count=(1 << n) - 1,
-    )
+    try:
+        m = extract_prime(probability)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"n={n}: {exc}") from None
+    exponent, (numerator, denominator) = table.primorial(n), probability.as_integer_ratio()
+    common = ((1 << exponent) - 1) // denominator  # g: a one-digit quotient, linear time
+    parts = _readout(numerator, denominator, m)
+    with exact_decimals():
+        twins = _readout(to_decimal(numerator), (to_decimal(2) ** exponent - 1) // common, m)
+        check_twins(f"n={n}", *zip(sum(parts, ()), sum(twins, ())))
+    probability, half_excess, scaled_remainder = (coprime_fraction(*p, t) for p, t in zip(parts, twins))
+    return GandhiEvaluation(n, probability, half_excess, m, scaled_remainder, subset_count=(1 << n) - 1)
 
 
 def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeTable) -> float:

@@ -382,56 +382,25 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
     return (_certificate_row(report, table) for report in reports), violations
 
 
-def _gandhi_rationals(evaluation: gandhi.GandhiEvaluation, table: core.PrimeTable) -> list:
-    """probability, half_excess and scaled_remainder as DecimalFractions, from one radix conversion.
-
-    With the probability N/D in lowest terms, D = (2^P_n - 1)/g is odd, so
-    half_excess is (2N - D)/(2D) and scaled_remainder is
-    ((2N - D) 2^(m-1) - D)/D, each in lowest terms.  D's Decimal is
-    Decimal(2)^P_n - 1 divided by the small g, so only N is converted.
-    """
-    values = (evaluation.probability, evaluation.half_excess, evaluation.scaled_remainder)
-    exponent, m = table.primorial(evaluation.n), evaluation.extracted_prime
-    common = ((1 << exponent) - 1) // values[0].denominator  # g: a one-digit quotient, linear time
-    with core.exact_decimals():
-        twin_d = (core.to_decimal(2) ** exponent - 1) // common
-        twin_n = core.to_decimal(values[0].numerator)
-        excess = 2 * twin_n - twin_d
-        decimals = [(twin_n, twin_d), (excess, 2 * twin_d), (excess * (1 << m - 1) - twin_d, twin_d)]
-        parts = [(value.numerator, value.denominator) for value in values]
-        core.check_twins(f"n={evaluation.n}", *zip(sum(parts, ()), sum(decimals, ())))
-    return [core.coprime_fraction(*part, twin) for part, twin in zip(parts, decimals)]
-
-
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_tabulated(table, hi + 1, "the extracted prime's ordinal")
-    rows, violations = [], []
-    for n in range(lo, hi + 1):
-        evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
-        violations.extend(evaluation.violations())
-        expected = table.nth(n + 1)
-        if evaluation.extracted_prime != expected:
-            violations.append(
-                f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}"
-            )
-        mc_estimate = gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table)
-        probability, half_excess, scaled_remainder = _gandhi_rationals(evaluation, table)
-        rows.append(
-            {
-                "source": "gandhi",
-                "n": n,
-                "p_n": table.nth(n),
-                "next_prime": expected,
-                "probability": probability,
-                "half_excess": half_excess,
-                "extracted_prime": evaluation.extracted_prime,
-                "scaled_remainder": scaled_remainder,
-                "subset_count": evaluation.subset_count,
-                "mc_estimate": mc_estimate,
-            }
-        )
-    return rows, violations
+    gandhi.check_feasible(hi, table, config.allow_large_gandhi)
+    ns = range(lo, hi + 1)  # draws refused, or failing to allocate, end the run before its report starts
+    estimates = [gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table) for n in ns]
+    violations = []
+
+    def rows():
+        for n, estimate in zip(ns, estimates):
+            evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
+            violations.extend(evaluation.violations())
+            expected = table.nth(n + 1)
+            if evaluation.extracted_prime != expected:
+                violations.append(f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}")
+            # each field of the evaluation is a report column
+            yield dict(vars(evaluation), source="gandhi", p_n=table.nth(n), next_prime=expected, mc_estimate=estimate)
+
+    return rows(), violations
 
 
 def _resolve_amplitude(config: RunConfig, table: core.PrimeTable, window_end: str) -> float:
@@ -547,8 +516,8 @@ _EXECUTORS = {
 def run(config: RunConfig, stream=None) -> int:
     """Dispatch one configured command; returns the process exit code.
 
-    Rows are written in ascending n as the command produces them (`certify`
-    and `report` stream them).  Invariants the rows break are printed after
+    Rows are written in ascending n as the command produces them (`certify`,
+    `report` and `gandhi` stream them).  Invariants the rows break are printed after
     the full report, with exit 1.  An InvariantViolation raised while rows
     are produced ends the report early: the rows before it stay written, on
     `stream`, on stdout or in --out alike, its message follows those of the

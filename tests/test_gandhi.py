@@ -1,6 +1,7 @@
 """Exact Gandhi-formula tests: inclusion-exclusion, extraction, Monte Carlo."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,13 +102,23 @@ def test_evaluation_sweep_matches_oracle(table):
         assert ev.violations() == []
 
 
-def test_scaled_remainder_matches_normalised_formula(table):
-    for n in range(1, 8):
-        ev = evaluate(n, table)
-        h = ev.half_excess
-        expected = Fraction(h.numerator << ev.extracted_prime, h.denominator) - 1
-        got = ev.scaled_remainder
-        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator), n
+def test_readout_is_the_normalised_fraction_arithmetic(table):
+    # coprime_fraction skips the gcd, so each pair must come out in lowest terms already;
+    # at n = 7 the Decimals are checked against str() by test_gandhi_rationals_print_as_plain_str
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the n = 6 terms have ~9k digits
+    try:
+        for n in range(1, 8):
+            ev = evaluate(n, table)
+            probability = survivor_probability(n, table)
+            half_excess = probability - Fraction(1, 2)
+            expected = (probability, half_excess, half_excess * 2**ev.extracted_prime - 1)
+            for got, want in zip((ev.probability, ev.half_excess, ev.scaled_remainder), expected):
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), n
+                if n < 7:
+                    assert tuple(map(str, got.decimals)) == (str(want.numerator), str(want.denominator)), n
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_probability_sandwich_exact(table):

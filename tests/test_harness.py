@@ -545,6 +545,10 @@ def test_gandhi_resource_limit_exit_code(capsys):
     config = RunConfig(command="gandhi", n=9, sieve_limit=LIMIT)
     assert run(config, stream=io.StringIO()) == EXIT_RESOURCE
     assert "--allow-large-gandhi" in capsys.readouterr().err  # the flag a CLI user can pass
+    # a sweep past the gate is refused before its first row, not after row 7
+    buffer = io.StringIO()
+    assert run(RunConfig(command="gandhi", n_max=8, sieve_limit=LIMIT), stream=buffer) == EXIT_RESOURCE
+    assert buffer.getvalue() == "" and "n=8 needs" in capsys.readouterr().err
 
 
 def test_usage_error_exit_codes():
@@ -743,15 +747,48 @@ def test_gandhi_flags_an_extraction_one_past_the_prime(monkeypatch, capsys):
         ]
 
 
+def test_gandhi_rows_before_a_violation_stay_written(monkeypatch, capsys):
+    # n = 1 extracts one past the prime; then n = 2's probability of 1/2 ends the report
+    real_probability, real_extract = gandhi.survivor_probability, gandhi.extract_prime
+    monkeypatch.setattr(gandhi, "extract_prime", lambda probability: real_extract(probability) + 1)
+    monkeypatch.setattr(
+        gandhi,
+        "survivor_probability",
+        lambda n, table, allow_large=False: Fraction(1, 2) if n == 2 else real_probability(n, table),
+    )
+    buffer = io.StringIO()
+    assert run(RunConfig(command="gandhi", n_max=2, samples=10_000, sieve_limit=1_000), stream=buffer) == EXIT_INVARIANT
+    header, *rows = buffer.getvalue().splitlines()
+    assert header == ",".join(REPORT_COLUMNS)
+    assert len(rows) == 1 and rows[0].startswith("gandhi,1,2,3,") and ",2/3,1/6,4,5/3,1," in rows[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "invariant violation: n=1: scaled remainder is not below 1/2",
+        "invariant violation: n=1: 2^m * half excess lies outside (1, 2)",
+        "invariant violation: n=1: extracted 4, oracle has 3",
+        "invariant violation: n=2: survivor probability does not exceed 1/2",
+    ]
+
+
+def test_gandhi_flags_a_decimal_twin_that_differs(monkeypatch, capsys):
+    # N's twin is one too large from n = 2 (N = 34) on; n = 1's N = 2 and the base of D's twin stay
+    real = gandhi.to_decimal
+    monkeypatch.setattr(gandhi, "to_decimal", lambda value: real(value) + 1 if value > 2 else real(value))
+    buffer = io.StringIO()
+    config = RunConfig(command="gandhi", n_max=3, fmt="json", samples=10_000, sieve_limit=1_000)
+    assert run(config, stream=buffer) == EXIT_INVARIANT
+    assert [row["n"] for row in json.loads(buffer.getvalue())] == [1]  # a closed array
+    assert capsys.readouterr().err == "invariant violation: n=2: a Decimal twin differs from its int modulo 2^61 - 1\n"
+
+
 @pytest.mark.parametrize(
     "config, mutation, probability, message",
     [
         # an excess of 0 over 1/2, which no doubling lifts past 1
         (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
-         Fraction(1, 2), "survivor probability does not exceed 1/2"),
+         Fraction(1, 2), "n=3: survivor probability does not exceed 1/2"),
         # an excess of 1/4, which doubling takes from 1/2 straight to 2
         (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
-         Fraction(3, 4), "no exponent places the scaled excess inside (1, 2)"),
+         Fraction(3, 4), "n=3: no exponent places the scaled excess inside (1, 2)"),
         # 1 listed as p_1 strikes every m, so nothing in [2, 2 p_1] survives
         (RunConfig(command="sieve-next", n=1, sieve_limit=20_000), {"insert": [1]}, None,
          "no filter survivor in [2, 2] for n=1; the scan range guarantees one"),
