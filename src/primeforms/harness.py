@@ -328,7 +328,8 @@ def _certificate_row(report: sieve_identity.CertificateReport, table: core.Prime
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
-            raise UsageError(f"command {config.command!r} needs --{name.replace('_', '-')}")
+            flag = "--X" if name == "x_upper" else f"--{name.replace('_', '-')}"
+            raise UsageError(f"command {config.command!r} needs {flag}")
 
 
 def _approx_limit(n: int) -> int:
@@ -386,7 +387,7 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_tabulated(table, hi + 1, "the extracted prime's ordinal")
     gandhi.check_feasible(hi, table, config.allow_large_gandhi)
-    ns = range(lo, hi + 1)  # draws refused, or failing to allocate, end the run before its report starts
+    ns = range(lo, hi + 1)  # draws refused end the run before its report starts
     estimates = [gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table) for n in ns]
     violations = []
 

@@ -199,7 +199,7 @@ def _reference_draws(samples, seed):
 
 def test_monte_carlo_matches_the_per_sample_estimate_bit_for_bit(table):
     seeds = (0, 1, 42, 12345)
-    for samples in (10_000, 10_001, 1_000_000):
+    for samples in (10_000, 10_001, 65_535, 65_536, 65_537, 1_000_000):
         draws = {seed: _reference_draws(samples, seed) for seed in seeds}
         # descending n with the seeds interleaved, so a stale memo shows
         for n in range(7, 0, -1):
