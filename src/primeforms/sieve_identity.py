@@ -10,9 +10,11 @@ float shadow of the same sum feeds the precision study.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +43,9 @@ class CertificateReport:
     def float_margin(self) -> float:
         return self.float_sum - 1.0
 
-    @property
+    @cached_property
     def float_gap(self) -> float:
-        """Signed float-vs-exact error of the harmonic sum."""
+        """Signed float-vs-exact error of the harmonic sum, converted once per report."""
         return self.float_sum - float(self.exact_sum)
 
     @property
@@ -101,12 +103,27 @@ def coprime_indicator(m: int, n: int, table: PrimeTable) -> int:
 def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, np.ndarray]]:
     """(n, passed) for n = lo..hi, where passed[m - 1] is the filter at m in [1, 2 p_n].
 
-    Both routes of the filter are kept as arrays over the window
-    [0, 2 p_hi] and advanced once per prime p_n.  The direct route strikes
-    the multiples of p_n.  The Möbius route holds, for every m, the sum of
-    mu(d) over the divisors d of P_n that divide m: the divisors p_n brings
-    are p_n times the earlier ones, and each adds mu(d) to the multiples of
-    d.  Each window is yielded only after the routes agreed on all of it.
+    `passed` is a read-only view of the one array the sweep strikes: it is
+    valid until the generator advances, so a caller that keeps a window
+    copies it.
+
+    Each m is checked when it enters the window [1, 2 p_n], and each prime
+    m again at n = pi(m); the first window, [1, 2 p_lo], is checked whole.
+    That checks every window whole: between steps both routes change only
+    at the multiples of p_n, the direct route by striking them and the
+    Möbius route through the divisors p_n brings to P_n, each p_n times an
+    old one and so p_n or at least 2 p_n.  In [1, 2 p_{n-1}] that leaves
+    m = p_n, so the routes agree on all of [1, 2 p_n] once they agree at
+    p_n and on the new tail (2 p_{n-1}, 2 p_n].  A mismatch is reported at
+    the same n and the same smallest m as a whole-window check reports it.
+
+    The Möbius route, the sum of mu(d) over the divisors d of P_n that
+    divide m, is summed once before the steps, each m at its entry step.
+    The divisors of P_hi in [1, 2 p_hi] are the products of distinct
+    primes up to p_hi, found from the prime list alone; only their weights
+    mu(d) are read from the Möbius table.  Each adds its weight to all its
+    multiples, but a prime p_n that enters an earlier window misses m = p_n
+    until the re-check at step n adds it.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"sweep needs 1 <= lo <= hi, not [{lo}, {hi}]")
@@ -114,39 +131,70 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     if bound > table.limit:
         raise ValueError(f"scan range [2, {bound}] is beyond sieve limit {table.limit}")
     mu = table.moebius_values(bound)
-    struck = np.zeros(bound + 1, dtype=bool)  # m has a prime factor <= p_n
-    divides = np.zeros(bound + 1, dtype=bool)  # d divides P_n
-    divides[1] = True
-    moebius_sum = np.full(bound + 1, mu[1], dtype=np.int32)  # d = 1 divides every m
-    for n, p in enumerate(table.primes[:hi], start=1):
-        struck[p::p] = True
-        new = p * divides[: bound // p + 1].nonzero()[0]
-        divides[new] = True
-        for d, weight in zip(new.tolist(), mu[new].tolist()):
-            moebius_sum[d::d] += weight
+    primes = table.primes[:hi]
+    # m <= bound has at most one prime factor above root = isqrt(bound).  So
+    # m is a product of distinct primes up to p_hi exactly when dividing it
+    # once by each prime up to root leaves 1 or one such prime above root.
+    root = math.isqrt(bound)
+    rest = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
+    for p in primes[: bisect_right(primes, root)]:
+        rest[p::p] //= p
+    listed = np.zeros(bound + 1, dtype=bool)
+    listed[primes] = True
+    divisors = ((rest == 1) | ((rest > root) & listed[rest])).nonzero()[0]
+    del rest, listed
+    moebius_sum = np.zeros(bound + 1, dtype=np.int32)
+    split = int(np.searchsorted(divisors, root, side="right"))
+    for d, weight in zip(divisors[:split].tolist(), mu[divisors[:split]].tolist()):
+        moebius_sum[d::d] += weight
+    large, weights = divisors[split:], mu[divisors[split:]]
+    counts = np.searchsorted(large, bound // np.arange(1, bound // (root + 1) + 1), side="right")
+    for k, count in enumerate(counts.tolist(), start=1):
+        moebius_sum[k * large[:count]] += weights[:count]  # distinct indices for one k
+    # a prime p_n <= 2 p_{n-1}, n > lo, enters an earlier window, before p_n divides P_n
+    later = np.array(primes[lo:], dtype=np.int64)
+    early = later[later <= 2 * np.array(primes[lo - 1 : -1], dtype=np.int64)]
+    moebius_sum[early] -= mu[early]
+
+    alive = np.ones(bound + 1, dtype=bool)  # m has no prime factor <= p_n
+    passed = alive.view()
+    passed.flags.writeable = False  # callers read the windows; only the sweep strikes
+    checked = 0  # the routes agree on [1, checked]
+
+    def mismatch(m: int, n: int) -> InvariantViolation:
+        return InvariantViolation(
+            f"filter mismatch at m={m}, n={n}: Möbius sum {moebius_sum[m]}, gcd test {int(alive[m])}"
+        )
+
+    for n, p in enumerate(primes, start=1):
+        alive[p::p] = False
         if n < lo:
             continue
+        if p <= checked:  # the re-check: the divisor p_n reaches m = p_n only now
+            moebius_sum[p] += mu[p]
+            if moebius_sum[p] != alive[p]:
+                raise mismatch(p, n)
         window = 2 * p
-        passed = ~struck[1 : window + 1]
-        mismatch = (moebius_sum[1 : window + 1] != passed).nonzero()[0]
-        if mismatch.size:
-            m = int(mismatch[0]) + 1
-            raise InvariantViolation(
-                f"filter mismatch at m={m}, n={n}: Möbius sum {moebius_sum[m]}, "
-                f"gcd test {int(passed[m - 1])}"
-            )
-        yield n, passed
+        tail = (moebius_sum[checked + 1 : window + 1] != alive[checked + 1 : window + 1]).nonzero()[0]
+        if tail.size:
+            raise mismatch(checked + 1 + int(tail[0]), n)
+        checked = window
+        yield n, passed[1 : window + 1]
 
 
 def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
     """Smallest filter survivor above 1 for each n in [lo, hi], from one sweep.
 
-    Both routes of the filter are checked on every m of Bertrand's range
-    [1, 2 p_n] for every swept n (see `_filter_windows`).
+    Both routes of the filter agree on every m of Bertrand's range
+    [1, 2 p_n] for every swept n: each m is checked when it enters that
+    range, and each prime m again at n = pi(m) (see `_filter_windows`).
+    Striking only removes survivors, so the scan for each n starts at the
+    survivor found for n - 1.
     """
     found = []
+    first = 2  # nothing in [2, first) passes
     for n, passed in _filter_windows(lo, hi, table):
-        first = int(np.argmax(passed[1:])) + 2  # 2 when nothing above 1 passed
+        first += int(np.argmax(passed[first - 1 :]))  # unchanged when nothing from first on passed
         if not passed[first - 1]:
             raise InvariantViolation(
                 f"no filter survivor in [2, {len(passed)}] for n={n}; the scan range guarantees one"

@@ -1,5 +1,6 @@
 """Filter, survivor scan, and exact certificate tests."""
 
+import io
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -21,7 +22,7 @@ from primeforms.sieve_identity import (
     next_prime_via_filter,
 )
 
-from reference import certificate_violations
+from reference import certificate_violations, filter_windows
 
 
 def test_filter_hand_values(table):
@@ -261,11 +262,18 @@ def test_scan_range_error_beyond_limit(small_table):
 
 
 def test_sweep_windows_match_scalar_filter(table):
-    windows = list(_filter_windows(1, 150, table))
+    # each window is a view, valid until the sweep advances
+    windows = [(n, passed.copy()) for n, passed in _filter_windows(1, 150, table)]
     assert [n for n, _ in windows] == list(range(1, 151))
     for n, passed in windows:
         expected = [coprime_indicator(m, n, table) for m in range(1, 2 * table.nth(n) + 1)]
         assert passed.astype(int).tolist() == expected, n
+
+
+def test_sweep_windows_are_read_only(table):
+    _, passed = next(_filter_windows(1, 5, table))
+    with pytest.raises(ValueError, match="read-only"):
+        passed[0] = False
 
 
 def test_sweep_starting_above_one_matches_full_sweep(table):
@@ -274,17 +282,22 @@ def test_sweep_starting_above_one_matches_full_sweep(table):
         next_prime_sweep(5, 4, table)
 
 
-@pytest.fixture
-def corrupt_moebius_six(monkeypatch):
-    """Every Möbius table read now has mu(6) = 0 instead of 1."""
+def _corrupt_moebius(monkeypatch, d):
+    """Every Möbius table read now has mu(d) = 0."""
     real = PrimeTable.moebius_values
 
     def corrupted(self, upto):
         mu = real(self, upto).copy()
-        mu[6] = 0
+        mu[d] = 0
         return mu
 
     monkeypatch.setattr(PrimeTable, "moebius_values", corrupted)
+
+
+@pytest.fixture
+def corrupt_moebius_six(monkeypatch):
+    """Every Möbius table read now has mu(6) = 0 instead of 1."""
+    _corrupt_moebius(monkeypatch, 6)
 
 
 def test_sweep_flags_a_corrupted_moebius_value(table, corrupt_moebius_six):
@@ -298,11 +311,62 @@ def test_sweep_flags_a_corrupted_moebius_value(table, corrupt_moebius_six):
         coprime_indicator(6, 2, table)
 
 
+def _sweep_outcome(sweep, lo, hi, table):
+    """(windows yielded, message of the InvariantViolation raised or None)."""
+    windows = []
+    try:
+        for n, passed in sweep(lo, hi, table):
+            windows.append((n, passed.astype(int).tolist()))
+    except InvariantViolation as err:
+        return windows, str(err)
+    return windows, None
+
+
+_BASE = sieve(5_000)
+
+
+@st.composite
+def _corruptions(draw):
+    """(lo, hi, (d, mu(d)) to write, or None, prime to drop, or None); one of the two is set."""
+    hi = draw(st.integers(1, 200))
+    lo = draw(st.one_of(st.just(1), st.integers(1, hi)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 2 * _BASE.nth(hi)))
+        real = int(_BASE.moebius_values(d)[d])
+        return lo, hi, (d, draw(st.sampled_from([v for v in (-2, -1, 0, 1, 2) if v != real]))), None
+    return lo, hi, None, _BASE.nth(draw(st.integers(1, hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_corruptions())
+@example(case=(1, 10, (6, 0), None))  # "m=6, n=2", in that step's tail
+@example(case=(1, 10, (7, 0), None))  # "m=7, n=4", the re-check of p_4
+@example(case=(3, 10, None, 3))  # p_2 = 5 lies beyond 2 p_1 = 4
+def test_sweep_matches_the_whole_window_reference_under_corruption(case):
+    lo, hi, write, drop = case
+    mutant = PrimeTable(limit=_BASE.limit, primes=[p for p in _BASE.primes if p != drop])
+    if write is not None:
+        mu = _BASE.moebius_values(2 * _BASE.nth(hi)).copy()
+        mu[write[0]] = write[1]
+        mutant.moebius_values = lambda upto: mu
+    assert _sweep_outcome(_filter_windows, lo, hi, mutant) == _sweep_outcome(filter_windows, lo, hi, mutant)
+
+
 def test_sieve_next_exits_one_on_a_corrupted_moebius_value(corrupt_moebius_six, capsys):
     from primeforms.harness import EXIT_INVARIANT, main
 
     assert main(["sieve-next", "--n-max", "10"]) == EXIT_INVARIANT
     assert "filter mismatch at m=6" in capsys.readouterr().err
+
+
+def test_sieve_next_exits_one_when_the_recheck_of_p_n_fails(monkeypatch, capsys):
+    # 7 enters [1, 2 p_3] = [1, 10] with only d = 1 dividing P_3, so it passes
+    # there; the re-check at n = 4 adds mu(7) = 0 and finds 7 struck
+    from primeforms.harness import EXIT_INVARIANT, RunConfig, run
+
+    _corrupt_moebius(monkeypatch, 7)
+    assert run(RunConfig(command="sieve-next", n_max=10), stream=io.StringIO()) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: filter mismatch at m=7, n=4: Möbius sum 1, gcd test 0\n"
 
 
 @pytest.fixture(scope="module")
