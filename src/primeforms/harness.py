@@ -16,11 +16,13 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import core, gandhi, sieve_identity, spectral, survival
 
@@ -189,10 +191,23 @@ def _lines(keys: tuple, columns, fmt: str):
     return map("".join, zip(*parts))
 
 
+class Block(NamedTuple):
+    """A report block of `rows` rows, made `piece` rows at a time by text(fmt, joiner, lo, hi).
+
+    text returns rows lo..hi-1, each line joined to the next by `joiner`.  Turns of
+    `turn` pieces alternate between this process and a forked worker.
+    """
+
+    rows: int
+    piece: int
+    turn: int
+    text: Callable[[str, str, int, int], str]
+
+
 def write_rows(rows, fmt: str, stream) -> None:
     """Write `rows`, each item as soon as it is produced, in the CSV or JSON report layout.
 
-    An item is a dict keyed by REPORT_COLUMNS ("" is a blank cell) or a block: lanes
+    An item is a dict keyed by REPORT_COLUMNS ("" is a blank cell), a Block, or lanes
     (keys, columns), all columns of one length, of which it writes row i of every lane
     in turn.  A failure while producing an item leaves the items before it written (a
     JSON array still closed).
@@ -205,7 +220,9 @@ def write_rows(rows, fmt: str, stream) -> None:
                 kept = {k: (v,) for k, v in item.items() if v.__class__ is not str or v}
                 chunks = nullcontext([joiner.join(_lines(tuple(kept), [*kept.values()], fmt))])
             else:
-                chunks = closing(_block_chunks(item, fmt, joiner))  # reaps its worker however this ends
+                block = item if isinstance(item, Block) else _lanes_block(item)
+                # closing reaps the block's worker however this ends
+                chunks = closing(_block_chunks(block, partial(block.text, fmt, joiner)))
             with chunks as texts:
                 for text in texts:
                     stream.write(separator + text)
@@ -215,32 +232,34 @@ def write_rows(rows, fmt: str, stream) -> None:
             stream.write("]\n" if separator == "\n" else "\n]\n")
 
 
-_CHUNK_LINES = 1024  # lines of a block formatted and written at a time
+_CHUNK_LINES = 1024  # lines of a lane block formatted and written at a time
 
 
-def _block_chunks(lanes, fmt: str, joiner: str):
-    """A block's rows as texts of `_CHUNK_LINES` lines, each line joined to the next by `joiner`.
-
-    A block of more than one chunk forks a worker that formats the odd-numbered
-    chunks and sends them back while this process formats the even-numbered ones;
-    chunks are yielded in order.  A chunk the worker did not deliver (it ended
-    early, or no worker started) is formatted here, so the bytes never depend on
-    it.  The worker is reaped when the generator ends or is closed.
-    """
+def _lanes_block(lanes) -> Block:
+    """Lanes as a Block of chunks of `_CHUNK_LINES` lines, one chunk a turn."""
     rows = min((len(columns[0]) for _, columns in lanes), default=0)
-    if not rows:
-        return
-    step = max(1, _CHUNK_LINES // len(lanes))
-    bounds = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    text = partial(_chunk_text, lanes, fmt, joiner)
+    return Block(rows, max(1, _CHUNK_LINES // len(lanes)), 1, partial(_chunk_text, lanes))
+
+
+def _block_chunks(block: Block, text):
+    """A block's pieces as texts, in order, from text(lo, hi) here or from a forked worker.
+
+    A block of more than one turn forks a worker that makes the pieces of the
+    odd-numbered turns and sends them back while this process makes those of the
+    even-numbered ones.  A piece the worker did not deliver (it ended early, or no
+    worker started) is made here, so the bytes never depend on it.  The worker is
+    reaped when the generator ends or is closed.
+    """
+    pieces = [(lo, min(lo + block.piece, block.rows)) for lo in range(0, block.rows, block.piece)]
+    worker = [k // block.turn % 2 == 1 for k in range(len(pieces))]  # in an odd-numbered turn
     pid = pipe = None
     try:
-        if len(bounds) > 1:
-            pid, pipe = _start_worker(text, bounds[1::2])
-        for k, bound in enumerate(bounds):
+        if len(pieces) > block.turn:
+            pid, pipe = _start_worker(text, [piece for piece, its in zip(pieces, worker) if its])
+        for piece, its in zip(pieces, worker):
             # once the pipe has ended, every later read ends at once too
-            chunk = _receive(pipe) if k % 2 and pipe is not None else None
-            yield text(*bound) if chunk is None else chunk
+            received = _receive(pipe) if its and pipe is not None else None
+            yield text(*piece) if received is None else received
     finally:
         if pid is not None:
             pipe.close()  # a worker still writing gets EPIPE and exits
@@ -267,9 +286,10 @@ def _start_worker(text, bounds) -> tuple:
     pid = done = None
     try:
         # numpy's thread pool makes this process multi-threaded, which Python 3.12+
-        # warns about.  On the commands' columns the worker runs only float.__repr__,
-        # int.__repr__, str joins and writes to the pipe it opens itself: no numpy
-        # call and no lock another thread could hold.
+        # warns about.  The pool serves BLAS calls, and no block's text makes one:
+        # the worker runs cell printing, str joins, the certificates' int and Decimal
+        # arithmetic, numpy's element-wise and indexing calls, and writes to the pipe
+        # it opens itself, so it takes no lock another thread could hold.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
@@ -375,12 +395,40 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     return [((("source", "n", "p_n", "next_prime"), columns),)], violations
 
 
+# Rows per turn of a certify block: at n = 2000 a worker's turn of 16 rows (about
+# 0.4 MB) fits the 1 MiB pipe, so the worker is not held up writing it; turns of
+# 64 rows (about 1.7 MB) were.
+_CERTIFY_TURN = 16
+
+
 def _run_certify(config: RunConfig, table: core.PrimeTable):
+    """Certificate rows for n = 1..n_max as a Block of one row a piece.
+
+    Each process sweeps the filter over every n and certifies the rows of its own
+    turns.  A worker delivers a row only if making it raised nothing and broke no
+    invariant; otherwise it ends, and this process makes that row and every later
+    one, so the report, the violations and their order are those of one process.
+    """
     _require(config, "n_max")
     _check_scan_range(table, config.n_max, "--n-max")
-    violations = []
-    reports = sieve_identity.certificate_sweep(config.n_max, table, violations)
-    return (_certificate_row(report, table) for report in reports), violations
+    violations, owner = [], os.getpid()
+    steps = sieve_identity.certificate_steps(config.n_max, table)
+
+    def text(fmt: str, joiner: str, lo: int, hi: int) -> str:
+        rows = []
+        for n, certify in steps:  # the calls come in ascending rows, the steps between them skipped
+            if n > lo:
+                report, found = certify()
+                if found and os.getpid() != owner:  # the worker ends; this process makes the row
+                    raise core.InvariantViolation(found[0])
+                violations.extend(found)
+                rows.append(_certificate_row(report, table))
+            if n == hi:
+                break
+        keys = tuple(rows[0])
+        return joiner.join(_lines(keys, [[row[key] for row in rows] for key in keys], fmt))
+
+    return [Block(config.n_max, 1, _CERTIFY_TURN, text)], violations
 
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -229,12 +229,13 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     q > 1 has no prime factor up to p_n, and a composite with that property
     exceeds 2 p_n, so the survivors above 1 are the primes in (p_n, 2 p_n].
     Their sum of 1/q, the margin, is kept as an unreduced pair N/D with D
-    their product, on the table from one call to the next.  A call for the
-    previous n + 1 advances it: p_n leaves the set, exactly, as
-    N' = (N - D/p_n)/p_n over D' = D/p_n (every other term D/q is a
-    multiple of p_n), and the primes in (2 p_{n-1}, 2 p_n] join it through
-    a small product tree.  Any other call builds the whole pair as one
-    product tree by binary splitting (Haible & Papanikolaou, "Fast
+    their product, on the table from one call to the next.  Kept for n0, it
+    advances for any later n up to the last prime it has joined: the primes
+    p_{n0+1}..p_n leave the set, exactly, as N' = (N - n_R D')/R over
+    D' = D/R, where n_R/R is their own sum with R their product (every
+    other term D/q is a multiple of R), and the primes up to 2 p_n join it
+    through a small product tree.  Any other call builds the whole pair as
+    one product tree by binary splitting (Haible & Papanikolaou, "Fast
     multiprecision evaluation of series of rational numbers", ANTS 1998).
     The pair is already in lowest terms: every q is a distinct prime, D is
     their product, and N = D/q (mod q) is nonzero mod each of them.  So the
@@ -254,15 +255,18 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
     memo = table._harmonic
     with exact_decimals():
-        if memo is not None and memo[0] == n - 1:
-            _, numerator, denominator, joined, (twin_n, twin_d) = memo
-            p = primes[n - 1]
-            denominator //= p
-            numerator = (numerator - denominator) // p
-            twin_d, rest_d = divmod(twin_d, p)  # `//` would drop a remainder unseen
-            twin_n, rest_n = divmod(twin_n - twin_d, p)
+        if memo is not None and memo[0] < n <= memo[3]:
+            start, numerator, denominator, joined, (twin_n, twin_d) = memo
+            n_r, r = _harmonic_split(primes, start, n)  # the terms that leave, p_{start+1}..p_n
+            denominator //= r
+            twin_d, rest_d = divmod(twin_d, r)  # `//` would drop a remainder unseen
+            if n - start > 1:  # n_R D' is D' when p_n alone leaves, so only a jump multiplies
+                numerator, twin_n = numerator - (n_r - 1) * denominator, twin_n - (n_r - 1) * twin_d
+            numerator = (numerator - denominator) // r
+            twin_n, rest_n = divmod(twin_n - twin_d, r)
             if rest_d or rest_n:
-                raise InvariantViolation(f"n={n}: the Decimal twin is not a multiple of p_n = {p}")
+                factor = f"p_n = {r}" if n - start == 1 else f"p_{start + 1} ··· p_n"
+                raise InvariantViolation(f"n={n}: the Decimal twin is not a multiple of {factor}")
             if hi > joined:
                 n2, d2 = _harmonic_split(primes, joined, hi)
                 numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
@@ -288,23 +292,62 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     )
 
 
-def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:
-    """Certificates for n = 1..n_max, each built as the caller asks for it.
+def _checked_certificate(
+    n: int, passed: np.ndarray, count: int, offsets: np.ndarray, table: PrimeTable
+) -> tuple[CertificateReport, list[str]]:
+    """The certificate for n and the invariants it breaks, given the filter's window at n.
 
-    The filter's survivors in [1, 2 p_n] must be 1 and the primes the
-    certificate summed, which checks both filter routes and its lemma (a
-    composite survivor exceeds 2 p_n).  A gather and a count check it: 1 and
-    each summed prime pass, and no more integers pass, for a superset of the
-    right size is the set itself.  Broken invariants go to `violations`.
+    `count` is a running count of the survivors in `passed`, and `offsets`
+    holds p - 1 for the primes p up to 2 p_n at least.  The survivors must
+    be 1 and the primes the certificate summed, which checks both filter
+    routes and its lemma (a composite survivor exceeds 2 p_n).  A gather
+    and a count check it: 1 and each summed prime pass, and no more
+    integers pass, for a superset of the right size is the set itself.
     """
+    report = harmonic_certificate(n, table)
+    found = report.violations()
+    hi = table.pi(len(passed))
+    if count != 1 + hi - n:  # a running count is recounted before it is reported
+        count = int(np.count_nonzero(passed))
+    if not (passed[0] and passed[offsets[n:hi]].all() and count == 1 + hi - n):
+        survivors = (passed.nonzero()[0] + 1).tolist()
+        stray = sorted(set(survivors).symmetric_difference([1, *table.primes[n:hi]]))
+        found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+    return report, found
+
+
+def certificate_steps(n_max: int, table: PrimeTable) -> Iterator[tuple[int, Callable[[], tuple]]]:
+    """(n, certify) for n = 1..n_max, where certify() is `_checked_certificate` at n.
+
+    A step costs the filter sweep's step and the survivor count; only the
+    steps a caller certifies build a certificate.  certify is valid until
+    the generator advances.  The count of survivors in [1, 2 p_n] is kept
+    from step to step: the new tail (2 p_{n-1}, 2 p_n] adds its survivors,
+    and striking p_n's multiples removes m = p_n, their only one in
+    [1, 2 p_{n-1}], if it passed before.  That is exact while each window
+    is the last one struck at p_n; `_checked_certificate` recounts a count
+    that disagrees with the certificate's over the whole window, so a
+    disagreement is reported only from a whole-window count.
+    """
+    count = seen = 0
     for n, passed in _filter_windows(1, n_max, table):
         if n == 1:  # the range is now validated; p - 1 for every prime the sweep sums
             offsets = np.array(table.primes[: table.pi(2 * table.nth(n_max))]) - 1
-        report = harmonic_certificate(n, table)
-        violations.extend(report.violations())
-        hi = table.pi(len(passed))
-        if not (passed[0] and passed[offsets[n:hi]].all() and np.count_nonzero(passed) == 1 + hi - n):
-            survivors = (passed.nonzero()[0] + 1).tolist()
-            stray = sorted(set(survivors).symmetric_difference([1, *table.primes[n:hi]]))
-            violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+        count += int(np.count_nonzero(passed[seen:]))
+        seen = len(passed)
+        yield n, partial(_checked_certificate, n, passed, count, offsets, table)
+        if n < n_max:  # p_{n+1} is struck next; it passes now unless a listed prime divides it
+            p = table.primes[n]
+            count -= p <= seen and bool(passed[p - 1])
+
+
+def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:
+    """Certificates for n = 1..n_max, each built as the caller asks for it.
+
+    Each is checked against the filter's survivors (see `_checked_certificate`);
+    broken invariants go to `violations`.
+    """
+    for _, certify in certificate_steps(n_max, table):
+        report, found = certify()
+        violations.extend(found)
         yield report

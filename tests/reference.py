@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from primeforms.core import InvariantViolation, PrimeTable, sieve
-from primeforms.sieve_identity import LN2_LOWER, CertificateReport
+from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_windows, harmonic_certificate
 from primeforms.survival import quadratic_form_value, squarefree_support
 
 
@@ -73,3 +73,16 @@ def filter_windows(lo: int, hi: int, table: PrimeTable):
                 f"gcd test {int(passed[m - 1])}"
             )
         yield n, passed
+
+
+def certificate_sweep(n_max: int, table: PrimeTable, violations: list):
+    """`sieve_identity.certificate_sweep` with the survivors compared over each whole window."""
+    for n, passed in _filter_windows(1, n_max, table):
+        report = harmonic_certificate(n, table)
+        violations.extend(report.violations())
+        hi = table.pi(len(passed))
+        survivors = (passed.nonzero()[0] + 1).tolist()
+        if survivors != [1, *table.primes[n:hi]]:
+            stray = sorted(set(survivors).symmetric_difference([1, *table.primes[n:hi]]))
+            violations.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+        yield report

@@ -36,6 +36,7 @@ from primeforms.harness import (
     main,
     run,
 )
+from primeforms.sieve_identity import certificate_sweep
 from primeforms.spectral import cipolla_drift
 
 LIMIT = 2_000_000
@@ -409,9 +410,12 @@ def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
 @pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
 def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
-    items, _ = harness._EXECUTORS[command](config, harness._table(LIMIT))
-    items = list(items)  # certify yields its rows; survival returns one block of two lanes
-    rows = [row for item in items for row in ([item] if isinstance(item, dict) else block_rows(item))]
+    table = harness._table(LIMIT)
+    items, _ = harness._EXECUTORS[command](config, table)
+    if command == "certify":  # one block whose rows are made as they are written
+        rows = [harness._certificate_row(report, table) for report in certificate_sweep(n_max, table, [])]
+    else:  # one block of two lanes
+        rows = block_rows(*items)
     assert written(items) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
@@ -522,6 +526,133 @@ def test_a_failed_write_reaps_the_worker(writes, error):
     with pytest.raises(error):
         harness.write_rows([forking_block(3073, 1)], "csv", FailingStream(writes, error))
     assert_no_child_left()
+
+
+TURN = harness._CERTIFY_TURN  # certify rows per turn; turns alternate, this process first
+
+
+def serial_certify(n_max, fmt="csv"):
+    """certify's report as one process writes it: a dict row per certificate of one sweep."""
+    table = harness._table(LIMIT)
+    return written([harness._certificate_row(report, table) for report in certificate_sweep(n_max, table, [])], fmt)
+
+
+def certify_report(n_max, fmt="csv", sieve_limit=LIMIT):
+    """(exit code, report) of certify run through `run`."""
+    buffer = io.StringIO()
+    code = run(RunConfig(command="certify", n_max=n_max, fmt=fmt, sieve_limit=sieve_limit), stream=buffer)
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_max", [TURN - 1, TURN, TURN + 1, 2 * TURN + 1, 600])
+def test_certify_turns_match_the_serial_writer(fmt, n_max):
+    assert certify_report(n_max, fmt) == (EXIT_OK, serial_certify(n_max, fmt))
+    assert_no_child_left()
+
+
+def _certify_worker_fails_at(first):
+    """A spoil under which the worker raises on its certificate for every n >= first."""
+
+    def spoil(monkeypatch):
+        parent, real = os.getpid(), harness.sieve_identity.harmonic_certificate
+
+        def failing(n, table):
+            if os.getpid() != parent and n >= first:
+                raise RuntimeError(f"the worker ends before sending row {n}")
+            return real(n, table)
+
+        monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", failing)
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda monkeypatch: monkeypatch.delattr(os, "fork"),
+        _fork_refused,
+        _certify_worker_fails_at(TURN + 1),  # at once
+        _certify_worker_fails_at(TURN + 4),  # after 3 rows
+        _certify_worker_fails_at(3 * TURN + 2),  # after its first turn and a row
+    ],
+    ids=["no fork", "fork refused", "worker fails at once", "after 3 rows", "in its second turn"],
+)
+def test_certify_rows_the_worker_does_not_deliver_are_made_here(monkeypatch, spoil):
+    n_max = 4 * TURN + 3
+    expected = [(EXIT_OK, serial_certify(n_max, fmt)) for fmt in ("csv", "json")]
+    spoil(monkeypatch)
+    assert [certify_report(n_max, fmt) for fmt in ("csv", "json")] == expected
+    assert_no_child_left()
+
+
+def test_certify_violation_in_a_worker_row_is_reported_as_by_one_process(monkeypatch, capsys):
+    # n = 20 is in the worker's first turn; its margin is 10^-40 short of 1/p_21 = 1/73
+    real = harness.sieve_identity.harmonic_certificate
+
+    def short(n, table):
+        report = real(n, table)
+        if n == TURN + 4:
+            report.margin = decimal_fraction(Fraction(1, report.next_prime) - Fraction(1, 10**40))
+        return report
+
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", short)
+    n_max = 4 * TURN + 3
+    forked = certify_report(n_max)
+    assert forked[0] == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: n=20: margin fell below 1/73\n"
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert certify_report(n_max) == forked
+    assert capsys.readouterr().err == "invariant violation: n=20: margin fell below 1/73\n"
+
+
+def test_certify_spoiled_twin_in_a_worker_row_leaves_the_serial_partial_report(monkeypatch, capsys):
+    # the running sum a certificate for n = 21, in the worker's first turn, starts from is
+    # doubled: the worker steps to it from n = 20, this process from n = 16, and both fail
+    real = harness.sieve_identity.harmonic_certificate
+
+    def spoiled(n, table):
+        if n == TURN + 5 and table._harmonic is not None:
+            *pair, (twin_n, twin_d) = table._harmonic
+            with core.exact_decimals():
+                table._harmonic = (*pair, (2 * twin_n, 2 * twin_d))
+        return real(n, table)
+
+    partial = "".join(serial_certify(4 * TURN + 3).splitlines(keepends=True)[: TURN + 5])
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", spoiled)
+    reports = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))  # its memo is left spoiled
+        reports.append(certify_report(4 * TURN + 3, sieve_limit=1_000))
+        assert_no_child_left()
+    assert reports == 2 * [(EXIT_INVARIANT, partial)]
+    assert capsys.readouterr().err == 2 * "invariant violation: n=21: a Decimal twin differs from its int modulo 2^61 - 1\n"
+
+
+def test_certify_twin_spoiled_before_a_jump_exits_one_naming_n(monkeypatch, capsys):
+    # this process certifies n = 33..48, then steps its running sum over the
+    # worker's turn 49..64 to n = 65 in one jump, which the spoiled twin fails
+    parent, real = os.getpid(), harness.sieve_identity.harmonic_certificate
+
+    def spoiled(n, table):
+        report = real(n, table)
+        if n == 3 * TURN and os.getpid() == parent:
+            *pair, (twin_n, twin_d) = table._harmonic
+            with core.exact_decimals():
+                table._harmonic = (*pair, (twin_n, 2 * twin_d))
+        return report
+
+    partial = "".join(serial_certify(5 * TURN).splitlines(keepends=True)[: 4 * TURN + 1])
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", spoiled)
+    monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))  # its memo is left spoiled
+    code, text = certify_report(5 * TURN, sieve_limit=1_000)
+    assert_no_child_left()
+    assert code == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: n=65: the Decimal twin is not a multiple of p_49 ··· p_n\n"
+    assert text == partial
 
 
 def test_survival_rows_interleave_by_n():
@@ -1148,20 +1279,22 @@ def test_a_chunk_failing_here_leaves_the_chunks_before_it(monkeypatch):
 
 
 def test_cli_closed_pipe_on_a_forking_block_leaves_no_process():
-    # the survival block is 196 chunks, written from this process and a forked worker
-    with subprocess.Popen(
-        [sys.executable, "-m", "primeforms", "survival", "--n-max", "100000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-    ) as proc:
-        assert proc.stdout.readline().startswith(b"source,n,")
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == EXIT_OK
-    assert "Traceback" not in stderr and "Exception ignored" not in stderr
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)  # the session's process group is empty
+    # the survival block is 196 chunks, and certify's 600 rows 38 turns, each
+    # written from this process and a forked worker
+    for argv in (["survival", "--n-max", "100000"], ["certify", "--n-max", "600"]):
+        with subprocess.Popen(
+            [sys.executable, "-m", "primeforms", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"source,n,")
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == EXIT_OK
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # the session's process group is empty
 
 
 def test_residuals_script_refuses_n_min_below_three():

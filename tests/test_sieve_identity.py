@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms.core import InvariantViolation, PrimeTable, sieve
+from primeforms.core import InvariantViolation, PrimeTable, exact_decimals, sieve
 from primeforms.sieve_identity import (
     LN2_LOWER,
     CertificateReport,
@@ -22,6 +22,7 @@ from primeforms.sieve_identity import (
     next_prime_via_filter,
 )
 
+import reference
 from reference import certificate_violations, filter_windows
 
 
@@ -148,8 +149,11 @@ def certificate_calls(draw):
     calls=[("main", 1), ("main", 2), ("main", 3), ("main", 3), ("main", 4), ("main", 10),
            ("main", 9), ("other", 4), ("main", 10), ("main", 11), ("main", 5), ("main", 6)]
 )
+# forward gaps: 60 -> 77 and 77 -> 93 jump within the joined primes, 93 -> 200 does not
+@example(calls=[("main", 60), ("main", 77), ("other", 80), ("main", 93), ("main", 200), ("main", 202)])
 def test_certificate_memo_matches_naive_sum_in_any_call_order(table, small_table, calls):
-    # each table advances its own running sum only on a call for its previous n + 1
+    # each table advances its own running sum on a call for any later n up to the
+    # primes it has joined, and builds it anew on any other
     tables = {"main": table, "other": small_table}
     for name, n in calls:
         assert_naive_sum_in_lowest_terms(harmonic_certificate(n, tables[name]), tables[name])
@@ -173,6 +177,49 @@ def test_certificate_decimals_print_the_binary_digits(table, small_table, limit,
             assert printed == [str(part) for value in values for part in (value.numerator, value.denominator)]
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+def cold_certificate(n, table):
+    """The certificate for n from a table with no running sum, so one product tree."""
+    return harmonic_certificate(n, PrimeTable(limit=table.limit, primes=table.primes))
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=st.integers(1, 2500), gaps=st.lists(st.integers(1, 60), min_size=1, max_size=8))
+@example(start=100, gaps=[17, 17, 1, 2, 40])
+def test_certificate_jumps_match_cold_certificates(table, start, gaps):
+    # a fresh table's running sum steps over each gap, by one division where the
+    # gap stays within the primes it has joined
+    table = PrimeTable(limit=table.limit, primes=table.primes)
+    n = start
+    for gap in [0, *gaps]:
+        n += gap
+        report, cold = harmonic_certificate(n, table), cold_certificate(n, table)
+        assert report == cold, n
+        assert [value.decimals for value in (report.margin, report.exact_sum)] == [
+            value.decimals for value in (cold.margin, cold.exact_sum)
+        ], n
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        # N - 2 (D/R) is then no multiple of R = p_11 ··· p_14
+        (lambda n, d: (n, 2 * d), "n=14: the Decimal twin is not a multiple of p_11 ··· p_n"),
+        # the jump divides exactly, then leaves 2 N' and 2 D'
+        (lambda n, d: (2 * n, 2 * d), "n=14: a Decimal twin differs from its int modulo 2^61 - 1"),
+    ],
+)
+def test_a_spoiled_twin_fails_a_jump_naming_n(table, spoil, message):
+    fresh = PrimeTable(limit=table.limit, primes=table.primes)
+    harmonic_certificate(10, fresh)
+    *pair, twins = fresh._harmonic
+    assert pair[3] >= 14  # p_14 = 43 is among the primes joined at n = 10, up to 2 p_10 = 58
+    with exact_decimals():
+        fresh._harmonic = (*pair, spoil(*twins))
+    with pytest.raises(InvariantViolation) as err:
+        harmonic_certificate(14, fresh)
+    assert str(err.value) == message
 
 
 def test_probe_running_sum_matches_cold_certificates(table):
@@ -350,6 +397,34 @@ def test_sweep_matches_the_whole_window_reference_under_corruption(case):
         mu[write[0]] = write[1]
         mutant.moebius_values = lambda upto: mu
     assert _sweep_outcome(_filter_windows, lo, hi, mutant) == _sweep_outcome(filter_windows, lo, hi, mutant)
+
+
+def _certified(sweep, n_max, table):
+    """(violations, message of the InvariantViolation raised or None) of a certificate sweep."""
+    violations = []
+    try:
+        for _ in sweep(n_max, table, violations):
+            pass
+    except InvariantViolation as err:
+        return violations, str(err)
+    return violations, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(1, 60),
+    drop=st.sets(st.sampled_from(_BASE.primes[:40]), max_size=3),
+    insert=st.sets(st.integers(4, 300).filter(lambda m: m not in _BASE.primes), max_size=3),
+)
+@example(n_max=12, drop={41}, insert=set())  # 41 survives from n = 9 on, unsummed
+@example(n_max=12, drop=set(), insert={25})  # 25 is summed from n = 6 on, struck by 5
+@example(n_max=30, drop={29}, insert={49})  # 29 survives unsummed; 49, struck by 7, leaves no survivor at its step
+def test_running_survivor_count_matches_whole_window_counts(n_max, drop, insert):
+    # the certificate's running count, on tables whose prime list lost and gained
+    # numbers, finds what a whole-window comparison finds, message for message
+    primes = sorted(set(_BASE.primes) - drop | insert)
+    tables = [PrimeTable(limit=_BASE.limit, primes=primes) for _ in range(2)]
+    assert _certified(certificate_sweep, n_max, tables[0]) == _certified(reference.certificate_sweep, n_max, tables[1])
 
 
 def test_sieve_next_exits_one_on_a_corrupted_moebius_value(corrupt_moebius_six, capsys):
