@@ -16,7 +16,7 @@ import math
 import sys
 
 from primeforms.core import DEFAULT_SIEVE_LIMIT, sieve
-from primeforms.harness import RunConfig, _estimator_lane, write_rows
+from primeforms.harness import RunConfig, _estimator_lane, _lanes_block, write_rows
 from primeforms.spectral import calibrate_amplitude, spectral_sweep
 from primeforms.survival import capacity_sweep, survival_sweep
 
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         names = sorted(sweeps, key=source_names.get)
         lanes = tuple(_estimator_lane(source_names[name], sweeps[name]) for name in names)
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_rows([lanes], "csv", handle)
+            write_rows([_lanes_block(lanes)], "csv", handle)
         print(f"wrote {sum(len(columns.n) for columns in sweeps.values())} records to {args.out}")
     return 0
 

@@ -11,8 +11,11 @@ Three formula families are implemented and profiled against a sieve oracle:
 
 The certificates and the estimators are computed as sweeps over a range of n
 (`certificate_sweep`, `spectral_sweep`, `survival_sweep`, `capacity_sweep`);
-a one-n sweep is the value at that n.  `core` holds the sieve oracle and
-arithmetic functions; `harness` is the CLI producing CSV/JSON reports.
+a one-n sweep is the value at that n.  Apart from `coprime_indicator` and
+`next_prime_via_filter`, the paper's filter written per m and per n, what
+is exported is what the CLI commands run.  `core` holds the sieve oracle
+and its arithmetic-function tables; `harness` is the CLI producing CSV/JSON
+reports.
 """
 
 from .core import (
@@ -21,15 +24,12 @@ from .core import (
     InvariantViolation,
     PrimeTable,
     ResourceLimitError,
-    log_integral,
     sieve,
 )
 from .gandhi import (
     GandhiEvaluation,
     evaluate,
     extract_prime,
-    float_log2_extraction,
-    geometric_divisibility,
     monte_carlo_survivor_fraction,
     survivor_probability,
 )
@@ -43,21 +43,14 @@ from .sieve_identity import (
 )
 from .spectral import (
     calibrate_amplitude,
-    cipolla_drift,
-    oscillation_sum,
     spectral_sweep,
 )
 from .survival import (
     EULER_GAMMA,
     SelbergSolution,
     brun_partial,
-    capacity,
-    capacity_fixed_point,
     capacity_sweep,
-    entropy,
-    mertens_sweep,
     selberg_minimize,
-    surprisal,
     survival_sweep,
 )
 
@@ -74,27 +67,17 @@ __all__ = [
     "brun_partial",
     "calibrate_amplitude",
     "certificate_sweep",
-    "capacity",
-    "capacity_fixed_point",
     "capacity_sweep",
-    "cipolla_drift",
     "coprime_indicator",
-    "entropy",
     "evaluate",
     "extract_prime",
-    "float_log2_extraction",
-    "geometric_divisibility",
     "harmonic_certificate",
-    "log_integral",
-    "mertens_sweep",
     "monte_carlo_survivor_fraction",
     "next_prime_sweep",
     "next_prime_via_filter",
-    "oscillation_sum",
     "selberg_minimize",
     "sieve",
     "spectral_sweep",
-    "surprisal",
     "survivor_probability",
     "survival_sweep",
 ]

@@ -1,10 +1,11 @@
-"""Exact arithmetic substrate: the prime-sieve oracle and arithmetic functions.
+"""Exact arithmetic substrate: the prime-sieve oracle and its arithmetic-function tables.
 
 Everything downstream trusts this module.  The sieve table is the ground
 truth for every exact claim in the package, and certificate-bearing
-arithmetic stays in `fractions.Fraction` / Python ints so no float ever
-touches a certified value.  Floats are confined to the estimator modules
-and to the explicit float-precision probes.
+arithmetic stays in `fractions.Fraction` / Python ints, printed through
+exact Decimal twins, so no float ever touches a certified value.  Floats
+are confined to the estimators' `EstimatorColumns` and to the
+certificates' float shadows, the precision study's probes.
 """
 
 from __future__ import annotations
@@ -363,43 +364,3 @@ def sieve(limit: int) -> PrimeTable:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).tolist())
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance tol."""
-
-    def node(lo, f_lo, f_mid, f_hi, hi):
-        return (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-
-    def split(lo, hi, f_lo, f_mid, f_hi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        f_lm = f(0.5 * (lo + mid))
-        f_rm = f(0.5 * (mid + hi))
-        left = node(lo, f_lo, f_lm, f_mid, mid)
-        right = node(mid, f_mid, f_rm, f_hi, hi)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return split(lo, mid, f_lo, f_lm, f_mid, left, 0.5 * tol, depth - 1) + split(
-            mid, hi, f_mid, f_rm, f_hi, right, 0.5 * tol, depth - 1
-        )
-
-    a, b = float(a), float(b)
-    f_a, f_b = f(a), f(b)
-    mid = 0.5 * (a + b)
-    f_mid = f(mid)
-    return split(a, b, f_a, f_mid, f_b, node(a, f_a, f_mid, f_b, b), tol, 60)
-
-
-def log_integral(x: float) -> float:
-    """Offset logarithmic integral: the integral of dt/ln t from 2 to x.
-
-    The integration range excludes the t = 1 singularity, so plain adaptive
-    Simpson at absolute tolerance 1e-10 suffices.  Comparison baseline only;
-    nothing exact is certified through this value.
-    """
-    if x < 2:
-        raise ValueError("log_integral is defined for x >= 2")
-    if x == 2:
-        return 0.0
-    return adaptive_simpson(lambda t: 1.0 / math.log(t), 2.0, float(x), 1e-10)

@@ -6,9 +6,8 @@ coprime to the first n primes expands, by inclusion-exclusion, into
 primes.  Every E divides the n-th primorial P_n, so each term is an exact
 integer multiple of 1/(2^(P_n) - 1) and the whole sum lives over that one
 denominator.  The next prime is then the unique exponent m placing
-2^m * (probability - 1/2) inside (1, 2), read off by exact doubling; a
-64-bit floor-log2 readout of the same quantity exists purely to exhibit
-where float arithmetic loses the signal.
+2^m * (probability - 1/2) inside (1, 2), read off by exact doubling; no
+float enters the readout.
 
 Golomb's reading ("A direct interpretation of Gandhi's formula", Amer.
 Math. Monthly 81, 1974) gives the same numerator a second way.  Write
@@ -52,10 +51,6 @@ MAX_SAMPLES = 10**9
 _DRAW_BATCH = 1 << 16  # uniforms `_draw_counts` holds at a time, 512 KiB whatever the count
 
 
-class CancellationError(ArithmeticError):
-    """Float evaluation lost the signal to rounding (catastrophic cancellation)."""
-
-
 @dataclass
 class GandhiEvaluation:
     """Exact inclusion-exclusion record for one step of Gandhi's formula."""
@@ -79,13 +74,6 @@ class GandhiEvaluation:
         return out
 
 
-def geometric_divisibility(d: int) -> Fraction:
-    """Probability that a geometric(1/2) draw is divisible by d: 1/(2^d - 1)."""
-    if d < 1:
-        raise ValueError("divisibility modulus must be a positive integer")
-    return Fraction(1, (1 << d) - 1)
-
-
 def _spaced_ones(stride: int, count: int) -> int:
     """Integer with `count` one-bits spaced `stride` apart: sum of 2^(j*stride).
 
@@ -105,10 +93,11 @@ def _spaced_ones(stride: int, count: int) -> int:
 def check_feasible(n: int, table: PrimeTable, allow_large: bool) -> None:
     """ResourceLimitError for an n past the gate, unless `allow_large`."""
     if n > FEASIBLE_N and not allow_large:
+        # neither 2^n - 1 nor P_n is printed: from n = 1230 on P_n has more digits than str()
+        # allows, and the primorial memo would keep every P_k up to P_n
         raise ResourceLimitError(
-            f"n={n} needs 2^{n} - 1 = {(1 << n) - 1} inclusion-exclusion terms over "
-            f"{table.primorial(n)}-bit integers; pass --allow-large-gandhi "
-            "(allow_large=True) to force it"
+            f"n={n} needs 2^{n} - 1 inclusion-exclusion terms over P_{n}-bit integers, "
+            f"P_{n} = 2 * 3 * ... * {table.nth(n)}; pass --allow-large-gandhi (allow_large=True) to force it"
         )
 
 
@@ -170,18 +159,6 @@ def extract_prime(probability: Fraction) -> int:
     if num >= 2 * den:
         raise InvariantViolation("no exponent places the scaled excess inside (1, 2)")
     return m
-
-
-def float_log2_extraction(probability: Fraction) -> int:
-    """Floor-log2 readout of the next prime, evaluated in 64-bit floats.
-
-    Exists only to compare against `extract_prime`; disagreements are
-    reported by callers, never fatal here.
-    """
-    excess = float(probability) - 0.5
-    if excess <= 0.0:
-        raise CancellationError("probability - 1/2 collapsed to <= 0 in 64-bit arithmetic")
-    return math.floor(1.0 - math.log2(excess))
 
 
 def _readout(numerator, denominator, m: int) -> tuple:

@@ -207,10 +207,9 @@ class Block(NamedTuple):
 def write_rows(rows, fmt: str, stream) -> None:
     """Write `rows`, each item as soon as it is produced, in the CSV or JSON report layout.
 
-    An item is a dict keyed by REPORT_COLUMNS ("" is a blank cell), a Block, or lanes
-    (keys, columns), all columns of one length, of which it writes row i of every lane
-    in turn.  A failure while producing an item leaves the items before it written (a
-    JSON array still closed).
+    An item is a dict keyed by REPORT_COLUMNS ("" is a blank cell) or a Block.  A
+    failure while producing an item leaves the items before it written (a JSON array
+    still closed).
     """
     separator, joiner = ("", "") if fmt == "csv" else ("\n", ",\n")
     stream.write(",".join(REPORT_COLUMNS) + "\r\n" if fmt == "csv" else "[")
@@ -219,10 +218,8 @@ def write_rows(rows, fmt: str, stream) -> None:
             if isinstance(item, dict):
                 kept = {k: (v,) for k, v in item.items() if v.__class__ is not str or v}
                 chunks = nullcontext([joiner.join(_lines(tuple(kept), [*kept.values()], fmt))])
-            else:
-                block = item if isinstance(item, Block) else _lanes_block(item)
-                # closing reaps the block's worker however this ends
-                chunks = closing(_block_chunks(block, partial(block.text, fmt, joiner)))
+            else:  # closing reaps the block's worker however this ends
+                chunks = closing(_block_chunks(item, partial(item.text, fmt, joiner)))
             with chunks as texts:
                 for text in texts:
                     stream.write(separator + text)
@@ -236,7 +233,8 @@ _CHUNK_LINES = 1024  # lines of a lane block formatted and written at a time
 
 
 def _lanes_block(lanes) -> Block:
-    """Lanes as a Block of chunks of `_CHUNK_LINES` lines, one chunk a turn."""
+    """Lanes (keys, columns), all columns of one length, as a Block of chunks of `_CHUNK_LINES`
+    lines, one chunk a turn; row i of every lane is written in turn."""
     rows = min((len(columns[0]) for _, columns in lanes), default=0)
     return Block(rows, max(1, _CHUNK_LINES // len(lanes)), 1, partial(_chunk_text, lanes))
 
@@ -392,7 +390,7 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
     violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
     columns = (["sieve_identity"] * len(ns), ns, table.primes[lo - 1 : hi], found)
-    return [((("source", "n", "p_n", "next_prime"), columns),)], violations
+    return [_lanes_block(((("source", "n", "p_n", "next_prime"), columns),))], violations
 
 
 # Rows per turn of a certify block: at n = 2000 a worker's turn of 16 rows (about
@@ -470,7 +468,7 @@ def _run_spectral(config: RunConfig, table: core.PrimeTable):
         columns = spectral.spectral_sweep(3, config.n_max, amplitude, table)
     except OverflowError as exc:
         raise UsageError(f"{exc}; pass a smaller --alpha") from None
-    return [(_estimator_lane("spectral", columns),)], []
+    return [_lanes_block((_estimator_lane("spectral", columns),))], []
 
 
 def _run_survival(config: RunConfig, table: core.PrimeTable):
@@ -480,7 +478,7 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
     _check_tabulated(table, config.n_max, "--n-max")
     grown = survival.survival_sweep(3, config.n_max, table)
     capped = survival.capacity_sweep(3, config.n_max, table)
-    return [(_estimator_lane("survival", grown), _estimator_lane("capacity", capped))], []
+    return [_lanes_block((_estimator_lane("survival", grown), _estimator_lane("capacity", capped)))], []
 
 
 def _run_selberg(config: RunConfig, table: core.PrimeTable):

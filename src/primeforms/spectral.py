@@ -11,57 +11,24 @@ exactly zero.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .core import EstimatorColumns, PrimeTable
 
 
-def _cipolla(n, log_n, loglog):
-    """n times Cipolla's bracket, for one n or for float64 columns, in one operation order."""
-    return n * (
+def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Cipolla's drift and the cosine sum up to isqrt(drift), n in [n_lo, n_hi], as float64 columns on
+    `math.log` values; the cosine terms are evaluated per block of n that share a cutoff, each row `math.fsum`med."""
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    log_n = np.fromiter(map(math.log, range(n_lo, n_hi + 1)), np.float64, len(ns))
+    loglog = np.fromiter(map(math.log, memoryview(log_n)), np.float64, len(ns))
+    # n times Cipolla's five-term bracket in powers of 1/ln n
+    drift = ns * (
         log_n + loglog - 1.0 + (loglog - 2.0) / log_n
         - (loglog * loglog - 6.0 * loglog + 11.0) / (2.0 * log_n * log_n)
     )
-
-
-def cipolla_drift(n: int) -> float:
-    """Five-term asymptotic expansion of the n-th prime in powers of 1/ln n."""
-    if n <= 1:
-        raise ValueError("drift needs n >= 2 so that ln ln n is defined")
-    if n == 2:
-        warnings.warn("ln ln 2 < 0: the expansion is unreliable at n = 2", stacklevel=2)
-    return _cipolla(n, math.log(n), math.log(math.log(n)))
-
-
-def oscillation_sum(n: int, table: PrimeTable) -> float:
-    """Von Mangoldt cosine sum over 2 <= k <= floor(sqrt(drift(n))).
-
-    Accumulation is error-compensated (exact float summation), ascending in
-    k.  A cutoff below k = 2 (including negative drift at very small n)
-    yields the empty sum.
-    """
-    if n < 3:
-        raise ValueError("oscillation sum needs n >= 3")
-    drift = cipolla_drift(n)
-    if drift < 4.0:
-        return 0.0
-    cutoff = math.isqrt(int(drift))
-    if cutoff > table.limit:
-        raise ValueError(f"spectral cutoff {cutoff} is beyond sieve limit {table.limit}")
-    _, log_ks, weights = table.mangoldt_points(cutoff)
-    terms = weights * np.cos((2.0 * math.pi * n) / log_ks)
-    return math.fsum(terms.tolist())
-
-
-def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """cipolla_drift(n) and oscillation_sum(n, table), n in [n_lo, n_hi], as float64 columns on `math.log`
-    values; the cosine terms are evaluated per block of n that share a cutoff, each row `math.fsum`med."""
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    log_n = np.fromiter(map(math.log, range(n_lo, n_hi + 1)), np.float64, len(ns))
-    drift = _cipolla(ns, log_n, np.fromiter(map(math.log, memoryview(log_n)), np.float64, len(ns)))
-    del log_n
+    del log_n, loglog
     # isqrt(int(drift)) as floats, exact while drift < 2^52; the sum is empty below drift 4
     cutoffs = np.sqrt(np.floor(np.maximum(drift, 0.0))).astype(np.int64)
     cutoffs[drift < 4.0] = 0

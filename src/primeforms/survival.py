@@ -1,13 +1,13 @@
-"""Survival-dynamics toolkit: Mertens products, sieve entropy, the capacity
+"""Survival-dynamics toolkit: the growth-product estimator, the capacity
 identity with Selberg-optimal weights, and Brun partial sums.
 
 The common thread is the survival rate of integers under sieving by the
 first n primes.  Mertens' third theorem pins its asymptotic scale at
-e^(-gamma)/ln p_n; the entropy and growth-product estimator reinterpret the
-same depletion as accumulated information cost; the Selberg quadratic form
-replaces the binary Möbius filter with real weights of minimal "resistance";
-and the capacity sum V(z) turns those weights into a density estimate.
-Estimator accuracy is never asserted, only measured against the oracle.
+e^(-gamma)/ln p_n; the growth-product estimator accumulates the same
+depletion as one running product; the Selberg quadratic form replaces the
+binary Möbius filter with real weights of minimal "resistance"; and the
+capacity sum V(z) turns those weights into a density estimate.  Estimator
+accuracy is never asserted, only measured against the oracle.
 """
 
 from __future__ import annotations
@@ -17,62 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimatorColumns, InvariantViolation, PrimeTable, ResourceLimitError, adaptive_simpson, sieve
+from .core import EstimatorColumns, InvariantViolation, PrimeTable, ResourceLimitError, sieve
 
 # Euler-Mascheroni constant, 50 digits (rounds to the nearest float64).
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
-
-ENTROPY_TOLERANCE = 1e-9  # adaptive-quadrature tolerance of `entropy`
-
-
-# -- Mertens products ------------------------------------------------------
-
-
-def mertens_sweep(n_max: int, table: PrimeTable) -> list[tuple[int, float, float]]:
-    """(n, product, ratio) for n = 1..n_max: product = prod(1 - 1/p_k, k <= n), one running product
-    in ascending k, and ratio = product * ln(p_n) / e^(-gamma), which Mertens' third theorem drives to 1.
-    """
-    table.nth(n_max)
-    out = []
-    product = 1.0
-    scale = math.exp(-EULER_GAMMA)
-    for i, p in enumerate(table.primes[:n_max], start=1):
-        product *= 1.0 - 1.0 / p
-        out.append((i, product, product * math.log(p) / scale))
-    return out
-
-
-# -- entropy and surprisal -------------------------------------------------
-
-
-def surprisal(x: float) -> float:
-    """Information content of primality at x: log2(ln x)."""
-    if x <= 1:
-        raise ValueError("surprisal needs x > 1")
-    return math.log2(math.log(x))
-
-
-def entropy_integrand(x: float) -> float:
-    """ln(ln x)/ln x, the density put under the quadrature form of the entropy."""
-    return math.log(math.log(x)) / math.log(x)
-
-
-def entropy(n: int) -> tuple[float, float]:
-    """Accumulated sieve entropy up to n: discrete sum and quadrature form.
-
-    The k-th term scores the heuristic density 1/ln k; the integral form is
-    the adaptive quadrature of ln(ln x)/ln x over [2, n].  Both are returned
-    so callers can report their gap.
-    """
-    if n < 3:
-        raise ValueError("entropy needs n >= 3")
-    terms = []
-    for k in range(2, n + 1):
-        density = 1.0 / math.log(k)
-        terms.append(-density * math.log(density))
-    sum_form = math.fsum(terms)
-    integral_form = adaptive_simpson(entropy_integrand, 2.0, float(n), ENTROPY_TOLERANCE)
-    return sum_form, integral_form
 
 
 # -- growth-product estimator ------------------------------------------------
@@ -211,24 +159,14 @@ def _capacity_terms(z_max: int, table: PrimeTable) -> np.ndarray:
     return np.where(mu != 0, 1.0 / phi, 0.0)
 
 
-def capacity(z: int, table: PrimeTable) -> tuple[float, float]:
-    """Cumulative sieve capacity V(z) = sum_{d<z} mu^2(d)/phi(d) and its reciprocal.
-
-    The structural weight is fixed to the Euler totient, the classical
-    choice for the prime sieve, so reported values are V_phi.  V(z) is the
-    running sum of `_capacity_terms` that `capacity_sweep` reads.
-    """
-    if z < 2:
-        raise ValueError("need z >= 2 so the d = 1 term is present")
-    v = float(np.cumsum(_capacity_terms(z, table))[-1])
-    return v, 1.0 / v
-
-
 def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     """Capacity-identity estimates n * V(z) at sieve level z = max(2, isqrt(p_n)), n in [n_lo, n_hi].
 
-    z depends on the p_n it estimates, so the oracle p_n feeds it and the
-    residual measures the identity, its sub-leading remainder carried as zero.
+    V(z) = sum_{d<z} mu^2(d)/phi(d): the structural weight is fixed to the
+    Euler totient, the classical choice for the prime sieve, so the values
+    are V_phi.  z depends on the p_n it estimates, so the oracle p_n feeds
+    it and the residual measures the identity, its sub-leading remainder
+    carried as zero.
     """
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
@@ -238,19 +176,6 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
     np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)
     return EstimatorColumns.against(n_lo, p_n, estimates)
-
-
-def capacity_fixed_point(n: int, table: PrimeTable) -> EstimatorColumns:
-    """The capacity estimate at n as one row, z bootstrapped instead of read off the oracle.
-
-    z starts at max(2, isqrt(n ln n)) and is replaced twice by max(2, isqrt(n V(z))).
-    """
-    if n < 2:
-        raise ValueError("capacity estimate needs n >= 2")
-    z = max(2, math.isqrt(int(n * math.log(n))))
-    for _ in range(2):
-        z = max(2, math.isqrt(int(n * capacity(z, table)[0])))
-    return EstimatorColumns.against(n, [table.nth(n)], [n * capacity(z, table)[0]])
 
 
 # -- Brun partial sums --------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 
 from primeforms.core import InvariantViolation, PrimeTable, sieve
 from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_windows, harmonic_certificate
-from primeforms.survival import quadratic_form_value, squarefree_support
+from primeforms.survival import _capacity_terms, quadratic_form_value, squarefree_support
 
 
 def von_mangoldt(table: PrimeTable, k: int) -> float:
@@ -16,6 +16,31 @@ def von_mangoldt(table: PrimeTable, k: int) -> float:
         raise ValueError("von Mangoldt weight is defined on positive integers")
     factors = table.factorize(k)  # empty at k = 1
     return math.log(factors[0][0]) if len(factors) == 1 else 0.0
+
+
+def cipolla_drift(n: int) -> float:
+    """Cipolla's five-term expansion of p_n in powers of 1/ln n, in the kernel's operation order."""
+    log_n = math.log(n)
+    loglog = math.log(log_n)
+    return n * (
+        log_n + loglog - 1.0 + (loglog - 2.0) / log_n
+        - (loglog * loglog - 6.0 * loglog + 11.0) / (2.0 * log_n * log_n)
+    )
+
+
+def oscillation_sum(n: int, table: PrimeTable) -> float:
+    """Von Mangoldt cosine sum over 2 <= k <= isqrt(drift(n)), `math.fsum`med in ascending k; empty below drift 4."""
+    drift = cipolla_drift(n)
+    if drift < 4.0:
+        return 0.0
+    _, log_ks, weights = table.mangoldt_points(math.isqrt(int(drift)))
+    return math.fsum((weights * np.cos((2.0 * math.pi * n) / log_ks)).tolist())
+
+
+def capacity(z: int, table: PrimeTable) -> tuple[float, float]:
+    """V(z) = sum_{d<z} mu^2(d)/phi(d), the running sum of `_capacity_terms`, and its reciprocal."""
+    v = float(np.cumsum(_capacity_terms(z, table))[-1])
+    return v, 1.0 / v
 
 
 def moebius_truncation_value(x: int, z: int) -> float:

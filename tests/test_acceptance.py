@@ -21,22 +21,17 @@ from primeforms.gandhi import (
 )
 from primeforms.harness import EXIT_OK, RunConfig, _precision_rows, run
 from primeforms.sieve_identity import next_prime_via_filter
-from primeforms.spectral import (
-    calibrate_amplitude,
-    cipolla_drift,
-    oscillation_sum,
-    spectral_sweep,
-)
+from primeforms.spectral import calibrate_amplitude, spectral_sweep
 from primeforms.survival import (
+    EULER_GAMMA,
     brun_partial,
     capacity_sweep,
-    mertens_sweep,
     quadratic_form_value,
     selberg_minimize,
     survival_sweep,
 )
 
-from reference import moebius_truncation_value
+from reference import cipolla_drift, moebius_truncation_value, oscillation_sum
 
 
 def _verdict(name: str, failures: list) -> None:
@@ -105,8 +100,12 @@ def test_c04_gandhi_monte_carlo(table):
 
 def test_c05_mertens_normalized_ratio(table):
     # oracle pre-run measured the ratio inside [0.9984, 1.0000] on this range
+    # the product of (1 - 1/p_k) over k <= n, in ascending k, times ln p_n / e^(-gamma)
     failures = []
-    for n, _, ratio in mertens_sweep(100_000, table):
+    product, scale = 1.0, math.exp(-EULER_GAMMA)
+    for n, p in enumerate(table.primes[:100_000], start=1):
+        product *= 1.0 - 1.0 / p
+        ratio = product * math.log(p) / scale
         if n >= 1_000 and not 0.9 < ratio < 1.1:
             failures.append(f"ratio {ratio} at n={n}")
     _verdict("C05 Mertens ratio in (0.9, 1.1) on [1e3, 1e5]", failures)
@@ -115,8 +114,9 @@ def test_c05_mertens_normalized_ratio(table):
 def test_c06_cipolla_drift_accuracy(table):
     # oracle pre-run: max deviation 0.0921 on [100, 1e4) and 0.0047 on [1e4, 1e5]
     failures = []
-    for n in range(100, 100_001):
-        deviation = abs(cipolla_drift(n) / table.nth(n) - 1.0)
+    drift = spectral_sweep(100, 100_000, 0.0, table)  # amplitude 0: each estimate is the drift exactly
+    for n, p_n, estimate in zip(drift.n, drift.p_n, drift.estimate):
+        deviation = abs(estimate / p_n - 1.0)
         if deviation >= 0.10:
             failures.append(f"deviation {deviation} at n={n}")
         if n >= 10_000 and deviation >= 0.01:

@@ -7,13 +7,12 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeforms import core
-from primeforms.core import TWIN_MODULUS, ResourceLimitError, _twin_residue, coprime_fraction, log_integral, sieve
+from primeforms.core import TWIN_MODULUS, ResourceLimitError, _twin_residue, coprime_fraction, sieve
 
 from reference import von_mangoldt
 
@@ -300,35 +299,6 @@ def test_twin_residue_is_the_remainder():
     for value in values:
         assert _twin_residue(value) == value % m, value.bit_length()
         assert _twin_residue(-value) == -value % m, value.bit_length()
-
-
-# -- offset logarithmic integral -----------------------------------------------------
-
-
-def u_trapezoid_oracle(x: float, points: int = 1 << 17) -> float:
-    """Dense trapezoid of the log-substituted integrand e^u/u over [ln 2, ln x]."""
-    u = np.linspace(math.log(2.0), math.log(x), points + 1)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # np.trapezoid is numpy >= 2.0
-    return float(trapezoid(np.exp(u) / u, u))
-
-
-def test_log_integral_at_two_is_zero():
-    assert log_integral(2) == 0.0
-
-
-def test_log_integral_rejects_below_two():
-    with pytest.raises(ValueError):
-        log_integral(1.5)
-
-
-def test_log_integral_ten_matches_trapezoid_oracle():
-    oracle = u_trapezoid_oracle(10.0)
-    assert abs(log_integral(10) - oracle) <= 1e-9 * oracle
-
-
-def test_log_integral_million_matches_trapezoid_oracle():
-    oracle = u_trapezoid_oracle(1e6)
-    assert abs(log_integral(10**6) - oracle) <= 1e-8 * oracle
 
 
 # -- table utilities -----------------------------------------------------------------

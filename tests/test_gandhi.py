@@ -6,36 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from primeforms import gandhi
 from primeforms.core import ResourceLimitError
-from primeforms.gandhi import (
-    CancellationError,
-    evaluate,
-    extract_prime,
-    float_log2_extraction,
-    geometric_divisibility,
-    monte_carlo_survivor_fraction,
-    survivor_probability,
-)
-
-
-def test_geometric_divisibility_hand_values():
-    assert geometric_divisibility(1) == 1
-    assert geometric_divisibility(2) == Fraction(1, 3)
-    assert geometric_divisibility(30) == Fraction(1, 2**30 - 1)
-    with pytest.raises(ValueError):
-        geometric_divisibility(0)
-
-
-@given(d=st.integers(2, 60))
-def test_geometric_divisibility_is_the_geometric_series(d):
-    # partial sums of 2^-(kd) converge to 1/(2^d - 1); 40 terms pin it exactly
-    partial = sum(Fraction(1, 2 ** (k * d)) for k in range(1, 40))
-    tail_bound = Fraction(2, 2 ** (40 * d))
-    assert partial < geometric_divisibility(d) < partial + tail_bound
+from primeforms.gandhi import evaluate, extract_prime, monte_carlo_survivor_fraction, survivor_probability
 
 
 def test_probability_hand_values(table):
@@ -127,33 +101,6 @@ def test_probability_sandwich_exact(table):
         next_p = table.nth(n + 1)
         lower = Fraction(1, 2) + Fraction(1, 2**next_p)
         assert lower < probability < lower + Fraction(1, 2 ** (next_p + 1)), n
-
-
-def test_float_extraction_hand_values(table):
-    assert float_log2_extraction(survivor_probability(1, table)) == 3
-    assert float_log2_extraction(survivor_probability(2, table)) == 5
-
-
-def test_float_extraction_sweep_records_disagreements(table):
-    # output, not an assertion: record where the 64-bit path first diverges
-    disagreements = []
-    for n in range(1, 8):
-        probability = survivor_probability(n, table)
-        try:
-            float_m = float_log2_extraction(probability)
-        except CancellationError:
-            disagreements.append(n)
-            continue
-        if float_m != extract_prime(probability):
-            disagreements.append(n)
-    assert isinstance(disagreements, list)  # shape only; emptiness not asserted
-
-
-def test_float_extraction_reports_catastrophic_cancellation():
-    # a probability whose excess over 1/2 is far below float resolution
-    collapsed = Fraction(1, 2) + Fraction(1, 2**200)
-    with pytest.raises(CancellationError):
-        float_log2_extraction(collapsed)
 
 
 def test_resource_limit_above_seven(table):

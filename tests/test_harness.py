@@ -37,7 +37,8 @@ from primeforms.harness import (
     run,
 )
 from primeforms.sieve_identity import certificate_sweep
-from primeforms.spectral import cipolla_drift
+
+from reference import cipolla_drift
 
 LIMIT = 2_000_000
 
@@ -394,7 +395,7 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
         else:
             json.dump([dict(zip(REPORT_COLUMNS, values)) for values in expected], buffer, indent=1)
             buffer.write("\n")
-        assert written([*rows, block], fmt) == buffer.getvalue(), fmt
+        assert written([*rows, harness._lanes_block(block)], fmt) == buffer.getvalue(), fmt
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -402,7 +403,7 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
 def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
     # a plain Fraction has no Decimals to print, and a bool or numpy int prints unlike an int
     kind = f"{type(value).__module__}.{type(value).__qualname__}"
-    for rows in ([{"margin": value}], [((("n", "margin"), ([1], [value])),)]):
+    for rows in ([{"margin": value}], [harness._lanes_block(((("n", "margin"), ([1], [value])),))]):
         with pytest.raises(TypeError, match=re.escape(kind)):
             written(rows, fmt)
 
@@ -415,7 +416,8 @@ def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     if command == "certify":  # one block whose rows are made as they are written
         rows = [harness._certificate_row(report, table) for report in certificate_sweep(n_max, table, [])]
     else:  # one block of two lanes
-        rows = block_rows(*items)
+        grown, capped = survival.survival_sweep(3, n_max, table), survival.capacity_sweep(3, n_max, table)
+        rows = block_rows((harness._estimator_lane("survival", grown), harness._estimator_lane("capacity", capped)))
     assert written(items) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
@@ -449,14 +451,14 @@ def test_forked_chunks_match_the_per_cell_rule(monkeypatch, rows, lanes):
 
     monkeypatch.setattr(harness, "_chunk_text", counted)
     expected = block_rows(block)
-    assert written([block]) == per_cell_csv(expected, REPORT_COLUMNS)
+    assert written([harness._lanes_block(block)]) == per_cell_csv(expected, REPORT_COLUMNS)
     assert_no_child_left()
     # this process formats only the even-numbered chunks; the worker sends the others
     step = 1024 // lanes
     assert formatted == [(lo, min(lo + step, rows)) for lo in range(0, rows, 2 * step)]
-    assert written([block], "json") == per_cell_json(expected, REPORT_COLUMNS)
+    assert written([harness._lanes_block(block)], "json") == per_cell_json(expected, REPORT_COLUMNS)
     assert_no_child_left()
-    assert '"a,b",' in written([block])
+    assert '"a,b",' in written([harness._lanes_block(block)])
 
 
 def test_forking_beside_a_thread_warns_nothing():
@@ -467,7 +469,7 @@ def test_forking_beside_a_thread_warns_nothing():
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            text = written([block])
+            text = written([harness._lanes_block(block)])
     finally:
         stop.set()
         thread.join()
@@ -499,9 +501,13 @@ def _fork_refused(monkeypatch):
 )
 def test_chunks_the_worker_does_not_deliver_are_formatted_here(monkeypatch, spoil):
     block = forking_block(3073, 2)
-    expected = written([block]), written([block], "json")
+
+    def both():  # the lanes' Block is made after `spoil`, so it formats through what spoil patched
+        return written([harness._lanes_block(block)]), written([harness._lanes_block(block)], "json")
+
+    expected = both()
     spoil(monkeypatch)
-    assert (written([block]), written([block], "json")) == expected
+    assert both() == expected
     assert_no_child_left()
 
 
@@ -524,7 +530,7 @@ class FailingStream(io.StringIO):
 def test_a_failed_write_reaps_the_worker(writes, error):
     # the header, then chunk 0 (formatted here), then chunk 1 (sent by the worker)
     with pytest.raises(error):
-        harness.write_rows([forking_block(3073, 1)], "csv", FailingStream(writes, error))
+        harness.write_rows([harness._lanes_block(forking_block(3073, 1))], "csv", FailingStream(writes, error))
     assert_no_child_left()
 
 
@@ -1128,6 +1134,9 @@ def test_cli_refuses_a_sieve_limit_past_memory(capped_address_space):
         (["gandhi", "--n", "1", "--samples", "4000000000"], "; pass --samples "),
         # the brute-force re-check loops over every m <= x in Python
         (["selberg", "--x", str(survival.SELBERG_MAX_X + 1), "--z", "3"], f"use --x {survival.SELBERG_MAX_X} or"),
+        # P_2000 has about 7,500 digits, past str()'s limit, and the P_k up to P_78498 would fill memory
+        (["gandhi", "--n-max", "2000"], "; pass --allow-large-gandhi "),
+        (["gandhi", "--n", "78498"], "; pass --allow-large-gandhi "),
     ],
 )
 def test_cli_refuses_past_a_resource_bound(capped_address_space, argv, fix):
@@ -1273,7 +1282,7 @@ def test_a_chunk_failing_here_leaves_the_chunks_before_it(monkeypatch):
     monkeypatch.setattr(harness, "_chunk_text", failing)
     buffer = io.StringIO()
     with pytest.raises(RuntimeError):
-        harness.write_rows([block], "json", buffer)
+        harness.write_rows([harness._lanes_block(block)], "json", buffer)
     assert_no_child_left()
     assert buffer.getvalue() == per_cell_json(block_rows(block)[:2048], REPORT_COLUMNS)
 

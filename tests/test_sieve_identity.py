@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -370,33 +371,61 @@ def _sweep_outcome(sweep, lo, hi, table):
 
 
 _BASE = sieve(5_000)
+# squarefree composites up to 2 p_200 + 6, so every window [1, 2 p_hi] holds one
+_SQUAREFREE_COMPOSITES = [
+    m for m in range(6, 2 * _BASE.nth(200) + 7) if _BASE.moebius_values(m)[m] and m not in _BASE.primes
+]
 
 
 @st.composite
 def _corruptions(draw):
-    """(lo, hi, (d, mu(d)) to write, or None, prime to drop, or None); one of the two is set."""
+    """(lo, hi, (d, mu(d)) to write, or None, prime to drop, or None, squarefree composite to insert,
+    or None); one of the three is set."""
     hi = draw(st.integers(1, 200))
     lo = draw(st.one_of(st.just(1), st.integers(1, hi)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["write", "drop", "insert"]))
+    if kind == "write":
         d = draw(st.integers(1, 2 * _BASE.nth(hi)))
         real = int(_BASE.moebius_values(d)[d])
-        return lo, hi, (d, draw(st.sampled_from([v for v in (-2, -1, 0, 1, 2) if v != real]))), None
-    return lo, hi, None, _BASE.nth(draw(st.integers(1, hi)))
+        return lo, hi, (d, draw(st.sampled_from([v for v in (-2, -1, 0, 1, 2) if v != real]))), None, None
+    if kind == "drop":
+        return lo, hi, None, _BASE.nth(draw(st.integers(1, hi))), None
+    bound = 2 * _BASE.nth(hi) + 6
+    return lo, hi, None, None, draw(st.sampled_from([c for c in _SQUAREFREE_COMPOSITES if c <= bound]))
+
+
+def _raised_at(outcome):
+    """A `_sweep_outcome` with its message cut to the (m, n) it names, or None."""
+    windows, message = outcome
+    return windows, message and tuple(map(int, re.search(r"m=(\d+), n=(\d+)", message).groups()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_corruptions())
-@example(case=(1, 10, (6, 0), None))  # "m=6, n=2", in that step's tail
-@example(case=(1, 10, (7, 0), None))  # "m=7, n=4", the re-check of p_4
-@example(case=(3, 10, None, 3))  # p_2 = 5 lies beyond 2 p_1 = 4
+@example(case=(1, 10, (6, 0), None, None))  # "m=6, n=2", in that step's tail
+@example(case=(1, 10, (7, 0), None, None))  # "m=7, n=4", the re-check of p_4
+@example(case=(3, 10, None, 3, None))  # p_2 = 5 lies beyond 2 p_1 = 4
+@example(case=(1, 10, None, None, 10))  # "m=10, n=3" in both, the sums -1 and -2
+@example(case=(1, 118, None, None, 35))  # m = 35, at n = 12 here and n = 8 in the reference
 def test_sweep_matches_the_whole_window_reference_under_corruption(case):
-    lo, hi, write, drop = case
-    mutant = PrimeTable(limit=_BASE.limit, primes=[p for p in _BASE.primes if p != drop])
+    lo, hi, write, drop, insert = case
+    primes = [p for p in _BASE.primes if p != drop]
+    mutant = PrimeTable(limit=_BASE.limit, primes=primes if insert is None else sorted([*primes, insert]))
     if write is not None:
         mu = _BASE.moebius_values(2 * _BASE.nth(hi)).copy()
         mu[write[0]] = write[1]
         mutant.moebius_values = lambda upto: mu
-    assert _sweep_outcome(_filter_windows, lo, hi, mutant) == _sweep_outcome(filter_windows, lo, hi, mutant)
+    ours, theirs = _sweep_outcome(_filter_windows, lo, hi, mutant), _sweep_outcome(filter_windows, lo, hi, mutant)
+    if insert is None:
+        assert ours == theirs
+        return
+    # The reference adds mu(d) once per product of listed entries equal to d (10 = 2 * 5 and 10),
+    # `_filter_windows` at most once, and not before the re-check where its `rest` division leaves
+    # 0 at a listed composite up to sqrt(2 p_hi): the printed sums differ, and n can be later.
+    (windows, at), (reference_windows, reference_at) = _raised_at(ours), _raised_at(theirs)
+    assert windows[: len(reference_windows)] == reference_windows
+    assert (at and at[0]) == (reference_at and reference_at[0])  # the same m, or neither raises
+    assert at is None or at[1] >= reference_at[1]
 
 
 def _certified(sweep, n_max, table):

