@@ -159,7 +159,7 @@ class PrimeTable:
 
     limit: int
     primes: list[int]
-    _primorials: list[int] = field(default_factory=lambda: [1], repr=False)
+    _primorial: tuple[int, int] = field(default=(0, 1), repr=False)  # (k, P_k) of the last call
     _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
     _floats: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
     _mangoldt: tuple | None = field(default=None, repr=False)
@@ -254,12 +254,16 @@ class PrimeTable:
         return result
 
     def primorial(self, n: int) -> int:
-        """Product of the first n primes, exact; prefix products are memoized."""
+        """Product of the first n primes, exact.  Only the last one, P_k, is kept: a call at k
+        returns it, a later n multiplies in p_{k+1}..p_n, and an earlier n starts again from 1."""
         self.nth(n)  # range check
-        cache = self._primorials
-        while len(cache) <= n:
-            cache.append(cache[-1] * self.primes[len(cache) - 1])
-        return cache[n]
+        k, value = self._primorial
+        if n != k:
+            if n < k:
+                k, value = 0, 1
+            value *= math.prod(self.primes[k:n])
+            self._primorial = (n, value)
+        return value
 
     # -- bulk lookups for hot loops ---------------------------------------
 

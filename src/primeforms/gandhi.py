@@ -93,8 +93,7 @@ def _spaced_ones(stride: int, count: int) -> int:
 def check_feasible(n: int, table: PrimeTable, allow_large: bool) -> None:
     """ResourceLimitError for an n past the gate, unless `allow_large`."""
     if n > FEASIBLE_N and not allow_large:
-        # neither 2^n - 1 nor P_n is printed: from n = 1230 on P_n has more digits than str()
-        # allows, and the primorial memo would keep every P_k up to P_n
+        # neither 2^n - 1 nor P_n is printed: from n = 1230 on P_n has more digits than str() allows
         raise ResourceLimitError(
             f"n={n} needs 2^{n} - 1 inclusion-exclusion terms over P_{n}-bit integers, "
             f"P_{n} = 2 * 3 * ... * {table.nth(n)}; pass --allow-large-gandhi (allow_large=True) to force it"

@@ -355,24 +355,15 @@ def _approx_limit(n: int) -> int:
     return int(n * (math.log(n) + math.log(max(math.log(n), 2.0)))) + 8
 
 
-def _check_tabulated(table: core.PrimeTable, n: int, flag: str) -> None:
-    """The command reads p_n; fail naming a sieve limit that tabulates it."""
+def _check_reach(table: core.PrimeTable, n: int, flag: str, reach: int) -> None:
+    """The command reads p_n (reach 1) or scans up to 2 p_n (reach 2); fail naming a sieve limit that covers it."""
     if n > len(table.primes):
         raise UsageError(
             f"{flag} {n} is beyond the {len(table.primes)} tabulated primes; "
-            f"needs roughly --sieve-limit {_approx_limit(n)}"
+            f"needs roughly --sieve-limit {reach * _approx_limit(n)}"
         )
-
-
-def _check_scan_range(table: core.PrimeTable, n: int, flag: str) -> None:
-    """The certificate scan reaches 2 p_n; fail naming the limit actually needed."""
-    if n > len(table.primes):
-        raise UsageError(
-            f"{flag} {n} is beyond the {len(table.primes)} tabulated primes; "
-            f"needs roughly --sieve-limit {2 * _approx_limit(n)}"
-        )
-    required = 2 * table.nth(n)
-    if required > table.limit:
+    required = reach * table.nth(n)
+    if required > table.limit:  # only a scan can pass the limit: p_n itself is tabulated
         raise UsageError(f"{flag} {n} scans up to {required}; needs --sieve-limit {required}")
 
 
@@ -385,7 +376,7 @@ def _ordinal_range(config: RunConfig) -> tuple[int, int]:
 
 def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
-    _check_scan_range(table, hi, "--n-max" if config.n is None else "--n")
+    _check_reach(table, hi, "--n-max" if config.n is None else "--n", 2)
     found = sieve_identity.next_prime_sweep(lo, hi, table)
     ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
     violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
@@ -395,7 +386,10 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
 
 # Rows per turn of a certify block: at n = 2000 a worker's turn of 16 rows (about
 # 0.4 MB) fits the 1 MiB pipe, so the worker is not held up writing it; turns of
-# 64 rows (about 1.7 MB) were.
+# 64 rows (about 1.7 MB) were.  A piece is one row, not one turn, so a turn this
+# process makes in the worker's place is written row by row: a violation raised at
+# its fifth row leaves the four before it written, as one process leaves them.  A
+# block of 16-row pieces, one a turn, would write none of them.
 _CERTIFY_TURN = 16
 
 
@@ -408,7 +402,7 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
     one, so the report, the violations and their order are those of one process.
     """
     _require(config, "n_max")
-    _check_scan_range(table, config.n_max, "--n-max")
+    _check_reach(table, config.n_max, "--n-max", 2)
     violations, owner = [], os.getpid()
     steps = sieve_identity.certificate_steps(config.n_max, table)
 
@@ -431,7 +425,7 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
-    _check_tabulated(table, hi + 1, "the extracted prime's ordinal")
+    _check_reach(table, hi + 1, "the extracted prime's ordinal", 1)
     gandhi.check_feasible(hi, table, config.allow_large_gandhi)
     ns = range(lo, hi + 1)  # draws refused end the run before its report starts
     estimates = [gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table) for n in ns]
@@ -454,7 +448,7 @@ def _resolve_amplitude(config: RunConfig, table: core.PrimeTable, window_end: st
     """--alpha, or the amplitude fitted over the calibration window, whose end `window_end` names."""
     if config.alpha_override is not None:
         return config.alpha_override
-    _check_tabulated(table, config.calib_hi, window_end)
+    _check_reach(table, config.calib_hi, window_end, 1)
     return spectral.calibrate_amplitude(config.calib_lo, config.calib_hi, table)
 
 
@@ -462,7 +456,7 @@ def _run_spectral(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     if config.n_max < 3:
         raise UsageError("spectral sweep needs --n-max >= 3")
-    _check_tabulated(table, config.n_max, "--n-max")
+    _check_reach(table, config.n_max, "--n-max", 1)
     amplitude = _resolve_amplitude(config, table, "--calib-hi")
     try:
         columns = spectral.spectral_sweep(3, config.n_max, amplitude, table)
@@ -475,7 +469,7 @@ def _run_survival(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
     if config.n_max < 3:
         raise UsageError("survival sweep needs --n-max >= 3")
-    _check_tabulated(table, config.n_max, "--n-max")
+    _check_reach(table, config.n_max, "--n-max", 1)
     grown = survival.survival_sweep(3, config.n_max, table)
     capped = survival.capacity_sweep(3, config.n_max, table)
     return [_lanes_block((_estimator_lane("survival", grown), _estimator_lane("capacity", capped)))], []
@@ -542,7 +536,7 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violat
 
 def _run_report(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
-    _check_scan_range(table, config.n_max, "--n-max")
+    _check_reach(table, config.n_max, "--n-max", 2)
     violations = []
     amplitude = _resolve_amplitude(config, table, "the calibration window's end n =")
     return _precision_rows(config.n_max, table, amplitude, violations), violations

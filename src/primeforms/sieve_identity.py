@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -230,21 +231,23 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     exceeds 2 p_n, so the survivors above 1 are the primes in (p_n, 2 p_n].
     Their sum of 1/q, the margin, is kept as an unreduced pair N/D with D
     their product, on the table from one call to the next.  Kept for n0, it
-    advances for any later n up to the last prime it has joined: the primes
-    p_{n0+1}..p_n leave the set, exactly, as N' = (N - n_R D')/R over
+    serves any n from n0 up to the last prime it has joined; any other n
+    starts it again as the empty sum at n.  Every call advances it: the
+    primes p_{n0+1}..p_n leave the set, exactly, as N' = (N - n_R D')/R over
     D' = D/R, where n_R/R is their own sum with R their product (every
-    other term D/q is a multiple of R), and the primes up to 2 p_n join it
-    through a small product tree.  Any other call builds the whole pair as
-    one product tree by binary splitting (Haible & Papanikolaou, "Fast
-    multiprecision evaluation of series of rational numbers", ANTS 1998).
+    other term D/q is a multiple of R), and the primes up to 2 p_n it has
+    not joined join it as one product tree by binary splitting (Haible &
+    Papanikolaou, "Fast multiprecision evaluation of series of rational
+    numbers", ANTS 1998).  A call at n0 itself builds nothing.
     The pair is already in lowest terms: every q is a distinct prime, D is
     their product, and N = D/q (mod q) is nonzero mod each of them.  So the
     margin N/D and the sum (N + D)/D are built without a gcd.  A `decimal`
     twin of (N, D) takes the same steps, each big by small and so linear in
-    the size under libmpdec; only a cold call converts.  The Fractions carry
-    it, checked against the ints, to the report writer.  The float shadow
-    re-accumulates the same terms in 64-bit arithmetic ascending in m,
-    matching the naive loop the precision study critiques bit for bit.
+    the size under libmpdec; only the joined tree is converted, the whole
+    sum after a new start.  The Fractions carry it, checked against the
+    ints, to the report writer.  The float shadow re-accumulates the same
+    terms in 64-bit arithmetic ascending in m, matching the naive loop the
+    precision study critiques bit for bit.
     """
     bound = 2 * table.nth(n)
     if bound > table.limit:
@@ -255,25 +258,23 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
     memo = table._harmonic
     with exact_decimals():
-        if memo is not None and memo[0] < n <= memo[3]:
-            start, numerator, denominator, joined, (twin_n, twin_d) = memo
+        if memo is None or not memo[0] <= n <= memo[3]:
+            memo = (n, 0, 1, n, (Decimal(0), Decimal(1)))
+        start, numerator, denominator, joined, (twin_n, twin_d) = memo
+        if n > start:
             n_r, r = _harmonic_split(primes, start, n)  # the terms that leave, p_{start+1}..p_n
             denominator //= r
             twin_d, rest_d = divmod(twin_d, r)  # `//` would drop a remainder unseen
-            if n - start > 1:  # n_R D' is D' when p_n alone leaves, so only a jump multiplies
-                numerator, twin_n = numerator - (n_r - 1) * denominator, twin_n - (n_r - 1) * twin_d
-            numerator = (numerator - denominator) // r
-            twin_n, rest_n = divmod(twin_n - twin_d, r)
+            numerator = (numerator - n_r * denominator) // r
+            twin_n, rest_n = divmod(twin_n - n_r * twin_d, r)
             if rest_d or rest_n:
                 factor = f"p_n = {r}" if n - start == 1 else f"p_{start + 1} ··· p_n"
                 raise InvariantViolation(f"n={n}: the Decimal twin is not a multiple of {factor}")
-            if hi > joined:
-                n2, d2 = _harmonic_split(primes, joined, hi)
-                numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
-                twin_n, twin_d = twin_n * d2 + n2 * twin_d, twin_d * d2
-        else:
-            numerator, denominator = _harmonic_split(primes, n, hi)
-            twin_n, twin_d = to_decimal(numerator), to_decimal(denominator)
+        if hi > joined:
+            n2, d2 = _harmonic_split(primes, joined, hi)
+            numerator, denominator = numerator * d2 + n2 * denominator, denominator * d2
+            n2, d2 = to_decimal(n2), to_decimal(d2)
+            twin_n, twin_d = twin_n * d2 + n2 * twin_d, twin_d * d2
         check_twins(f"n={n}", (numerator, twin_n), (denominator, twin_d))
         twin_sum = twin_n + twin_d
     margin = coprime_fraction(numerator, denominator, (twin_n, twin_d))

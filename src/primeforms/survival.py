@@ -74,7 +74,7 @@ def squarefree_support(z: int) -> list[int]:
 
 
 SELBERG_MAX_WEIGHTS = 64  # size cap of the dense small-instance solver
-SELBERG_MAX_X = 1_000_000  # cap of the brute-force re-check, a Python loop over every m <= x
+SELBERG_MAX_X = 1_000_000  # cap of the brute-force re-check, which holds a float64 per m <= x
 # Largest z whose support fits the cap: the (cap + 1)-th squarefree number,
 # since the support holds only the d below z.  Squarefree density 6/pi^2
 # puts it well below 4 * cap.
@@ -82,16 +82,13 @@ SELBERG_MAX_Z = squarefree_support(4 * SELBERG_MAX_WEIGHTS)[SELBERG_MAX_WEIGHTS]
 
 
 def quadratic_form_value(x: int, divisors: list[int], weights) -> float:
-    """Direct evaluation of the quadratic form over m <= x (brute force)."""
-    paired = list(zip(divisors, weights))
-    squares = []
-    for m in range(1, x + 1):
-        inner = 0.0
-        for d, w in paired:
-            if m % d == 0:
-                inner += w
-        squares.append(inner * inner)
-    return math.fsum(squares)
+    """Direct evaluation of the quadratic form over m <= x (brute force): each w_d is added
+    to the multiples of d in the order listed, so inner[m] takes the float adds of a loop
+    over d for each m, and `math.fsum` rounds the sum of the squares exactly, in any order."""
+    inner = np.zeros(x + 1)
+    for d, w in zip(divisors, weights):
+        inner[d::d] += w
+    return math.fsum(np.square(inner[1:]).tolist())
 
 
 def selberg_minimize(x: int, z: int) -> SelbergSolution:

@@ -43,6 +43,19 @@ def capacity(z: int, table: PrimeTable) -> tuple[float, float]:
     return v, 1.0 / v
 
 
+def quadratic_form_loop(x: int, divisors: list[int], weights) -> float:
+    """`survival.quadratic_form_value` as a loop over m <= x, adding each w_d with d | m in the order listed."""
+    paired = list(zip(divisors, weights))
+    squares = []
+    for m in range(1, x + 1):
+        inner = 0.0
+        for d, w in paired:
+            if m % d == 0:
+                inner += w
+        squares.append(inner * inner)
+    return math.fsum(squares)
+
+
 def moebius_truncation_value(x: int, z: int) -> float:
     """Value of the sieve quadratic form under truncated Möbius weights w_d = mu(d), d < z."""
     mu = sieve(max(z, 2)).moebius_values(max(z, 1))

@@ -178,13 +178,35 @@ def test_primorial_hand_values(table):
 
 
 def test_primorial_recurrence(table):
-    # spot-check against an independent product, then the recurrence.
-    # full-table-range prefix products would need gigabytes; 2000 covers
-    # every primorial the certificates and Gandhi evaluations ever touch.
+    # spot-check against an independent product, then the recurrence, which
+    # asks for n + 1 before n and so starts the memo again at every step
     for n in (1, 2, 10, 137, 500):
         assert table.primorial(n) == math.prod(table.primes[:n])
     for n in range(1, 2000):
         assert table.primorial(n + 1) == table.primorial(n) * table.nth(n + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ns=st.lists(st.integers(1, 3000), min_size=1, max_size=8))
+@example(ns=[5, 5, 7, 3, 3000, 2999, 1])
+def test_primorial_matches_the_product_in_any_call_order(table, ns):
+    fresh = core.PrimeTable(limit=table.limit, primes=table.primes)
+    for n in ns:
+        assert fresh.primorial(n) == math.prod(table.primes[:n]), n
+
+
+def test_primorial_memo_keeps_one_product(table):
+    # P_5000 has 69,675 bits; a memo of every P_k up to it holds about 19.5 MiB
+    fresh = core.PrimeTable(limit=table.limit, primes=table.primes)
+    tracemalloc.start()
+    try:
+        fresh.primorial(4999)
+        value = fresh.primorial(5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == math.prod(table.primes[:5000])
+    assert peak < 1 << 20
 
 
 # -- Möbius --------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primeforms import sieve_identity
 from primeforms.core import InvariantViolation, PrimeTable, exact_decimals, sieve
 from primeforms.sieve_identity import (
     LN2_LOWER,
@@ -153,8 +154,8 @@ def certificate_calls(draw):
 # forward gaps: 60 -> 77 and 77 -> 93 jump within the joined primes, 93 -> 200 does not
 @example(calls=[("main", 60), ("main", 77), ("other", 80), ("main", 93), ("main", 200), ("main", 202)])
 def test_certificate_memo_matches_naive_sum_in_any_call_order(table, small_table, calls):
-    # each table advances its own running sum on a call for any later n up to the
-    # primes it has joined, and builds it anew on any other
+    # each table advances its own running sum on a call for its own n or any later n
+    # up to the primes it has joined, and starts it again on any other
     tables = {"main": table, "other": small_table}
     for name, n in calls:
         assert_naive_sum_in_lowest_terms(harmonic_certificate(n, tables[name]), tables[name])
@@ -200,6 +201,29 @@ def test_certificate_jumps_match_cold_certificates(table, start, gaps):
         assert [value.decimals for value in (report.margin, report.exact_sum)] == [
             value.decimals for value in (cold.margin, cold.exact_sum)
         ], n
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 3000])
+def test_a_repeated_certificate_builds_no_product_tree(monkeypatch, table, n):
+    # the running sum is kept for n itself, so a second call at n neither leaves nor joins a prime
+    fresh = PrimeTable(limit=table.limit, primes=table.primes)
+    calls = []
+    real = sieve_identity._harmonic_split
+
+    def counted(terms, lo, hi):
+        calls.append((lo, hi))
+        return real(terms, lo, hi)
+
+    monkeypatch.setattr(sieve_identity, "_harmonic_split", counted)
+    first = harmonic_certificate(n, fresh)
+    assert calls
+    calls.clear()
+    second = harmonic_certificate(n, fresh)
+    assert calls == []
+    assert second == first == cold_certificate(n, table)
+    assert [value.decimals for value in (second.margin, second.exact_sum)] == [
+        value.decimals for value in (first.margin, first.exact_sum)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 from primeforms.survival import (
     EULER_GAMMA,
+    SELBERG_MAX_Z,
     brun_partial,
     capacity_sweep,
     quadratic_form_value,
@@ -19,7 +20,7 @@ from primeforms.survival import (
 from primeforms.core import EstimatorColumns
 from primeforms.survival import _capacity_terms
 
-from reference import capacity, moebius_truncation_value
+from reference import capacity, moebius_truncation_value, quadratic_form_loop
 
 
 def test_params_pin_the_density_constant():
@@ -177,6 +178,19 @@ def test_support_and_truncation_signs_match_trial_division():
         support = squarefree_support(z)
         signs = [float(trial_division_moebius(d)) for d in support]
         assert moebius_truncation_value(x, z) == quadratic_form_value(x, support, signs)
+
+
+@pytest.mark.parametrize("x", [10, 30, 1000, 12345])
+def test_quadratic_form_value_matches_the_loop_bit_for_bit(x):
+    # the same float adds per m as the loop over m, under the Selberg weights and the Möbius signs
+    for z in (2, 3, 5, 30, 57, SELBERG_MAX_Z):
+        if z > x:
+            continue
+        solution = selberg_minimize(x, z)
+        signs = [float(trial_division_moebius(d)) for d in solution.divisors]
+        for weights in (solution.weights, signs, signs[::-1]):
+            value = quadratic_form_value(x, solution.divisors, weights)
+            assert value == quadratic_form_loop(x, solution.divisors, weights), (x, z)
 
 
 def test_selberg_rejects_bad_levels():
