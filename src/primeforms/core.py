@@ -301,10 +301,10 @@ class PrimeTable:
             coprime[p - 1 :: p] = False
         return (np.flatnonzero(coprime) + 1).tolist()
 
-    def mangoldt_points(self, upto: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Prime powers k <= upto with their logs and von Mangoldt weights.
+    def mangoldt_points(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """Logs and von Mangoldt weights of the prime powers k <= upto.
 
-        Returns ascending arrays (k, ln k, weight); points with zero weight
+        Returns arrays (ln k, weight), ascending in k; points with zero weight
         are omitted since they cannot contribute to any weighted sum.
         """
         if upto > self.limit:
@@ -325,7 +325,7 @@ class PrimeTable:
             self._mangoldt = (bound, ks, np.log(ks), np.array([w for _, w in points]))
         _, ks, log_ks, weights = self._mangoldt
         cut = int(np.searchsorted(ks, upto, side="right"))
-        return ks[:cut], log_ks[:cut], weights[:cut]
+        return log_ks[:cut], weights[:cut]
 
 
 def _memory_budget() -> int:

@@ -204,6 +204,13 @@ class Block(NamedTuple):
     text: Callable[[str, str, int, int], str]
 
 
+def _row_text(row: dict, fmt: str) -> str:
+    """One row keyed by REPORT_COLUMNS ("" is a blank cell), in the report layout."""
+    kept = {k: (v,) for k, v in row.items() if v.__class__ is not str or v}
+    (text,) = _lines(tuple(kept), [*kept.values()], fmt)
+    return text
+
+
 def write_rows(rows, fmt: str, stream) -> None:
     """Write `rows`, each item as soon as it is produced, in the CSV or JSON report layout.
 
@@ -216,8 +223,7 @@ def write_rows(rows, fmt: str, stream) -> None:
     try:
         for item in rows:
             if isinstance(item, dict):
-                kept = {k: (v,) for k, v in item.items() if v.__class__ is not str or v}
-                chunks = nullcontext([joiner.join(_lines(tuple(kept), [*kept.values()], fmt))])
+                chunks = nullcontext([_row_text(item, fmt)])
             else:  # closing reaps the block's worker however this ends
                 chunks = closing(_block_chunks(item, partial(item.text, fmt, joiner)))
             with chunks as texts:
@@ -324,22 +330,6 @@ def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:
     return ("source", *columns._fields), ([source] * len(columns.n), *columns)
 
 
-def _certificate_row(report: sieve_identity.CertificateReport, table: core.PrimeTable) -> dict:
-    return {
-        "source": "sieve_identity",
-        "n": report.n,
-        "p_n": table.nth(report.n),
-        "next_prime": report.next_prime,
-        "exact_sum": report.exact_sum,
-        "exact_floor": report.exact_floor,
-        "margin": report.margin,
-        "float_sum": report.float_sum,
-        "float_floor": report.float_floor,
-        "float_margin": report.float_margin,
-        "float_gap": report.float_gap,
-    }
-
-
 # -- command executors -------------------------------------------------------
 
 
@@ -407,18 +397,14 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
     steps = sieve_identity.certificate_steps(config.n_max, table)
 
     def text(fmt: str, joiner: str, lo: int, hi: int) -> str:
-        rows = []
-        for n, certify in steps:  # the calls come in ascending rows, the steps between them skipped
-            if n > lo:
-                report, found = certify()
-                if found and os.getpid() != owner:  # the worker ends; this process makes the row
-                    raise core.InvariantViolation(found[0])
-                violations.extend(found)
-                rows.append(_certificate_row(report, table))
-            if n == hi:
-                break
-        keys = tuple(rows[0])
-        return joiner.join(_lines(keys, [[row[key] for row in rows] for key in keys], fmt))
+        # the calls come in ascending rows, the steps between them skipped; row lo is n = hi
+        certify = next(step for n, step in steps if n == hi)
+        report, found = certify()
+        if found and os.getpid() != owner:  # the worker ends; this process makes the row
+            raise core.InvariantViolation(found[0])
+        violations.extend(found)
+        # each field of the certificate is a report column
+        return _row_text(dict(vars(report), source="sieve_identity", p_n=table.nth(hi)), fmt)
 
     return [Block(config.n_max, 1, _CERTIFY_TURN, text)], violations
 

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +30,7 @@ LN2_LOWER = Fraction("0.6931471805599453094172321214581765680755")
 
 @dataclass
 class CertificateReport:
-    """Exact harmonic-sum certificate for one sieve step, with its float shadow."""
+    """Exact harmonic-sum certificate for one sieve step, with its float shadow; each field is a report column."""
 
     n: int
     next_prime: int  # smallest filter survivor above 1
@@ -39,15 +39,8 @@ class CertificateReport:
     margin: Fraction  # exact_sum - 1
     float_sum: float  # naive 64-bit accumulation, ascending m
     float_floor: int
-
-    @property
-    def float_margin(self) -> float:
-        return self.float_sum - 1.0
-
-    @cached_property
-    def float_gap(self) -> float:
-        """Signed float-vs-exact error of the harmonic sum, converted once per report."""
-        return self.float_sum - float(self.exact_sum)
+    float_margin: float  # float_sum - 1
+    float_gap: float  # float_sum - float(exact_sum), the signed float-vs-exact error
 
     @property
     def float_anomalous(self) -> bool:
@@ -290,6 +283,8 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
         margin=margin,
         float_sum=shadow,
         float_floor=math.floor(shadow),
+        float_margin=shadow - 1.0,
+        float_gap=shadow - float(exact),
     )
 
 

@@ -37,7 +37,7 @@ def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.
     for start, stop, cutoff in zip(starts, starts[1:] + [len(ns)], cutoffs[starts].tolist()):
         if cutoff > table.limit:
             raise ValueError(f"spectral cutoff {cutoff} is beyond sieve limit {table.limit}")
-        _, log_ks, weights = table.mangoldt_points(cutoff)
+        log_ks, weights = table.mangoldt_points(cutoff)
         terms = weights * np.cos(ns[start:stop, None] * (2.0 * math.pi) / log_ks)
         oscillation[start:stop] = [*map(math.fsum, terms.tolist())]
     return drift, oscillation

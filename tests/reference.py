@@ -33,7 +33,7 @@ def oscillation_sum(n: int, table: PrimeTable) -> float:
     drift = cipolla_drift(n)
     if drift < 4.0:
         return 0.0
-    _, log_ks, weights = table.mangoldt_points(math.isqrt(int(drift)))
+    log_ks, weights = table.mangoldt_points(math.isqrt(int(drift)))
     return math.fsum((weights * np.cos((2.0 * math.pi * n) / log_ks)).tolist())
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -36,7 +37,7 @@ from primeforms.harness import (
     main,
     run,
 )
-from primeforms.sieve_identity import certificate_sweep
+from primeforms.sieve_identity import CertificateReport, certificate_sweep
 
 from reference import cipolla_drift
 
@@ -62,6 +63,17 @@ def test_certify_sweep_all_floors_one():
     assert len(rows) == 100
     assert all(row["exact_floor"] == "1" for row in rows)
     assert rows[0]["margin"] == "1/3"
+
+
+def test_records_are_rows():
+    # a certify row is its certificate's fields, and every field of a record is a report column
+    code, _, rows = run_to_rows(RunConfig(command="certify", n_max=3, sieve_limit=LIMIT))
+    assert code == EXIT_OK and len(rows) == 3
+    fields = {field.name for field in dataclasses.fields(CertificateReport)}
+    for row in rows:
+        assert {column for column, cell in row.items() if cell} == fields | {"source", "p_n"}
+    assert {field.name for field in dataclasses.fields(gandhi.GandhiEvaluation)} <= set(REPORT_COLUMNS)
+    assert set(core.EstimatorColumns._fields) <= set(REPORT_COLUMNS)
 
 
 def test_gandhi_single_row_extracts_seven():
@@ -408,13 +420,22 @@ def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
             written(rows, fmt)
 
 
+def serial_certificate_rows(n_max):
+    """certify's rows as one process makes them: each certificate of one sweep, with its source and p_n."""
+    table = harness._table(LIMIT)
+    return [
+        dict(vars(report), source="sieve_identity", p_n=table.nth(report.n))
+        for report in certificate_sweep(n_max, table, [])
+    ]
+
+
 @pytest.mark.parametrize("command, n_max", [("survival", 20_000), ("certify", 50)])
 def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
     table = harness._table(LIMIT)
     items, _ = harness._EXECUTORS[command](config, table)
     if command == "certify":  # one block whose rows are made as they are written
-        rows = [harness._certificate_row(report, table) for report in certificate_sweep(n_max, table, [])]
+        rows = serial_certificate_rows(n_max)
     else:  # one block of two lanes
         grown, capped = survival.survival_sweep(3, n_max, table), survival.capacity_sweep(3, n_max, table)
         rows = block_rows((harness._estimator_lane("survival", grown), harness._estimator_lane("capacity", capped)))
@@ -539,8 +560,7 @@ TURN = harness._CERTIFY_TURN  # certify rows per turn; turns alternate, this pro
 
 def serial_certify(n_max, fmt="csv"):
     """certify's report as one process writes it: a dict row per certificate of one sweep."""
-    table = harness._table(LIMIT)
-    return written([harness._certificate_row(report, table) for report in certificate_sweep(n_max, table, [])], fmt)
+    return written(serial_certificate_rows(n_max), fmt)
 
 
 def certify_report(n_max, fmt="csv", sieve_limit=LIMIT):

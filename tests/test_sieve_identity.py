@@ -42,12 +42,15 @@ def test_filter_passes_one_for_any_n(table, n):
 
 
 def test_filter_dual_paths_agree_exhaustively(table):
-    # coprime_indicator raises on any Möbius-vs-gcd disagreement, so a clean
-    # full sweep over n <= 500, m <= 2 p_n is the agreement proof.
-    for n in range(1, 501):
-        bound = 2 * table.nth(n)
-        for m in range(1, bound + 1):
-            coprime_indicator(m, n, table)
+    # coprime_indicator and the sweep each raise on a Möbius-vs-gcd disagreement
+    # of their own routes; a clean run over n <= 500, m <= 2 p_n in which the two
+    # implementations agree at every m is the agreement proof.  Each window is a
+    # view, valid until the sweep advances.
+    windows = [(n, passed.copy()) for n, passed in _filter_windows(1, 500, table)]
+    assert [n for n, _ in windows] == list(range(1, 501))
+    for n, passed in windows:
+        expected = [coprime_indicator(m, n, table) for m in range(1, 2 * table.nth(n) + 1)]
+        assert passed.astype(int).tolist() == expected, n
 
 
 def test_filter_vanishes_strictly_between_one_and_next_prime(table):
@@ -271,9 +274,10 @@ def test_ln2_lower_bound_has_thirty_correct_digits():
 
 def _report_with_tail(tail, exact_floor=1, next_prime=1009):
     margin = Fraction(1, next_prime) + tail  # p_168 = 997, p_169 = 1009
+    shadow = float(1 + margin)  # the exact sum rounded, so the float gap is 0
     return CertificateReport(
         n=168, next_prime=next_prime, exact_sum=1 + margin, exact_floor=exact_floor, margin=margin,
-        float_sum=float(1 + margin), float_floor=1,
+        float_sum=shadow, float_floor=1, float_margin=shadow - 1.0, float_gap=0.0,
     )
 
 
@@ -331,15 +335,6 @@ def test_scan_range_error_beyond_limit(small_table):
     n_limit = len(small_table.primes)
     with pytest.raises(ValueError):
         next_prime_via_filter(n_limit, small_table)
-
-
-def test_sweep_windows_match_scalar_filter(table):
-    # each window is a view, valid until the sweep advances
-    windows = [(n, passed.copy()) for n, passed in _filter_windows(1, 150, table)]
-    assert [n for n, _ in windows] == list(range(1, 151))
-    for n, passed in windows:
-        expected = [coprime_indicator(m, n, table) for m in range(1, 2 * table.nth(n) + 1)]
-        assert passed.astype(int).tolist() == expected, n
 
 
 def test_sweep_windows_are_read_only(table):
