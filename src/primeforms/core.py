@@ -18,6 +18,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -118,30 +119,50 @@ def to_decimal(value: int) -> decimal.Decimal:
     return to_decimal(high) * _decimal_pow2(k) + to_decimal(value - (high << (1 << k)))
 
 
+class DerivedColumn:
+    """A column whose entry i is of(base[i]), computed when read; a slice reads as a list."""
+
+    __slots__ = ("of", "base")
+
+    def __init__(self, of: Callable, base: Sequence):
+        self.of, self.base = of, base
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, i):
+        return [*map(self.of, self.base[i])] if isinstance(i, slice) else self.of(self.base[i])
+
+
 class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored residual rel_error")):
     """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
 
     The sweeps compute their estimates as float64 column kernels, taking
-    every log from libm through `math.log`.  n is a range, p_n and floored
-    are lists, and estimate, residual and rel_error are `array("d")`s:
-    eight bytes a value, read back as Python floats.
+    every log from libm through `math.log`.  n is a range and p_n a list;
+    estimate, residual and rel_error are `array("d")`s, eight bytes a value
+    read back as Python floats; floored is a DerivedColumn, math.floor of
+    each estimate when read, so it holds no int per row (an int64 could not
+    hold the floor of an estimate past 2^63).
     """
 
     __slots__ = ()
 
     @classmethod
     def against(cls, n_lo: int, p_n: list[int], estimates) -> EstimatorColumns:
-        """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite."""
+        """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite.
+
+        Each score is written straight into its `array("d")` through a numpy view of it.
+        """
         estimates = np.asarray(estimates, dtype=np.float64)
         if not np.isfinite(estimates).all():
             i = int(np.argmin(np.isfinite(estimates)))
             raise OverflowError(f"the estimate of p_{n_lo + i} is {float(estimates[i])}, not a finite number")
-        primes = np.array(p_n, dtype=np.float64)  # exact: a sieve that fits in memory keeps p_n < 2^53
-        residual = np.subtract(primes, estimates)
-        columns = [array("d"), array("d"), array("d")]
-        for column, values in zip(columns, (estimates, residual, np.divide(residual, primes, out=primes))):
-            column.frombytes(memoryview(values).cast("B"))
-        return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], [*map(math.floor, columns[0])], *columns[1:])
+        columns = [array("d", [0.0]) * len(p_n) for _ in range(3)]
+        estimate, residual, rel_error = (np.frombuffer(column, dtype=np.float64) for column in columns)
+        estimate[:] = estimates
+        rel_error[:] = p_n  # exact: a sieve that fits in memory keeps p_n < 2^53
+        np.divide(np.subtract(rel_error, estimate, out=residual), rel_error, out=rel_error)
+        return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], DerivedColumn(math.floor, columns[0]), *columns[1:])
 
 
 @dataclass(eq=False)
@@ -329,7 +350,7 @@ class PrimeTable:
 
 
 def _memory_budget() -> int:
-    """Bytes a new table may take: physical memory, or what the soft address-space cap leaves beside
+    """Bytes a new table or sweep may take: physical memory, or what the soft address-space cap leaves beside
     the process's current mappings (the size field of /proc/self/statm, 0 where it is absent)."""
     page = os.sysconf("SC_PAGE_SIZE")
     budget = page * os.sysconf("SC_PHYS_PAGES")

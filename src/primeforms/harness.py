@@ -327,7 +327,7 @@ def _receive(pipe) -> str | None:
 
 def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:
     """A sweep's columns as a report lane whose rows name `source`."""
-    return ("source", *columns._fields), ([source] * len(columns.n), *columns)
+    return ("source", *columns._fields), (core.DerivedColumn(lambda _: source, columns.n), *columns)
 
 
 # -- command executors -------------------------------------------------------
@@ -357,6 +357,18 @@ def _check_reach(table: core.PrimeTable, n: int, flag: str, reach: int) -> None:
         raise UsageError(f"{flag} {n} scans up to {required}; needs --sieve-limit {required}")
 
 
+def _check_sweep(table: core.PrimeTable, n: int, flag: str) -> None:
+    """The command sweeps the filter up to n, over [1, 2 p_n]; refuse it, naming `flag`, before it
+    allocates more than this process may use."""
+    _check_reach(table, n, flag, 2)
+    needed, budget = sieve_identity.sweep_bytes(n, table), core._memory_budget()
+    if needed > budget:
+        raise core.ResourceLimitError(
+            f"{flag} {n} sweeps the filter over [1, {2 * table.nth(n)}], about {needed >> 20} MiB, "
+            f"more than the {budget >> 20} MiB this process may use; pass a smaller {flag}"
+        )
+
+
 def _ordinal_range(config: RunConfig) -> tuple[int, int]:
     """[lo, hi] of a command run at the single --n or at every n up to --n-max."""
     if config.n is None and config.n_max is None:
@@ -366,7 +378,7 @@ def _ordinal_range(config: RunConfig) -> tuple[int, int]:
 
 def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
-    _check_reach(table, hi, "--n-max" if config.n is None else "--n", 2)
+    _check_sweep(table, hi, "--n-max" if config.n is None else "--n")
     found = sieve_identity.next_prime_sweep(lo, hi, table)
     ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
     violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
@@ -392,7 +404,7 @@ def _run_certify(config: RunConfig, table: core.PrimeTable):
     one, so the report, the violations and their order are those of one process.
     """
     _require(config, "n_max")
-    _check_reach(table, config.n_max, "--n-max", 2)
+    _check_sweep(table, config.n_max, "--n-max")
     violations, owner = [], os.getpid()
     steps = sieve_identity.certificate_steps(config.n_max, table)
 
@@ -522,7 +534,7 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violat
 
 def _run_report(config: RunConfig, table: core.PrimeTable):
     _require(config, "n_max")
-    _check_reach(table, config.n_max, "--n-max", 2)
+    _check_sweep(table, config.n_max, "--n-max")
     violations = []
     amplitude = _resolve_amplitude(config, table, "the calibration window's end n =")
     return _precision_rows(config.n_max, table, amplitude, violations), violations

@@ -94,6 +94,21 @@ def coprime_indicator(m: int, n: int, table: PrimeTable) -> int:
     return via_gcd
 
 
+# Bytes per entry of [0, 2 p_hi] that a filter sweep's arrays take at their peak, at most.
+# While the divisors are found: the Möbius table's int8 (1), the uint32 quotients `rest`
+# (4), the prime marks and three boolean masks (4) and numpy's intp copy of `rest` for
+# the gather `listed[rest]` (8).  Later arrays peak lower: the int32 Möbius sums, the
+# int64 divisors and one int64 batch of their multiples, about 0.6 of the entries each.
+# tracemalloc measured 17.4 bytes an entry at 2 p_hi from 2e5 to 8e6; the rest of the
+# 20 covers the per-n lists the callers build beside it.
+SWEEP_BYTES = 20
+
+
+def sweep_bytes(hi: int, table: PrimeTable) -> int:
+    """Bytes the filter sweep up to n = hi takes at its peak, at most: SWEEP_BYTES an entry of [0, 2 p_hi]."""
+    return SWEEP_BYTES * (2 * table.nth(hi) + 1)
+
+
 def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, np.ndarray]]:
     """(n, passed) for n = lo..hi, where passed[m - 1] is the filter at m in [1, 2 p_n].
 
@@ -176,6 +191,9 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
         yield n, passed[1 : window + 1]
 
 
+_SCAN_CHUNK = 256  # entries of a next-prime scan's first chunk
+
+
 def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
     """Smallest filter survivor above 1 for each n in [lo, hi], from one sweep.
 
@@ -188,7 +206,12 @@ def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
     found = []
     first = 2  # nothing in [2, first) passes
     for n, passed in _filter_windows(lo, hi, table):
-        first += int(np.argmax(passed[first - 1 :]))  # unchanged when nothing from first on passed
+        # argmax reads a read-only view to its end, so it scans a chunk widened until
+        # it holds a survivor or reaches the end: O(gap) entries a step, not O(p_n)
+        width = _SCAN_CHUNK
+        while not (chunk := passed[first - 1 : first - 1 + width]).any() and first - 1 + width < len(passed):
+            width *= 4
+        first += int(np.argmax(chunk))  # unchanged when nothing from first on passed
         if not passed[first - 1]:
             raise InvariantViolation(
                 f"no filter survivor in [2, {len(passed)}] for n={n}; the scan range guarantees one"

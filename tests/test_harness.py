@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from array import array
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -442,6 +443,20 @@ def test_write_rows_matches_per_cell_rule_on_reports(command, n_max):
     assert written(items) == per_cell_csv(rows, REPORT_COLUMNS)
 
 
+def test_estimator_lane_reads_its_source_off_n():
+    columns = core.EstimatorColumns.against(3, [*range(5, 100_005)], np.arange(5.0, 100_005.0))
+    tracemalloc.start()
+    try:
+        keys, lane = harness._estimator_lane("capacity", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # no list of 100k sources
+    assert keys == ("source", *core.EstimatorColumns._fields) and lane[1:] == tuple(columns)
+    assert len(lane[0]) == 100_000 and lane[0][99_999] == "capacity"
+    assert lane[0][10:13] == ["capacity"] * 3
+
+
 def forking_block(rows, lanes):
     """A block of `rows` rows in `lanes` lanes: floats, ints and a text column that needs quoting."""
     estimates = array("d", (math.sqrt(2) * k - 1e5 for k in range(rows)))
@@ -707,6 +722,31 @@ def test_gandhi_resource_limit_exit_code(capsys):
     buffer = io.StringIO()
     assert run(RunConfig(command="gandhi", n_max=8, sieve_limit=LIMIT), stream=buffer) == EXIT_RESOURCE
     assert buffer.getvalue() == "" and "n=8 needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flag",
+    [
+        (RunConfig(command="sieve-next", n=100, sieve_limit=20_000), "--n"),
+        (RunConfig(command="sieve-next", n_max=100, sieve_limit=20_000), "--n-max"),
+        (RunConfig(command="certify", n_max=100, sieve_limit=20_000), "--n-max"),
+        (RunConfig(command="report", n_max=100, sieve_limit=20_000), "--n-max"),
+    ],
+    ids=["sieve-next-n", "sieve-next-n-max", "certify", "report"],
+)
+def test_filter_sweep_past_memory_is_refused_before_a_row(monkeypatch, capsys, small_table, config, flag):
+    monkeypatch.setitem(harness._TABLES, small_table.limit, small_table)
+    needed = harness.sieve_identity.sweep_bytes(100, small_table)
+    monkeypatch.setattr(core, "_memory_budget", lambda: needed - 1)
+    buffer = io.StringIO()
+    assert run(config, stream=buffer) == EXIT_RESOURCE
+    assert buffer.getvalue() == ""
+    assert capsys.readouterr().err == (
+        f"resource limit: {flag} 100 sweeps the filter over [1, 1082], about {needed >> 20} MiB, "
+        f"more than the {(needed - 1) >> 20} MiB this process may use; pass a smaller {flag}\n"
+    )
+    monkeypatch.setattr(core, "_memory_budget", lambda: needed)
+    assert run(config, stream=io.StringIO()) == EXIT_OK
 
 
 def test_usage_error_exit_codes():
@@ -1157,6 +1197,9 @@ def test_cli_refuses_a_sieve_limit_past_memory(capped_address_space):
         # P_2000 has about 7,500 digits, past str()'s limit, and the P_k up to P_78498 would fill memory
         (["gandhi", "--n-max", "2000"], "; pass --allow-large-gandhi "),
         (["gandhi", "--n", "78498"], "; pass --allow-large-gandhi "),
+        # the sieve to 5e7 fits the cap, but the filter sweep's arrays over [1, 2 p_n],
+        # 20 bytes an entry (954 MiB), do not; allocating them ended in a MemoryError
+        (["sieve-next", "--n-max", "1565927", "--sieve-limit", "50000000"], "; pass a smaller --n-max"),
     ],
 )
 def test_cli_refuses_past_a_resource_bound(capped_address_space, argv, fix):

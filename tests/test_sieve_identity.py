@@ -4,6 +4,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from primeforms.sieve_identity import (
     harmonic_certificate,
     next_prime_sweep,
     next_prime_via_filter,
+    sweep_bytes,
 )
 
 import reference
@@ -347,6 +349,27 @@ def test_sweep_starting_above_one_matches_full_sweep(table):
     assert next_prime_sweep(40, 60, table) == next_prime_sweep(1, 60, table)[39:]
     with pytest.raises(ValueError):
         next_prime_sweep(5, 4, table)
+
+
+def test_next_prime_scan_widens_its_chunk(monkeypatch, table):
+    # a one-entry first chunk must widen past every gap up to p_501
+    monkeypatch.setattr(sieve_identity, "_SCAN_CHUNK", 1)
+    assert next_prime_sweep(1, 500, table) == table.primes[1:501]
+    assert next_prime_sweep(400, 400, table) == [table.primes[400]]
+
+
+def test_sweep_memory_estimate_covers_its_allocations():
+    # numpy reports its buffers to tracemalloc, so the traced peak is what the
+    # sweep allocates, its Möbius table included, on a fresh table
+    table = sieve(200_000)
+    n = table.pi(100_000)
+    tracemalloc.start()
+    try:
+        next_prime_sweep(1, n, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sweep_bytes(n, table)
 
 
 def _corrupt_moebius(monkeypatch, d):

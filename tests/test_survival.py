@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,34 @@ def test_survival_estimate_equals_direct_product_exactly(table):
 def test_survival_sweep_strictly_increasing(table):
     estimates = survival_sweep(3, 2_000, table).estimate
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
+
+
+def test_estimator_columns_take_three_floats_a_row(table):
+    # the scores are written into their array("d")s, with no full-size copy beside them,
+    # and floored is read off estimate: 100k rows peak below 36 bytes a row, where
+    # per-row floor ints and copies of every score took over 80
+    p_n = table.primes[2:100_002]
+    estimates = np.multiply(p_n, 1.01)
+    tracemalloc.start()
+    try:
+        columns = EstimatorColumns.against(3, p_n, estimates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * len(p_n)
+    i = 70_000
+    assert (columns.estimate[i], columns.floored[i]) == (estimates[i], math.floor(estimates[i]))
+    assert columns.residual[i] == p_n[i] - estimates[i]
+    assert columns.rel_error[i] == (p_n[i] - estimates[i]) / p_n[i]
+
+
+def test_floored_is_the_exact_floor_past_int64():
+    # `spectral --alpha 1e300` prints such floors, which no int64 column could hold
+    columns = EstimatorColumns.against(3, [5, 7], [1e300, -1e300])
+    expected = [math.floor(1e300), math.floor(-1e300)]
+    assert expected[0] > 2**63 and expected[1] < -(2**63)
+    assert [columns.floored[0], columns.floored[1]] == columns.floored[0:2] == [*columns.floored] == expected
+    assert len(columns.floored) == 2
 
 
 # -- Selberg quadratic form ----------------------------------------------------------
