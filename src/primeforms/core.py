@@ -2,9 +2,9 @@
 
 Everything downstream trusts this module.  The sieve table is the ground
 truth for every exact claim in the package, and certificate-bearing
-arithmetic stays in `fractions.Fraction` / Python ints, printed through
-exact Decimal twins, so no float ever touches a certified value.  Floats
-are confined to the estimators' `EstimatorColumns` and to the
+arithmetic stays in Python ints, handed on as `Ratio` records printed
+through exact Decimal twins, so no float ever touches a certified value.
+Floats are confined to the estimators' `EstimatorColumns` and to the
 certificates' float shadows, the precision study's probes.
 """
 
@@ -14,14 +14,13 @@ import decimal
 import math
 import os
 import resource
-import sys
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,31 +35,12 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because its cost grows past the configured bound."""
 
 
-class DecimalFraction(Fraction):
-    """A Fraction also holding its numerator and denominator as exact Decimals, for printing."""
+class Ratio(NamedTuple):
+    """An exact rational numerator/denominator, denominator > 0, with both as exact Decimals for printing."""
 
-    __slots__ = ("decimals",)
-
-
-def coprime_fraction(numerator: int, denominator: int, decimals: tuple | None = None) -> Fraction:
-    """Fraction(numerator, denominator) for a pair already in lowest terms, denominator > 0.
-
-    `Fraction` reduces by a full-size gcd on construction; a caller that
-    has proved the pair coprime skips it through the constructor CPython
-    keeps for its own arithmetic (`_from_coprime_ints` from 3.12 on, the
-    `_normalize=False` keyword before).  Both are private, so the tests
-    compare this against `Fraction(numerator, denominator)` on every
-    supported version.  Given the pair's exact Decimals, the result is a
-    DecimalFraction holding them.
-    """
-    cls = Fraction if decimals is None else DecimalFraction
-    if sys.version_info >= (3, 12):
-        value = cls._from_coprime_ints(numerator, denominator)
-    else:
-        value = cls(numerator, denominator, _normalize=False)
-    if decimals is not None:
-        value.decimals = decimals
-    return value
+    numerator: int
+    denominator: int
+    decimals: tuple  # (Decimal numerator, Decimal denominator)
 
 
 # A Mersenne prime: a Decimal and the int it stands for must agree modulo it.
@@ -293,7 +273,11 @@ class PrimeTable:
 
         Sieved over the tabulated primes: every multiple of p flips sign and
         every multiple of p^2 is zeroed, so mu[m] = (-1)^k on squarefree m
-        with k prime factors and 0 elsewhere.
+        with k prime factors and 0 elsewhere.  Only the primes up to root =
+        isqrt(bound) have a square to zero, so they flip their multiples one
+        prime at a time; the primes above it flip theirs one cofactor k at a
+        time, every k p for the p <= bound / k at once, as in
+        `sieve_identity._filter_windows`.
         """
         if upto > self.limit:
             raise ValueError(f"{upto} is beyond sieve limit {self.limit}")
@@ -302,9 +286,16 @@ class PrimeTable:
             bound = min(self.limit, max(upto, 2 * len(cache), 1024))
             cache = np.ones(bound + 1, dtype=np.int8)
             cache[0] = 0
-            for p in self.primes[: self.pi(bound)]:
+            root = math.isqrt(bound)
+            primes = self.primes[: self.pi(bound)]
+            split = bisect_right(primes, root)
+            for p in primes[:split]:
                 cache[p::p] *= -1
                 cache[p * p :: p * p] = 0
+            large = np.array(primes[split:], dtype=np.int64)
+            counts = np.searchsorted(large, bound // np.arange(1, bound // (root + 1) + 1), side="right")
+            for k, count in enumerate(counts.tolist(), start=1):
+                cache[k * large[:count]] *= -1  # distinct indices for one k
             self._mu_values = cache
         return cache
 

@@ -33,12 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import DecimalFraction, InvariantViolation, PrimeTable, ResourceLimitError, check_twins
-from .core import coprime_fraction, exact_decimals, to_decimal
+from .core import InvariantViolation, PrimeTable, Ratio, ResourceLimitError, check_twins, exact_decimals, to_decimal
 
 # The gate bounds output size: a row holds three P_n-bit rationals, and
 # the row for P_8 = 9699690 bits takes about 3 s to print in decimal.
@@ -56,20 +54,21 @@ class GandhiEvaluation:
     """Exact inclusion-exclusion record for one step of Gandhi's formula."""
 
     n: int
-    probability: DecimalFraction  # survivor probability of the geometric(1/2) draw
-    half_excess: DecimalFraction  # probability - 1/2
+    probability: Ratio  # survivor probability of the geometric(1/2) draw
+    half_excess: Ratio  # probability - 1/2
     extracted_prime: int  # the exponent m with 2^m * half_excess in (1, 2)
-    scaled_remainder: DecimalFraction  # 2^m * half_excess - 1, lies in (0, 1/2)
+    scaled_remainder: Ratio  # 2^m * half_excess - 1, lies in (0, 1/2)
     subset_count: int  # inclusion-exclusion terms evaluated (2^n - 1)
 
     def violations(self) -> list[str]:
-        """Exact invariant check; an empty list means all hold."""
+        """Exact invariant check, on integers cross-multiplied by the positive denominators; empty if all hold."""
         out = []
-        if not Fraction(0) < self.scaled_remainder < Fraction(1, 2):
-            bound = "above 0" if self.scaled_remainder <= 0 else "below 1/2"
+        remainder, excess = self.scaled_remainder, self.half_excess
+        if not 0 < 2 * remainder.numerator < remainder.denominator:
+            bound = "above 0" if remainder.numerator <= 0 else "below 1/2"
             out.append(f"n={self.n}: scaled remainder is not {bound}")  # its terms outgrow str() at n = 7
-        scaled = self.half_excess * (1 << self.extracted_prime)
-        if not Fraction(1) < scaled < Fraction(2):
+        scaled = excess.numerator << self.extracted_prime
+        if not excess.denominator < scaled < 2 * excess.denominator:
             out.append(f"n={self.n}: 2^m * half excess lies outside (1, 2)")
         return out
 
@@ -100,13 +99,13 @@ def check_feasible(n: int, table: PrimeTable, allow_large: bool) -> None:
         )
 
 
-def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False) -> Fraction:
-    """Exact probability that a geometric(1/2) draw is coprime to the first n primes.
+def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False) -> tuple[int, int]:
+    """Exact probability that a geometric(1/2) draw is coprime to the first n primes, as a pair (N, D).
 
     Every subset of the first n primes contributes (-1)^|S| / (2^E - 1),
     E the product of S; the empty subset supplies the leading +1.  The sum
-    is checked against Golomb's bit string and returned in lowest terms,
-    reduced by the small-prime valuations of the module docstring.
+    is checked against Golomb's bit string and returned as N/D in lowest
+    terms, reduced by the small-prime valuations of the module docstring.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
@@ -130,7 +129,7 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
     for ell in table.primes[1 : n - 1]:
         while numerator % (common * ell) == 0 and q % (common * ell) == 0:
             common *= ell
-    return coprime_fraction(numerator // common, q // common)
+    return numerator // common, q // common
 
 
 def _golomb_numerator(exponent_total: int, primes: list[int]) -> int:
@@ -141,16 +140,17 @@ def _golomb_numerator(exponent_total: int, primes: list[int]) -> int:
     return int.from_bytes(np.packbits(coprime).tobytes(), "big") >> (-exponent_total % 8)
 
 
-def extract_prime(probability: Fraction) -> int:
-    """The unique m with 1 < 2^m * (probability - 1/2) < 2, by exact doubling.
+def extract_prime(probability: tuple[int, int]) -> int:
+    """The unique m with 1 < 2^m * (N/D - 1/2) < 2 for probability = (N, D), D > 0, by exact doubling.
 
-    Never touches floating point: the numerator is doubled until it first
-    exceeds the denominator, and the upper bound is then checked exactly.
+    Never touches floating point: N/D - 1/2 is (2N - D)/(2D), whose
+    numerator is doubled until it first exceeds the denominator, and the
+    upper bound is then checked exactly.
     """
-    excess = probability - Fraction(1, 2)
-    if excess <= 0:
+    numerator, denominator = probability
+    num, den = 2 * numerator - denominator, 2 * denominator
+    if num <= 0:
         raise InvariantViolation("survivor probability does not exceed 1/2")
-    num, den = excess.numerator, excess.denominator
     m = 0
     while num <= den:
         num <<= 1
@@ -182,13 +182,13 @@ def evaluate(n: int, table: PrimeTable, *, allow_large: bool = False) -> GandhiE
         m = extract_prime(probability)
     except InvariantViolation as exc:
         raise InvariantViolation(f"n={n}: {exc}") from None
-    exponent, (numerator, denominator) = table.primorial(n), probability.as_integer_ratio()
+    exponent, (numerator, denominator) = table.primorial(n), probability
     common = ((1 << exponent) - 1) // denominator  # g: a one-digit quotient, linear time
     parts = _readout(numerator, denominator, m)
     with exact_decimals():
         twins = _readout(to_decimal(numerator), (to_decimal(2) ** exponent - 1) // common, m)
         check_twins(f"n={n}", *zip(sum(parts, ()), sum(twins, ())))
-    probability, half_excess, scaled_remainder = (coprime_fraction(*p, t) for p, t in zip(parts, twins))
+    probability, half_excess, scaled_remainder = (Ratio(*p, t) for p, t in zip(parts, twins))
     return GandhiEvaluation(n, probability, half_excess, m, scaled_remainder, subset_count=(1 << n) - 1)
 
 

@@ -129,7 +129,7 @@ def _table(limit: int) -> core.PrimeTable:
     return _TABLES[limit]
 
 
-def _fraction_str(value: core.DecimalFraction) -> str:
+def _fraction_str(value: core.Ratio) -> str:
     """"numerator/denominator" in decimal, printed from the exact Decimals the value carries."""
     return "%s/%s" % value.decimals
 
@@ -147,11 +147,11 @@ def _csv_texts(cells):
 
 
 def _converters(kind: type) -> tuple:
-    """(CSV, JSON) converters, each from a column to its cells, of floats, DecimalFractions, text or ints."""
+    """(CSV, JSON) converters, each from a column to its cells, of floats, `core.Ratio`s, text or ints."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
         reprs = partial(map, float.__repr__)
         return reprs, lambda column: map(_JSON_NONFINITE.get, *tee(reprs(column)))
-    if issubclass(kind, core.DecimalFraction):
+    if issubclass(kind, core.Ratio):
         texts = partial(map, _fraction_str)
         return texts, lambda column: map(encode_basestring_ascii, texts(column))
     if issubclass(kind, str):

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, check_twins, coprime_fraction, exact_decimals, to_decimal
+from .core import InvariantViolation, PrimeTable, Ratio, check_twins, exact_decimals, to_decimal
 
 MACHINE_EPSILON = 2.22e-16  # 64-bit epsilon, as used by the float probes
 FLOAT_GAP_THRESHOLD = 1e3 * MACHINE_EPSILON
@@ -34,13 +34,13 @@ class CertificateReport:
 
     n: int
     next_prime: int  # smallest filter survivor above 1
-    exact_sum: Fraction  # sum of 1/m over survivors in [1, 2 p_n]
+    exact_sum: Ratio  # sum of 1/m over survivors in [1, 2 p_n]
     exact_floor: int
-    margin: Fraction  # exact_sum - 1
+    margin: Ratio  # exact_sum - 1
     float_sum: float  # naive 64-bit accumulation, ascending m
     float_floor: int
     float_margin: float  # float_sum - 1
-    float_gap: float  # float_sum - float(exact_sum), the signed float-vs-exact error
+    float_gap: float  # float_sum - exact_sum rounded to float, the signed float-vs-exact error
 
     @property
     def float_anomalous(self) -> bool:
@@ -58,13 +58,13 @@ class CertificateReport:
         out = []
         if self.exact_floor != 1:
             out.append(f"n={self.n}: exact floor is {self.exact_floor}, expected 1")
-        numerator, denominator = self.margin.as_integer_ratio()
+        numerator, denominator, _ = self.margin
         p = self.next_prime
         excess = numerator * p - denominator
         if excess < 0:
             out.append(f"n={self.n}: margin fell below 1/{p}")
         if excess * LN2_LOWER.denominator >= LN2_LOWER.numerator * denominator * p:
-            out.append(f"n={self.n}: harmonic tail {float(self.margin - Fraction(1, p))} reached ln 2")
+            out.append(f"n={self.n}: harmonic tail {excess / (denominator * p)} reached ln 2")
         return out
 
 
@@ -260,8 +260,8 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     margin N/D and the sum (N + D)/D are built without a gcd.  A `decimal`
     twin of (N, D) takes the same steps, each big by small and so linear in
     the size under libmpdec; only the joined tree is converted, the whole
-    sum after a new start.  The Fractions carry it, checked against the
-    ints, to the report writer.  The float shadow re-accumulates the same
+    sum after a new start.  The `Ratio` records carry it, checked against
+    the ints, to the report writer.  The float shadow re-accumulates the same
     terms in 64-bit arithmetic ascending in m, matching the naive loop the
     precision study critiques bit for bit.
     """
@@ -293,21 +293,20 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
             twin_n, twin_d = twin_n * d2 + n2 * twin_d, twin_d * d2
         check_twins(f"n={n}", (numerator, twin_n), (denominator, twin_d))
         twin_sum = twin_n + twin_d
-    margin = coprime_fraction(numerator, denominator, (twin_n, twin_d))
-    exact = coprime_fraction(numerator + denominator, denominator, (twin_sum, twin_d))
+    total = numerator + denominator
     table._harmonic = (n, numerator, denominator, hi, (twin_n, twin_d))
     # cumsum adds in index order, one term at a time, as a Python loop would
     shadow = float(np.cumsum(1.0 / np.concatenate(([1.0], table.float_primes(hi)[n:])))[-1])
     return CertificateReport(
         n=n,
         next_prime=primes[n],
-        exact_sum=exact,
-        exact_floor=exact.numerator // exact.denominator,
-        margin=margin,
+        exact_sum=Ratio(total, denominator, (twin_sum, twin_d)),
+        exact_floor=total // denominator,
+        margin=Ratio(numerator, denominator, (twin_n, twin_d)),
         float_sum=shadow,
         float_floor=math.floor(shadow),
         float_margin=shadow - 1.0,
-        float_gap=shadow - float(exact),
+        float_gap=shadow - total / denominator,  # int / int rounds the exact quotient correctly
     )
 
 

@@ -1,13 +1,39 @@
-"""Reference functions the tests check the package against; no command uses them."""
+"""Reference functions the tests check the package against, and the conversions between `core.Ratio`
+records and the Fractions they stand for; no command uses them."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from primeforms.core import InvariantViolation, PrimeTable, sieve
+from primeforms.core import InvariantViolation, PrimeTable, Ratio, exact_decimals, sieve, to_decimal
+from primeforms.gandhi import GandhiEvaluation
 from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_windows, harmonic_certificate
 from primeforms.survival import _capacity_terms, quadratic_form_value, squarefree_support
+
+
+def fraction(value) -> Fraction:
+    """The Fraction a `core.Ratio` record or a (numerator, denominator) pair stands for."""
+    return Fraction(value[0], value[1])
+
+
+def ratio(*args) -> Ratio:
+    """Fraction(*args) as the commands hand a rational to the writer: a Ratio with the Decimals it prints."""
+    value = Fraction(*args)
+    with exact_decimals():
+        magnitude = to_decimal(abs(value.numerator))
+        decimals = (-magnitude if value < 0 else magnitude, to_decimal(value.denominator))
+    return Ratio(value.numerator, value.denominator, decimals)
+
+
+def moebius_values(table: PrimeTable, bound: int) -> np.ndarray:
+    """`PrimeTable.moebius_values` as a loop over every listed entry up to bound, two passes each."""
+    mu = np.ones(bound + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in table.primes[: table.pi(bound)]:
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
 
 
 def von_mangoldt(table: PrimeTable, k: int) -> float:
@@ -68,12 +94,41 @@ def certificate_violations(report: CertificateReport) -> list[str]:
     out = []
     if report.exact_floor != 1:
         out.append(f"n={report.n}: exact floor is {report.exact_floor}, expected 1")
-    if report.margin < Fraction(1, report.next_prime):
+    margin = fraction(report.margin)
+    if margin < Fraction(1, report.next_prime):
         out.append(f"n={report.n}: margin fell below 1/{report.next_prime}")
-    tail = report.margin - Fraction(1, report.next_prime)
+    tail = margin - Fraction(1, report.next_prime)
     if tail >= LN2_LOWER:
         out.append(f"n={report.n}: harmonic tail {float(tail)} reached ln 2")
     return out
+
+
+def gandhi_violations(evaluation: GandhiEvaluation) -> list[str]:
+    """`GandhiEvaluation.violations` with its bounds compared as Fractions."""
+    out = []
+    remainder = fraction(evaluation.scaled_remainder)
+    if not Fraction(0) < remainder < Fraction(1, 2):
+        bound = "above 0" if remainder <= 0 else "below 1/2"
+        out.append(f"n={evaluation.n}: scaled remainder is not {bound}")
+    scaled = fraction(evaluation.half_excess) * (1 << evaluation.extracted_prime)
+    if not Fraction(1) < scaled < Fraction(2):
+        out.append(f"n={evaluation.n}: 2^m * half excess lies outside (1, 2)")
+    return out
+
+
+def extract_prime(probability) -> int:
+    """`gandhi.extract_prime` with the excess over 1/2 taken, and reduced, as a Fraction."""
+    excess = fraction(probability) - Fraction(1, 2)
+    if excess <= 0:
+        raise InvariantViolation("survivor probability does not exceed 1/2")
+    num, den = excess.numerator, excess.denominator
+    m = 0
+    while num <= den:
+        num <<= 1
+        m += 1
+    if num >= 2 * den:
+        raise InvariantViolation("no exponent places the scaled excess inside (1, 2)")
+    return m
 
 
 def filter_windows(lo: int, hi: int, table: PrimeTable):

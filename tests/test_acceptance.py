@@ -31,7 +31,7 @@ from primeforms.survival import (
     survival_sweep,
 )
 
-from reference import cipolla_drift, moebius_truncation_value, oscillation_sum
+from reference import cipolla_drift, fraction, moebius_truncation_value, oscillation_sum
 
 
 def _verdict(name: str, failures: list) -> None:
@@ -57,10 +57,10 @@ def test_c02_certificate_margin_bounds(table, certificates_500):
     ln2 = math.log(2.0)
     failures = []
     for report in certificates_500:
-        lower = Fraction(1, report.next_prime)
-        if report.margin < lower:  # exact rational comparison
+        lower, margin = Fraction(1, report.next_prime), fraction(report.margin)
+        if margin < lower:  # exact rational comparison
             failures.append(f"margin below 1/p at n={report.n}")
-        if float(report.margin - lower) >= ln2 + 1e-12:
+        if float(margin - lower) >= ln2 + 1e-12:
             failures.append(f"harmonic tail reached ln 2 at n={report.n}")
     # documented exception: the intermediate bound 1/p_(n+1) + ln 2 < 1 fails
     # at n = 1 (1/3 + ln 2 > 1), yet the conclusion floor = 1 still holds.
@@ -78,11 +78,11 @@ def test_c03_gandhi_exactness(table):
         next_p = table.nth(n + 1)
         if evaluation.extracted_prime != next_p:
             failures.append(f"extracted {evaluation.extracted_prime} != p_{n+1} at n={n}")
-        if not Fraction(0) < evaluation.scaled_remainder < Fraction(1, 2):
+        if not Fraction(0) < fraction(evaluation.scaled_remainder) < Fraction(1, 2):
             failures.append(f"remainder outside (0, 1/2) at n={n}")
         lower = Fraction(1, 2) + Fraction(1, 2**next_p)
         upper = lower + Fraction(1, 2 ** (next_p + 1))
-        if not lower < evaluation.probability < upper:
+        if not lower < fraction(evaluation.probability) < upper:
             failures.append(f"sandwich failed at n={n}")
     _verdict("C03 Gandhi exactness n<=7", failures)
 
@@ -90,7 +90,8 @@ def test_c03_gandhi_exactness(table):
 def test_c04_gandhi_monte_carlo(table):
     failures = []
     for n in range(1, 6):
-        exact = float(survivor_probability(n, table))
+        numerator, denominator = survivor_probability(n, table)
+        exact = numerator / denominator
         estimate = monte_carlo_survivor_fraction(n, 10**6, 42, table)
         sigma = math.sqrt(exact * (1.0 - exact) / 10**6)
         if abs(estimate - exact) > 4.0 * sigma:

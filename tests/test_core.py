@@ -7,13 +7,15 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeforms import core
-from primeforms.core import TWIN_MODULUS, ResourceLimitError, _twin_residue, coprime_fraction, sieve
+from primeforms.core import TWIN_MODULUS, ResourceLimitError, _twin_residue, sieve
 
+import reference
 from reference import von_mangoldt
 
 
@@ -288,28 +290,40 @@ def test_rational_canonical_form(n, d):
     assert math.gcd(abs(f.numerator), f.denominator) == 1
 
 
-@settings(max_examples=200)
-@given(a=st.integers(-(2**2200), 2**2200), b=st.integers(1, 2**2200))
-@example(a=-5, b=3)
-@example(a=1, b=1)
-@example(a=3**1500 + 1, b=2**2100 + 1)  # both operands above 2048 bits
-@example(a=-(5**1000), b=2**3001 - 1)
-def test_coprime_fraction_equals_fraction(a, b):
-    # the helper reaches a private constructor that differs by version, so
-    # pin it to the public one wherever the suite runs
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    built, expected = coprime_fraction(a, b), Fraction(a, b)
-    assert type(built) is Fraction
-    assert built == expected
-    assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
-    assert hash(built) == hash(expected)
+@st.composite
+def subnormal_quotients(draw):
+    """(a, b) whose quotient lies between about 2^-1021 and 2^-1080: subnormal, or rounding to 0."""
+    a, b = draw(st.integers(1, 2**200)), draw(st.integers(1, 2**200))
+    return a, b << 1021 + a.bit_length() - b.bit_length() + draw(st.integers(0, 58))
 
 
-def test_coprime_fraction_skips_the_reduction():
-    # no gcd is taken: a pair that is not coprime stays as given
-    built = coprime_fraction(2, 4)
-    assert (built.numerator, built.denominator) == (2, 4)
+@settings(max_examples=300)
+@given(
+    pair=st.one_of(
+        st.tuples(st.integers(-(2**2200), 2**2200), st.integers(1, 2**2200)),
+        st.tuples(st.integers(2**1100, 2**2200), st.integers(2**1100, 2**2200)),
+        subnormal_quotients(),
+    ),
+    common=st.integers(1, 2**70),
+)
+@example(pair=(-5, 3), common=1)
+@example(pair=(3**1500 + 1, 2**2100 + 1), common=6)  # both operands past 2^1100
+@example(pair=(2**1100 + 1, 2**1100 - 1), common=6)
+@example(pair=(1, 2**1074), common=6)  # the least subnormal
+@example(pair=(1, 2**1075), common=6)  # half of it, a tie rounded to even 0
+@example(pair=(3, 2**1076), common=6)  # three quarters of it, rounded up
+@example(pair=(2**1100, 3), common=6)  # past the largest float
+def test_int_quotient_is_the_float_of_the_fraction(pair, common):
+    # a certificate's float_gap and its ln 2 message divide the record's ints, where
+    # float(Fraction) divides the reduced pair: the same correctly rounded quotient
+    a, b = pair[0] * common, pair[1] * common
+    try:
+        expected = float(Fraction(a, b))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            a / b
+    else:
+        assert (a / b).hex() == expected.hex()
 
 
 def test_twin_residue_is_the_remainder():
@@ -348,3 +362,25 @@ def test_moebius_values_match_scalar_moebius():
     assert mu[0] == 0
     assert [int(v) for v in mu[1:]] == [small.moebius(m) for m in range(1, 100_001)]
     assert small.moebius_values(50) is mu  # a smaller request reuses the memo
+
+
+_LISTED = sieve(5_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drop=st.one_of(st.none(), st.sampled_from(_LISTED.primes)),
+    insert=st.one_of(st.none(), st.integers(4, 5_000)),
+    upto=st.integers(1, 5_000),
+)
+@example(drop=None, insert=None, upto=5_000)
+@example(drop=None, insert=33, upto=70)  # a composite above isqrt(1024), flipped by its cofactors
+@example(drop=4_999, insert=None, upto=5_000)  # a prime above isqrt(5000) whose multiples stay unflipped
+@example(drop=2, insert=4, upto=3_000)  # a listed square below the root
+def test_moebius_values_match_the_per_entry_loop_on_any_listed_table(drop, insert, upto):
+    # the filter's corruption tests read the Möbius table of a mutant list, so it must be
+    # the per-entry loop's on a list with a prime dropped or a composite inserted too
+    primes = sorted({*_LISTED.primes, *([insert] if insert else [])} - {drop})
+    table = core.PrimeTable(limit=_LISTED.limit, primes=primes)
+    mu = table.moebius_values(upto)
+    assert np.array_equal(mu, reference.moebius_values(table, len(mu) - 1))

@@ -6,16 +6,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primeforms import gandhi
-from primeforms.core import ResourceLimitError
-from primeforms.gandhi import evaluate, extract_prime, monte_carlo_survivor_fraction, survivor_probability
+from primeforms.core import InvariantViolation, ResourceLimitError
+from primeforms.gandhi import (
+    GandhiEvaluation,
+    evaluate,
+    extract_prime,
+    monte_carlo_survivor_fraction,
+    survivor_probability,
+)
+
+import reference
+from reference import fraction, gandhi_violations, ratio
 
 
 def test_probability_hand_values(table):
-    assert survivor_probability(1, table) == Fraction(2, 3)
+    assert fraction(survivor_probability(1, table)) == Fraction(2, 3)
     expected = 1 - Fraction(1, 3) - Fraction(1, 7) + Fraction(1, 63)
-    assert survivor_probability(2, table) == expected
+    assert fraction(survivor_probability(2, table)) == expected
 
 
 def _inclusion_exclusion_numerator(n, table):
@@ -36,11 +47,8 @@ def test_probability_is_the_gcd_reduced_inclusion_exclusion_sum(table):
         q = (1 << table.primorial(n)) - 1
         common = math.gcd(numerator, q)
         probability = survivor_probability(n, table)
-        assert (probability.numerator, probability.denominator) == (
-            numerator // common,
-            q // common,
-        ), n
-        common_factors.append(q // probability.denominator)
+        assert probability == (numerator // common, q // common), n
+        common_factors.append(q // probability[1])
         assert gandhi._golomb_numerator(table.primorial(n), table.primes[:n]) == numerator, n
     assert common_factors == [1, 1, 1, 3, 3, 9, 9]
 
@@ -57,12 +65,12 @@ def test_probability_matches_direct_survivor_measure(table):
     # which undershoots the exact probability by less than 2^-200
     for n in range(1, 6):
         partial = sum(Fraction(1, 2**m) for m in table.primorial_coprime(n, 200))
-        diff = survivor_probability(n, table) - partial
+        diff = fraction(survivor_probability(n, table)) - partial
         assert Fraction(0) < diff < Fraction(1, 2**200), n
 
 
 def test_extraction_hand_values(table):
-    assert extract_prime(Fraction(2, 3)) == 3  # excess 1/6, 8/6 lies in (1, 2)
+    assert extract_prime((2, 3)) == 3  # excess 1/6, 8/6 lies in (1, 2)
     assert extract_prime(survivor_probability(2, table)) == 5
     assert extract_prime(survivor_probability(6, table)) == 17
 
@@ -71,20 +79,20 @@ def test_evaluation_sweep_matches_oracle(table):
     for n in range(1, 8):
         ev = evaluate(n, table)
         assert ev.extracted_prime == table.nth(n + 1)
-        assert Fraction(0) < ev.scaled_remainder < Fraction(1, 2)
+        assert Fraction(0) < fraction(ev.scaled_remainder) < Fraction(1, 2)
         assert ev.subset_count == 2**n - 1
         assert ev.violations() == []
 
 
 def test_readout_is_the_normalised_fraction_arithmetic(table):
-    # coprime_fraction skips the gcd, so each pair must come out in lowest terms already;
+    # the readout takes no gcd, so each pair must come out in lowest terms already;
     # at n = 7 the Decimals are checked against str() by test_gandhi_rationals_print_as_plain_str
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # the n = 6 terms have ~9k digits
     try:
         for n in range(1, 8):
             ev = evaluate(n, table)
-            probability = survivor_probability(n, table)
+            probability = fraction(survivor_probability(n, table))
             half_excess = probability - Fraction(1, 2)
             expected = (probability, half_excess, half_excess * 2**ev.extracted_prime - 1)
             for got, want in zip((ev.probability, ev.half_excess, ev.scaled_remainder), expected):
@@ -97,10 +105,61 @@ def test_readout_is_the_normalised_fraction_arithmetic(table):
 
 def test_probability_sandwich_exact(table):
     for n in range(1, 8):
-        probability = survivor_probability(n, table)
+        probability = fraction(survivor_probability(n, table))
         next_p = table.nth(n + 1)
         lower = Fraction(1, 2) + Fraction(1, 2**next_p)
         assert lower < probability < lower + Fraction(1, 2 ** (next_p + 1)), n
+
+
+def _extracted(extract, probability):
+    """extract(probability), or the message of the InvariantViolation it raises."""
+    try:
+        return extract(probability)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    excess=st.one_of(st.just(Fraction(0)), st.integers(0, 40).map(lambda k: Fraction(1, 2**k))),
+    offset=st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    scale=st.integers(0, 60),
+    common=st.integers(1, 6),
+)
+@example(excess=Fraction(0), offset=Fraction(0), scale=0, common=1)  # probability 1/2
+@example(excess=Fraction(1, 4), offset=Fraction(0), scale=0, common=1)  # 3/4: the excess doubles to 1, then to 2
+@example(excess=Fraction(1, 4), offset=Fraction(0), scale=0, common=2)  # 6/8, the same not in lowest terms
+@example(excess=Fraction(1, 8), offset=Fraction(1, 24), scale=0, common=1)  # 2/3, extracted at m = 3
+def test_integer_extraction_matches_the_fraction_extraction(excess, offset, scale, common):
+    # excesses over 1/2 within 10^-scale of 0 or of 2^-k, where the scaled excess reaches 1 and
+    # then 2, on either side; the pair is handed over times `common`, unreduced
+    probability = Fraction(1, 2) + excess + offset / 10**scale
+    pair = (probability.numerator * common, probability.denominator * common)
+    assert _extracted(extract_prime, pair) == _extracted(reference.extract_prime, pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    remainder=st.sampled_from([Fraction(0), Fraction(1, 2)]),
+    scaled=st.sampled_from([Fraction(1), Fraction(2)]),
+    offsets=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=10**6), min_size=2, max_size=2),
+    scale=st.integers(0, 60),
+    m=st.integers(0, 40),
+)
+@example(remainder=Fraction(0), scaled=Fraction(1), offsets=[Fraction(0), Fraction(0)], scale=0, m=3)
+@example(remainder=Fraction(1, 2), scaled=Fraction(2), offsets=[Fraction(0), Fraction(0)], scale=0, m=3)
+def test_integer_bounds_match_the_fraction_bounds(remainder, scaled, offsets, scale, m):
+    # scaled remainders within 10^-scale of 0 or 1/2 and scaled excesses within it of 1 or 2, on either side
+    half_excess = (scaled + offsets[1] / 10**scale) / 2**m
+    evaluation = GandhiEvaluation(
+        n=3,
+        probability=ratio(half_excess + Fraction(1, 2)),
+        half_excess=ratio(half_excess),
+        extracted_prime=m,
+        scaled_remainder=ratio(remainder + offsets[0] / 10**scale),
+        subset_count=7,
+    )
+    assert evaluation.violations() == gandhi_violations(evaluation)
 
 
 def test_resource_limit_above_seven(table):
@@ -111,7 +170,8 @@ def test_resource_limit_above_seven(table):
 
 def test_monte_carlo_within_four_sigma(table):
     for n in (1, 4):
-        exact = float(survivor_probability(n, table))
+        numerator, denominator = survivor_probability(n, table)
+        exact = numerator / denominator
         estimate = monte_carlo_survivor_fraction(n, 10**6, 42, table)
         sigma = math.sqrt(exact * (1 - exact) / 10**6)
         assert abs(estimate - exact) <= 4 * sigma, n

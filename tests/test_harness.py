@@ -40,7 +40,7 @@ from primeforms.harness import (
 )
 from primeforms.sieve_identity import CertificateReport, certificate_sweep
 
-from reference import cipolla_drift
+from reference import cipolla_drift, fraction, ratio
 
 LIMIT = 2_000_000
 
@@ -150,8 +150,8 @@ def test_csv_rationals_reparse_to_exact_values(table):
     assert code == EXIT_OK
     for row in rows:
         report = harmonic_certificate(int(row["n"]), table)
-        assert Fraction(row["exact_sum"]) == report.exact_sum
-        assert Fraction(row["margin"]) == report.margin
+        assert Fraction(row["exact_sum"]) == fraction(report.exact_sum)
+        assert Fraction(row["margin"]) == fraction(report.margin)
 
 
 @contextmanager
@@ -164,20 +164,11 @@ def int_digit_limit(limit):
         sys.set_int_max_str_digits(previous)
 
 
-def decimal_fraction(*args):
-    """Fraction(*args) as the commands hand a rational to the writer: with the Decimals it prints."""
-    value = Fraction(*args)
-    with core.exact_decimals():
-        magnitude = core.to_decimal(abs(value.numerator))
-        decimals = (-magnitude if value < 0 else magnitude, core.to_decimal(value.denominator))
-    return core.coprime_fraction(value.numerator, value.denominator, decimals)
-
-
 @pytest.mark.parametrize("limit", [0, 4300])
 @pytest.mark.parametrize("value", [Fraction(2, 3), Fraction(3**20000, 2**40001)])
 def test_fraction_str_leaves_digit_limit_unchanged(limit, value):
     # 0 means unlimited; the 12k-digit denominator exceeds the default 4300
-    cell = decimal_fraction(value)
+    cell = ratio(value)
     with int_digit_limit(limit):
         text = harness._fraction_str(cell)
         after = sys.get_int_max_str_digits()
@@ -252,7 +243,7 @@ def per_cell_csv(rows, columns):
     """Reference CSV: every cell converted in Python, rationals as n/d, floats by repr."""
 
     def cell(value):
-        if isinstance(value, Fraction):
+        if isinstance(value, core.Ratio):
             return harness._fraction_str(value)
         if isinstance(value, float):
             return repr(value)
@@ -270,7 +261,7 @@ def per_cell_json(rows, columns):
     """Reference JSON: every cell converted on its own, rationals as n/d, blanks as null."""
 
     def cell(value):
-        if isinstance(value, Fraction):
+        if isinstance(value, core.Ratio):
             return harness._fraction_str(value)
         if isinstance(value, str) and value == "":
             return None
@@ -289,22 +280,22 @@ def written(rows, fmt="csv"):
 
 
 def test_write_rows_matches_per_cell_rule_on_mixed_rows():
-    wide = decimal_fraction(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
+    wide = ratio(3**2000 + 1, 2**2100 + 1)  # both terms above 2048 bits
     d = 5**3000  # a shared denominator above 2048 bits
     a = 7**2500 + 1  # coprime to d
     rows = [
-        {"source": "x", "n": 5, "margin": decimal_fraction(5), "exact_sum": decimal_fraction(-7, 3), "estimate": 1e16},
+        {"source": "x", "n": 5, "margin": ratio(5), "exact_sum": ratio(-7, 3), "estimate": 1e16},
         {"source": "a,b", "estimate": -0.0, "residual": 5e-324, "rel_error": 0.1, "floored": -3},
         {"probability": wide, "mc_estimate": 0.25, "weights": "1:1.0;2:-1.0", "x": ""},
         {},
         # numerators over one denominator that differ from the first by D, -D and 3 D
-        {"exact_sum": decimal_fraction(a, d), "margin": decimal_fraction(a + d, d),
-         "probability": decimal_fraction(a - d, d), "half_excess": decimal_fraction(a + 3 * d, d),
-         "scaled_remainder": decimal_fraction(-a, d)},
+        {"exact_sum": ratio(a, d), "margin": ratio(a + d, d),
+         "probability": ratio(a - d, d), "half_excess": ratio(a + 3 * d, d),
+         "scaled_remainder": ratio(-a, d)},
         # a shared denominator the numerators do not differ by a multiple of, a small
-        # numerator over it, and one Fraction repeated
-        {"exact_sum": decimal_fraction(a, d), "margin": decimal_fraction(a + 2, d),
-         "probability": decimal_fraction(2, d),
+        # numerator over it, and one rational repeated
+        {"exact_sum": ratio(a, d), "margin": ratio(a + 2, d),
+         "probability": ratio(2, d),
          "half_excess": wide, "scaled_remainder": wide, "float_gap": 0.5},
     ]
     for limit in (0, 640, 4300):
@@ -326,7 +317,7 @@ schema_values = st.one_of(
     st.lists(st.tuples(st.integers(1, 200), st.floats()), max_size=4).map(
         lambda pairs: ";".join(f"{d}:{w!r}" for d, w in pairs)
     ),
-    st.builds(decimal_fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.builds(ratio, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
 )
 
@@ -340,7 +331,7 @@ column_kinds = st.sampled_from(
             st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324]),
             st.floats().map(np.float64),
         ),
-        st.builds(decimal_fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+        st.builds(ratio, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
         st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
     ]
 )
@@ -374,7 +365,7 @@ def block_rows(block):
             ("source", "estimate", "residual", "margin"),
             [["a,b", "", 'q"\n'], [float("nan"), -0.0, np.float64(5e-324)],
              [float("inf"), float("-inf"), 1e16],
-             [decimal_fraction(1, 3), decimal_fraction(-2), decimal_fraction(5, 7)]],
+             [ratio(1, 3), ratio(-2), ratio(5, 7)]],
         ),
         (("n", "weights"), [[1, 2, 3], ["1:1.0;2:-1.0", "é", "x"]]),
     ),
@@ -383,7 +374,7 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
     # csv.writer writes every float, numpy's included, by float.__repr__
     def cells(row, blank):
         values = [row.get(column, "") for column in REPORT_COLUMNS]
-        return [f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else blank if v == "" else v
+        return [f"{v.numerator}/{v.denominator}" if isinstance(v, core.Ratio) else blank if v == "" else v
                 for v in values]
 
     buffer = io.StringIO()
@@ -397,7 +388,7 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
     # column's "" is text, and only an absent column is blank (null in JSON).
     def present(row, absent):
         values = [row.get(column, absent) for column in REPORT_COLUMNS]
-        return [f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v for v in values]
+        return [f"{v.numerator}/{v.denominator}" if isinstance(v, core.Ratio) else v for v in values]
 
     block_cells = block_rows(block)
     for fmt, blank in (("csv", ""), ("json", None)):
@@ -412,9 +403,11 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("value", [Fraction(1, 3), True, np.int64(3)], ids=["Fraction", "bool", "int64"])
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 3), (1, 3), True, np.int64(3)], ids=["Fraction", "pair", "bool", "int64"]
+)
 def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
-    # a plain Fraction has no Decimals to print, and a bool or numpy int prints unlike an int
+    # a plain Fraction or pair has no Decimals to print, and a bool or numpy int prints unlike an int
     kind = f"{type(value).__module__}.{type(value).__qualname__}"
     for rows in ([{"margin": value}], [harness._lanes_block(((("n", "margin"), ([1], [value])),))]):
         with pytest.raises(TypeError, match=re.escape(kind)):
@@ -634,7 +627,7 @@ def test_certify_violation_in_a_worker_row_is_reported_as_by_one_process(monkeyp
     def short(n, table):
         report = real(n, table)
         if n == TURN + 4:
-            report.margin = decimal_fraction(Fraction(1, report.next_prime) - Fraction(1, 10**40))
+            report.margin = ratio(Fraction(1, report.next_prime) - Fraction(1, 10**40))
         return report
 
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", short)
@@ -878,7 +871,7 @@ def test_certify_flags_a_margin_below_the_next_prime_term(monkeypatch, capsys):
     def short(n, table):
         report = real(n, table)
         if n == 5:
-            report.margin = decimal_fraction(Fraction(1, report.next_prime) - Fraction(1, 10**40))
+            report.margin = ratio(Fraction(1, report.next_prime) - Fraction(1, 10**40))
         return report
 
     config = RunConfig(command="certify", n_max=10, sieve_limit=LIMIT)
@@ -952,7 +945,7 @@ def test_gandhi_rows_before_a_violation_stay_written(monkeypatch, capsys):
     monkeypatch.setattr(
         gandhi,
         "survivor_probability",
-        lambda n, table, allow_large=False: Fraction(1, 2) if n == 2 else real_probability(n, table),
+        lambda n, table, allow_large=False: (1, 2) if n == 2 else real_probability(n, table),
     )
     buffer = io.StringIO()
     assert run(RunConfig(command="gandhi", n_max=2, samples=10_000, sieve_limit=1_000), stream=buffer) == EXIT_INVARIANT
@@ -983,10 +976,10 @@ def test_gandhi_flags_a_decimal_twin_that_differs(monkeypatch, capsys):
     [
         # an excess of 0 over 1/2, which no doubling lifts past 1
         (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
-         Fraction(1, 2), "n=3: survivor probability does not exceed 1/2"),
+         (1, 2), "n=3: survivor probability does not exceed 1/2"),
         # an excess of 1/4, which doubling takes from 1/2 straight to 2
         (RunConfig(command="gandhi", n=3, samples=10_000, sieve_limit=20_000), {},
-         Fraction(3, 4), "n=3: no exponent places the scaled excess inside (1, 2)"),
+         (3, 4), "n=3: no exponent places the scaled excess inside (1, 2)"),
         # 1 listed as p_1 strikes every m, so nothing in [2, 2 p_1] survives
         (RunConfig(command="sieve-next", n=1, sieve_limit=20_000), {"insert": [1]}, None,
          "no filter survivor in [2, 2] for n=1; the scan range guarantees one"),
