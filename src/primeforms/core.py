@@ -18,8 +18,8 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -118,17 +118,17 @@ class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored re
     """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
 
     The sweeps compute their estimates as float64 column kernels, taking
-    every log from libm through `math.log`.  n is a range and p_n a list;
-    estimate, residual and rel_error are `array("d")`s, eight bytes a value
-    read back as Python floats; floored is a DerivedColumn, math.floor of
-    each estimate when read, so it holds no int per row (an int64 could not
-    hold the floor of an estimate past 2^63).
+    every log from libm through `math.log`.  n is a range and p_n a slice of
+    the table's `array("q")`; estimate, residual and rel_error are
+    `array("d")`s, eight bytes a value read back as Python floats; floored is
+    a DerivedColumn, math.floor of each estimate when read, so it holds no
+    int per row (an int64 could not hold the floor of an estimate past 2^63).
     """
 
     __slots__ = ()
 
     @classmethod
-    def against(cls, n_lo: int, p_n: list[int], estimates) -> EstimatorColumns:
+    def against(cls, n_lo: int, p_n: Sequence[int], estimates) -> EstimatorColumns:
         """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite.
 
         Each score is written straight into its `array("d")` through a numpy view of it.
@@ -145,32 +145,42 @@ class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored re
         return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], DerivedColumn(math.floor, columns[0]), *columns[1:])
 
 
-@dataclass(eq=False)
 class PrimeTable:
     """Sieve-of-Eratosthenes oracle for the primes up to `limit`.
 
-    `primes` is strictly increasing with p_n at index n - 1 (p_1 = 2), so
-    `pi(p_n)` is n.  The table keeps no per-integer array: the scalar
-    factor, Möbius and totient lookups divide by the tabulated primes, and
-    the bulk tables are sieved from them on demand.
+    `prime_array` holds the primes strictly increasing, p_n at index n - 1
+    (p_1 = 2), so `pi(p_n)` is n.  It is one `array("q")`, eight bytes a
+    prime: indexing it gives Python ints, so the exact paths keep their
+    integer arithmetic, and numpy reads it through the buffer protocol.
+    `primes` is the same sequence as a list, built when first read and then
+    kept; no command reads it, for its int objects and slots take 40 bytes
+    a prime.  The table keeps no per-integer array: the scalar factor,
+    Möbius and totient lookups divide by the tabulated primes, and the bulk
+    tables are sieved from them on demand.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
     """
 
-    limit: int
-    primes: list[int]
-    _primorial: tuple[int, int] = field(default=(0, 1), repr=False)  # (k, P_k) of the last call
-    _mu_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8), repr=False)
-    _floats: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
-    _mangoldt: tuple | None = field(default=None, repr=False)
-    # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
-    _harmonic: tuple | None = field(default=None, repr=False)
+    def __init__(self, limit: int, primes: Sequence[int]):
+        self.limit = limit
+        self.prime_array = primes if isinstance(primes, array) and primes.typecode == "q" else array("q", primes)
+        self._primorial = (0, 1)  # (k, P_k) of the last call
+        self._mu_values = np.zeros(0, dtype=np.int8)
+        self._floats = np.zeros(0)
+        self._mangoldt: tuple | None = None
+        # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
+        self._harmonic: tuple | None = None
+
+    @cached_property
+    def primes(self) -> list[int]:
+        """`prime_array` as a list, for callers that need one (a JSON dump, a list comparison)."""
+        return self.prime_array.tolist()
 
     def float_primes(self, count: int) -> np.ndarray:
         """The first `count` primes as float64, sliced from a prefix memo grown by doubling."""
         if len(self._floats) < count:
-            self._floats = np.array(self.primes[: max(count, 2 * len(self._floats))], dtype=np.float64)
+            self._floats = np.array(self.prime_array[: max(count, 2 * len(self._floats))], dtype=np.float64)
         return self._floats[:count]
 
     # -- ordinal / counting lookups -------------------------------------
@@ -179,30 +189,24 @@ class PrimeTable:
         """The n-th prime (1-based)."""
         if n < 1:
             raise ValueError("prime ordinals are 1-based")
-        if n > len(self.primes):
+        if n > len(self.prime_array):
             raise ValueError(
                 f"p_{n} is beyond sieve limit {self.limit} "
-                f"(only {len(self.primes)} primes tabulated)"
+                f"(only {len(self.prime_array)} primes tabulated)"
             )
-        return self.primes[n - 1]
+        return self.prime_array[n - 1]
 
     def pi(self, x: int) -> int:
         """Prime-counting function: number of primes <= x."""
         if x > self.limit:
             raise ValueError(f"pi({x}) is beyond sieve limit {self.limit}")
-        return bisect_right(self.primes, x)
+        return bisect_right(self.prime_array, x)
 
     def twin_pairs(self, x_max: int) -> list[tuple[int, int]]:
         """Twin pairs (p, p+2), both prime, with p + 2 <= x_max."""
         if x_max > self.limit:
             raise ValueError(f"twin scan bound {x_max} is beyond sieve limit {self.limit}")
-        out = []
-        for p, q in zip(self.primes, self.primes[1:]):
-            if q > x_max:
-                break
-            if q - p == 2:
-                out.append((p, q))
-        return out
+        return [(p, q) for p, q in pairwise(self.prime_array[: self.pi(x_max)]) if q - p == 2]
 
     # -- factorization --------------------------------------------------
 
@@ -217,7 +221,7 @@ class PrimeTable:
         out: list[tuple[int, int]] = []
         if math.isqrt(m) > self.limit:
             raise ValueError(f"{m} is beyond factorization range of sieve limit {self.limit}")
-        for p in self.primes:
+        for p in self.prime_array:
             if p * p > m:
                 break
             if m % p == 0:
@@ -262,7 +266,7 @@ class PrimeTable:
         if n != k:
             if n < k:
                 k, value = 0, 1
-            value *= math.prod(self.primes[k:n])
+            value *= math.prod(self.prime_array[k:n])
             self._primorial = (n, value)
         return value
 
@@ -287,7 +291,7 @@ class PrimeTable:
             cache = np.ones(bound + 1, dtype=np.int8)
             cache[0] = 0
             root = math.isqrt(bound)
-            primes = self.primes[: self.pi(bound)]
+            primes = self.prime_array[: self.pi(bound)]
             split = bisect_right(primes, root)
             for p in primes[:split]:
                 cache[p::p] *= -1
@@ -309,7 +313,7 @@ class PrimeTable:
         if bound > self.limit:
             raise ValueError(f"scan bound {bound} is beyond sieve limit {self.limit}")
         coprime = np.ones(bound, dtype=bool)
-        for p in self.primes[:n]:
+        for p in self.prime_array[:n]:
             coprime[p - 1 :: p] = False
         return (np.flatnonzero(coprime) + 1).tolist()
 
@@ -324,7 +328,7 @@ class PrimeTable:
         if self._mangoldt is None or self._mangoldt[0] < upto:
             bound = min(self.limit, max(upto, 1024))
             points = []
-            for p in self.primes:
+            for p in self.prime_array:
                 if p > bound:
                     break
                 weight = math.log(p)
@@ -365,9 +369,11 @@ def sieve(limit: int) -> PrimeTable:
     """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    # one byte a boolean entry, then per prime an int64 index, a list slot and
-    # an int object, with pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld)
-    needed = (limit + 1) + 48 * math.ceil(1.25506 * limit / math.log(limit))
+    # per prime eight bytes of its int64 index, beside one byte a boolean entry
+    # or, once that array is freed, eight a prime of the table's copy of the
+    # index, with pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld)
+    count = math.ceil(1.25506 * limit / math.log(limit))
+    needed = max(limit + 1, 8 * count) + 8 * count
     budget = _memory_budget()
     if needed > budget:
         raise ResourceLimitError(
@@ -379,4 +385,8 @@ def sieve(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).tolist())
+    index = np.flatnonzero(is_prime)
+    del is_prime
+    primes = array("q", [0]) * len(index)
+    np.frombuffer(primes, dtype=np.int64)[:] = index
+    return PrimeTable(limit=limit, primes=primes)

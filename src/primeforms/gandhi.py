@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
     if n < 1:
         raise ValueError("needs n >= 1")
     check_feasible(n, table, allow_large)
-    primes = table.primes[:n]
+    primes = table.prime_array[:n]
     exponent_total = table.primorial(n)
     numerator = 0
     for mask in range(1 << n):
@@ -126,13 +127,13 @@ def survivor_probability(n: int, table: PrimeTable, *, allow_large: bool = False
         )
     q = (1 << exponent_total) - 1
     common = 1  # gcd(numerator, q), whose primes are odd and below p_n
-    for ell in table.primes[1 : n - 1]:
+    for ell in table.prime_array[1 : n - 1]:
         while numerator % (common * ell) == 0 and q % (common * ell) == 0:
             common *= ell
     return numerator // common, q // common
 
 
-def _golomb_numerator(exponent_total: int, primes: list[int]) -> int:
+def _golomb_numerator(exponent_total: int, primes: Sequence[int]) -> int:
     """sum 2^(P-k) over the k in [1, P] coprime to the primes, P their product."""
     coprime = np.ones(exponent_total, dtype=bool)  # entry k - 1 stands for k
     for p in primes:
@@ -209,7 +210,7 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
     counts = _draw_counts(samples, seed)
     values = np.arange(counts.size)
     coprime = np.ones(counts.size, dtype=bool)
-    for p in table.primes[:n]:
+    for p in table.prime_array[:n]:
         coprime &= values % p != 0
     # coprime.mean() over the draws gave this same quotient: its float64 sum
     # of booleans is exact below 2^53 draws

@@ -347,9 +347,9 @@ def _approx_limit(n: int) -> int:
 
 def _check_reach(table: core.PrimeTable, n: int, flag: str, reach: int) -> None:
     """The command reads p_n (reach 1) or scans up to 2 p_n (reach 2); fail naming a sieve limit that covers it."""
-    if n > len(table.primes):
+    if n > len(table.prime_array):
         raise UsageError(
-            f"{flag} {n} is beyond the {len(table.primes)} tabulated primes; "
+            f"{flag} {n} is beyond the {len(table.prime_array)} tabulated primes; "
             f"needs roughly --sieve-limit {reach * _approx_limit(n)}"
         )
     required = reach * table.nth(n)
@@ -380,9 +380,9 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_sweep(table, hi, "--n-max" if config.n is None else "--n")
     found = sieve_identity.next_prime_sweep(lo, hi, table)
-    ns, oracle = range(lo, hi + 1), table.primes[lo : hi + 1]
+    ns, oracle = range(lo, hi + 1), table.prime_array[lo : hi + 1]
     violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
-    columns = (["sieve_identity"] * len(ns), ns, table.primes[lo - 1 : hi], found)
+    columns = (["sieve_identity"] * len(ns), ns, table.prime_array[lo - 1 : hi], found)
     return [_lanes_block(((("source", "n", "p_n", "next_prime"), columns),))], violations
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -129,10 +129,10 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     The Möbius route, the sum of mu(d) over the divisors d of P_n that
     divide m, is summed once before the steps, each m at its entry step.
     The divisors of P_hi in [1, 2 p_hi] are the products of distinct
-    primes up to p_hi, found from the prime list alone; only their weights
-    mu(d) are read from the Möbius table.  Each adds its weight to all its
-    multiples, but a prime p_n that enters an earlier window misses m = p_n
-    until the re-check at step n adds it.
+    primes up to p_hi, found from the table's primes alone; only their
+    weights mu(d) are read from the Möbius table.  Each adds its weight to
+    all its multiples, but a prime p_n that enters an earlier window misses
+    m = p_n until the re-check at step n adds it.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"sweep needs 1 <= lo <= hi, not [{lo}, {hi}]")
@@ -140,7 +140,7 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     if bound > table.limit:
         raise ValueError(f"scan range [2, {bound}] is beyond sieve limit {table.limit}")
     mu = table.moebius_values(bound)
-    primes = table.primes[:hi]
+    primes = table.prime_array[:hi]
     # m <= bound has at most one prime factor above root = isqrt(bound).  So
     # m is a product of distinct primes up to p_hi exactly when dividing it
     # once by each prime up to root leaves 1 or one such prime above root.
@@ -225,7 +225,7 @@ def next_prime_via_filter(n: int, table: PrimeTable) -> int:
     return next_prime_sweep(n, n, table)[0]
 
 
-def _harmonic_split(terms: list[int], lo: int, hi: int) -> tuple[int, int]:
+def _harmonic_split(terms: Sequence[int], lo: int, hi: int) -> tuple[int, int]:
     """(N, D) with N/D = sum of 1/q for q in terms[lo:hi], hi > lo, unreduced.
 
     Leaves are (1, q); halves merge as (n1 d2 + n2 d1, d1 d2), so operands
@@ -268,7 +268,7 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     bound = 2 * table.nth(n)
     if bound > table.limit:
         raise ValueError(f"scan range [1, {bound}] is beyond sieve limit {table.limit}")
-    primes = table.primes
+    primes = table.prime_array
     hi = table.pi(bound)  # the survivors above 1 are primes[n:hi]
     if hi <= n:
         raise InvariantViolation(f"no filter survivor above 1 in [1, {bound}] for n={n}")
@@ -329,7 +329,7 @@ def _checked_certificate(
         count = int(np.count_nonzero(passed))
     if not (passed[0] and passed[offsets[n:hi]].all() and count == 1 + hi - n):
         survivors = (passed.nonzero()[0] + 1).tolist()
-        stray = sorted(set(survivors).symmetric_difference([1, *table.primes[n:hi]]))
+        stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
         found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
     return report, found
 
@@ -350,12 +350,12 @@ def certificate_steps(n_max: int, table: PrimeTable) -> Iterator[tuple[int, Call
     count = seen = 0
     for n, passed in _filter_windows(1, n_max, table):
         if n == 1:  # the range is now validated; p - 1 for every prime the sweep sums
-            offsets = np.array(table.primes[: table.pi(2 * table.nth(n_max))]) - 1
+            offsets = np.array(table.prime_array[: table.pi(2 * table.nth(n_max))]) - 1
         count += int(np.count_nonzero(passed[seen:]))
         seen = len(passed)
         yield n, partial(_checked_certificate, n, passed, count, offsets, table)
         if n < n_max:  # p_{n+1} is struck next; it passes now unless a listed prime divides it
-            p = table.primes[n]
+            p = table.prime_array[n]
             count -= p <= seen and bool(passed[p - 1])
 
 

@@ -62,10 +62,10 @@ def calibrate_amplitude(lo: int, hi: int, table: PrimeTable) -> float:
         raise ValueError("calibration window must start at n >= 3")
     if hi <= lo:
         raise ValueError("calibration window is empty")
-    if hi > len(table.primes):
+    if hi > len(table.prime_array):
         raise ValueError(f"calibration window reaches n={hi}, beyond the oracle range")
     drift, oscillations = _drift_and_oscillation(lo, hi, table)
-    residuals = np.subtract(table.primes[lo - 1 : hi], drift, out=drift)
+    residuals = np.subtract(table.prime_array[lo - 1 : hi], drift, out=drift)
     return least_squares_amplitude(residuals, oscillations)
 
 
@@ -80,4 +80,4 @@ def spectral_sweep(n_lo: int, n_hi: int, amplitude: float, table: PrimeTable) ->
     with np.errstate(over="ignore"):  # `against` refuses an estimate that overflowed
         estimates = np.add(drift, np.multiply(oscillation, amplitude, out=oscillation), out=drift)
     del oscillation
-    return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)
+    return EstimatorColumns.against(n_lo, table.prime_array[n_lo - 1 : n_hi], estimates)

@@ -45,7 +45,7 @@ def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     estimates = np.multiply(k_log_k, np.cumprod(terms, out=terms), out=k_log_k)[n_lo - 2 :]
     del terms
     np.multiply(estimates, math.exp(-EULER_GAMMA), out=estimates)
-    return EstimatorColumns.against(n_lo, table.primes[n_lo - 1 : n_hi], estimates)
+    return EstimatorColumns.against(n_lo, table.prime_array[n_lo - 1 : n_hi], estimates)
 
 
 # -- Selberg quadratic form --------------------------------------------------
@@ -151,7 +151,7 @@ def _capacity_terms(z_max: int, table: PrimeTable) -> np.ndarray:
     """
     mu = table.moebius_values(z_max - 1)[:z_max]
     phi = np.ones(z_max, dtype=np.int64)
-    for p in table.primes[: table.pi(z_max - 1)]:
+    for p in table.prime_array[: table.pi(z_max - 1)]:
         phi[p::p] *= p - 1
     return np.where(mu != 0, 1.0 / phi, 0.0)
 
@@ -168,7 +168,7 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table))
-    p_n = table.primes[n_lo - 1 : n_hi]
+    p_n = table.prime_array[n_lo - 1 : n_hi]
     # a sieve that fits in memory keeps p_n < 2^52, where the float square root floors to isqrt(p_n)
     estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
     np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -99,8 +100,8 @@ def test_sieve_boundaries_match_trial_division(limit):
 
 
 def test_sieve_refuses_limits_past_memory_before_allocating(capped_address_space):
-    # 2^31 and 2^31 - 1 each need about 7.6 GiB for the boolean table and the
-    # prime list, past the 1 GiB cap, so both are refused before allocating
+    # 2^31 and 2^31 - 1 each need about 2.9 GiB for the boolean table and the
+    # primes' int64 index, past the 1 GiB cap, so both are refused before allocating
     probe = (
         "from primeforms.core import ResourceLimitError, sieve\n"
         "for limit in (2**31, 2**31 - 1):\n"
@@ -122,7 +123,7 @@ def test_sieve_refuses_limits_past_memory_before_allocating(capped_address_space
     lines = proc.stdout.splitlines()
     assert len(lines) == 2, proc.stdout
     for line, limit in zip(lines, (2**31, 2**31 - 1)):
-        assert line.startswith(f"refused: --sieve-limit {limit} needs about 7789 MiB"), line
+        assert line.startswith(f"refused: --sieve-limit {limit} needs about 3004 MiB"), line
 
 
 def test_sieve_memory_estimate_covers_its_allocations(monkeypatch):
@@ -137,6 +138,27 @@ def test_sieve_memory_estimate_covers_its_allocations(monkeypatch):
     monkeypatch.setattr(core, "_memory_budget", lambda: peak - 1)
     with pytest.raises(ResourceLimitError, match="needs about"):
         sieve(10**6)
+
+
+def test_sieve_keeps_about_eight_bytes_a_prime():
+    # one int64 a prime in the table's array, where a list kept an int object and a slot, 40 bytes
+    tracemalloc.start()
+    try:
+        table = sieve(10**6)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.prime_array) == 78498
+    assert kept <= 9 * 78498, kept / 78498
+
+
+def test_prime_list_view_equals_the_array():
+    table = sieve(20_000)
+    assert "primes" not in vars(table)  # built only when read
+    view = table.primes
+    assert type(view) is list and view == table.prime_array.tolist() and table.primes is view
+    listed = core.PrimeTable(limit=30, primes=[2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    assert listed.prime_array == array("q", listed.primes) and listed.nth(10) == 29
 
 
 def test_sieve_million_matches_segmented_resieve(table):
@@ -343,6 +365,15 @@ def test_twin_residue_is_the_remainder():
 def test_twin_pairs_small(table):
     assert table.twin_pairs(10) == [(3, 5), (5, 7)]
     assert table.twin_pairs(4) == []
+
+
+def test_twin_pairs_match_brute_force(small_table):
+    def brute(x_max: int) -> list[tuple[int, int]]:
+        candidates = range(2, x_max - 1)
+        return [(p, p + 2) for p in candidates if trial_division_is_prime(p) and trial_division_is_prime(p + 2)]
+
+    for x_max in [*range(1, 200), small_table.limit]:
+        assert small_table.twin_pairs(x_max) == brute(x_max), x_max
 
 
 def test_factorize_beyond_limit_uses_trial_division(small_table):

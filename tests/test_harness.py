@@ -118,6 +118,27 @@ def test_brun_row_value():
     assert math.isclose(float(rows[0]["estimate"]), 92 / 105, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("sieve-next", {"n_max": 50}),
+        ("certify", {"n_max": 20}),
+        ("gandhi", {"n_max": 4, "samples": 20_000}),
+        ("spectral", {"n_max": 50}),
+        ("survival", {"n_max": 10}),
+        ("selberg", {"x": 10, "z": 3}),
+        ("brun", {"x_upper": 10}),
+        ("report", {"n_max": 10}),
+    ],
+)
+def test_commands_leave_the_list_view_unbuilt(monkeypatch, command, options):
+    # every command reads the table's int64 array; the list view would add 40 bytes a prime
+    table = core.sieve(20_000)
+    monkeypatch.setitem(harness._TABLES, table.limit, table)
+    assert run(RunConfig(command=command, sieve_limit=table.limit, **options), stream=io.StringIO()) == EXIT_OK
+    assert "primes" not in vars(table)
+
+
 def test_report_summary_present_without_deviation():
     config = RunConfig(command="report", n_max=10, sieve_limit=LIMIT, alpha_override=0.0)
     code, _, rows = run_to_rows(config)
@@ -1165,7 +1186,7 @@ def test_cli_fuzz_exits_zero_two_or_three(argv):
 
 
 def test_cli_refuses_a_sieve_limit_past_memory(capped_address_space):
-    # 2^31 needs about 7.6 GiB of sieve tables, past the 1 GiB cap; a table
+    # 2^31 needs about 2.9 GiB of sieve tables, past the 1 GiB cap; a table
     # allocated before the memory estimate would end in MemoryError instead
     proc = subprocess.run(
         [sys.executable, "-m", "primeforms", "brun", "--X", "10", "--sieve-limit", "2147483648"],
