@@ -36,11 +36,13 @@ class ResourceLimitError(RuntimeError):
 
 
 class Ratio(NamedTuple):
-    """An exact rational numerator/denominator, denominator > 0, with both as exact Decimals for printing."""
+    """An exact rational numerator/denominator, denominator > 0, with both in exact decimal for printing."""
 
     numerator: int
     denominator: int
-    decimals: tuple  # (Decimal numerator, Decimal denominator)
+    # what the writer prints: (Decimal numerator, Decimal denominator or its digits as a str,
+    # which records with one denominator may share so that it is printed once)
+    decimals: tuple
 
 
 # A Mersenne prime: a Decimal and the int it stands for must agree modulo it.

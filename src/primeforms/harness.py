@@ -130,57 +130,85 @@ def _table(limit: int) -> core.PrimeTable:
 
 
 def _fraction_str(value: core.Ratio) -> str:
-    """"numerator/denominator" in decimal, printed from the exact Decimals the value carries."""
+    """"numerator/denominator" in decimal, printed from the exact Decimals the value carries;
+    a denominator already printed, which records sharing it carry as text, is copied in."""
     return "%s/%s" % value.decimals
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
-_LAYOUTS: dict[tuple, dict] = {}  # (keys, kinds) -> per format: template pieces, column order, converters
+_LAYOUTS: dict[tuple, tuple] = {}  # (keys, kinds, fmt) -> text between cells, column order, cell and column converters
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_text(cell: str) -> str:
+    """A text cell as csv.writer writes it (QUOTE_MINIMAL): quoted if it holds a comma, a quote or a line end."""
+    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
 
 
 def _csv_texts(cells):
-    """Text cells, each quoted as csv.writer quotes it (QUOTE_MINIMAL) if a scan finds any that needs it."""
-    joined = "".join(cells)
-    if "," not in joined and '"' not in joined and "\r" not in joined and "\n" not in joined:
-        return cells
-    return ['"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\r\n') else c for c in cells]
+    """Text cells, each as `_csv_text` writes it, if a scan of them all finds any that needs quoting."""
+    return [*map(_csv_text, cells)] if _needs_quotes("".join(cells)) else cells
 
 
-def _converters(kind: type) -> tuple:
-    """(CSV, JSON) converters, each from a column to its cells, of floats, `core.Ratio`s, text or ints."""
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_fraction(value: core.Ratio) -> str:
+    return encode_basestring_ascii(_fraction_str(value))
+
+
+def _converters(kind: type) -> dict:
+    """Per format, the converter from one value to its cell, of floats, `core.Ratio`s, text or ints."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
-        reprs = partial(map, float.__repr__)
-        return reprs, lambda column: map(_JSON_NONFINITE.get, *tee(reprs(column)))
+        return {"csv": float.__repr__, "json": _json_float}
     if issubclass(kind, core.Ratio):
-        texts = partial(map, _fraction_str)
-        return texts, lambda column: map(encode_basestring_ascii, texts(column))
+        return {"csv": _fraction_str, "json": _json_fraction}
     if issubclass(kind, str):
-        return _csv_texts, partial(map, encode_basestring_ascii)
+        return {"csv": _csv_text, "json": encode_basestring_ascii}
     if kind is int:  # an int prints as both formats spell it
-        ints = partial(map, int.__repr__)
-        return ints, ints
+        return dict.fromkeys(("csv", "json"), int.__repr__)
     raise TypeError(f"a report cell cannot hold a {kind.__module__}.{kind.__qualname__}")
 
 
-def _lines(keys: tuple, columns, fmt: str):
-    """The rows of one lane, equal-length `columns` under `keys`, in the layout compiled for them.
+# Column converters that beat mapping the cell converter over the column.
+_COLUMN_CONVERTERS = {
+    _json_float: lambda column: map(_JSON_NONFINITE.get, *tee(map(float.__repr__, column))),
+    _csv_text: _csv_texts,
+}
 
-    A layout is compiled once per `keys` and the types of the columns' values: a CSV line
-    and an element of json.dump(..., indent=1), absent columns already blank or null, each
-    split into the text between its cells.  A row is the join of that text and its cells.
+
+def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
+    """The layout of rows with cells under `keys` of types `kinds`, compiled once for them and `fmt`.
+
+    It is a CSV line or an element of json.dump(..., indent=1), absent columns already
+    blank or null: the text between its cells, the order in which the cells take the
+    keys, and each cell's converters, from one value and from a column of them.
     """
-    kinds = tuple([type(column[0]) if len(column) else str for column in columns])
-    if (keys, kinds) not in _LAYOUTS:
+    if (keys, kinds, fmt) not in _LAYOUTS:
         at = dict(sorted((REPORT_COLUMNS.index(key), j) for j, key in enumerate(keys)))  # column -> key index
         cells = ["%s" if i in at else "" for i in range(len(REPORT_COLUMNS))]
-        members = ",\n".join(f'  "{column}": {cell or "null"}' for column, cell in zip(REPORT_COLUMNS, cells))
+        if fmt == "csv":
+            line = ",".join(cells) + "\r\n"
+        else:
+            line = " {\n" + ",\n".join(f'  "{c}": {cell or "null"}' for c, cell in zip(REPORT_COLUMNS, cells)) + "\n }"
+        texts = line.split("%s")
         order = [*at.values()]
-        converters = [_converters(kinds[j]) for j in order]
-        _LAYOUTS[keys, kinds] = {
-            "csv": ((",".join(cells) + "\r\n").split("%s"), order, [c for c, _ in converters]),
-            "json": ((" {\n" + members + "\n }").split("%s"), order, [j for _, j in converters]),
-        }
-    texts, order, converters = _LAYOUTS[keys, kinds][fmt]
+        converters = [_converters(kinds[j])[fmt] for j in order]
+        columns = [_COLUMN_CONVERTERS.get(convert) or partial(map, convert) for convert in converters]
+        _LAYOUTS[keys, kinds, fmt] = texts, order, converters, columns
+    return _LAYOUTS[keys, kinds, fmt]
+
+
+def _lines(keys: tuple, columns, fmt: str):
+    """The rows of one lane, equal-length `columns` under `keys`, in their layout: each row
+    is the join of the text between its cells and the cells."""
+    kinds = tuple([type(column[0]) if len(column) else str for column in columns])
+    texts, order, _, converters = _layout(keys, kinds, fmt)
     if not order:
         return texts
     parts = [repeat(texts[0])] if texts[0] else []
@@ -205,10 +233,16 @@ class Block(NamedTuple):
 
 
 def _row_text(row: dict, fmt: str) -> str:
-    """One row keyed by REPORT_COLUMNS ("" is a blank cell), in the report layout."""
-    kept = {k: (v,) for k, v in row.items() if v.__class__ is not str or v}
-    (text,) = _lines(tuple(kept), [*kept.values()], fmt)
-    return text
+    """One row keyed by REPORT_COLUMNS ("" is a blank cell): each cell converted on its own and
+    joined once with the text between cells.  A `%` template filled the same way grows its
+    buffer as each cell arrives, which costs more once a certificate's cells pass a megabyte."""
+    kept = {k: v for k, v in row.items() if v.__class__ is not str or v}
+    values = [*kept.values()]
+    texts, order, converters, _ = _layout(tuple(kept), tuple(map(type, values)), fmt)
+    parts = [texts[0]]
+    for j, convert, text in zip(order, converters, texts[1:]):
+        parts += (convert(values[j]), text)
+    return "".join(parts)
 
 
 def write_rows(rows, fmt: str, stream) -> None:

@@ -54,6 +54,8 @@ class CertificateReport:
         excess/(D p) for excess = N p - D.  D and p are positive, so the
         bounds compare integers cross-multiplied: margin < 1/p exactly when
         excess < 0, and tail >= LN2_LOWER = a/b exactly when excess b >= a D p.
+        Bit lengths alone rule the second out when they put |tail| below 1/2,
+        as they do at every n up to 3000 at least.
         """
         out = []
         if self.exact_floor != 1:
@@ -63,6 +65,10 @@ class CertificateReport:
         excess = numerator * p - denominator
         if excess < 0:
             out.append(f"n={self.n}: margin fell below 1/{p}")
+        # |excess| < 2^bl(excess), D >= 2^(bl(D) - 1) and p >= 2^(bl(p) - 1), so the
+        # tail is below 1/2 < LN2_LOWER when those exponents sum to -1 or less
+        if excess.bit_length() - denominator.bit_length() - p.bit_length() + 2 <= -1:
+            return out
         if excess * LN2_LOWER.denominator >= LN2_LOWER.numerator * denominator * p:
             out.append(f"n={self.n}: harmonic tail {excess / (denominator * p)} reached ln 2")
         return out
@@ -260,10 +266,11 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     margin N/D and the sum (N + D)/D are built without a gcd.  A `decimal`
     twin of (N, D) takes the same steps, each big by small and so linear in
     the size under libmpdec; only the joined tree is converted, the whole
-    sum after a new start.  The `Ratio` records carry it, checked against
-    the ints, to the report writer.  The float shadow re-accumulates the same
-    terms in 64-bit arithmetic ascending in m, matching the naive loop the
-    precision study critiques bit for bit.
+    sum after a new start.  Once the twin is checked against the ints, D's
+    digits are printed once, and both `Ratio` records carry that text and
+    their Decimal numerators to the report writer.  The float shadow
+    re-accumulates the same terms in 64-bit arithmetic ascending in m,
+    matching the naive loop the precision study critiques bit for bit.
     """
     bound = 2 * table.nth(n)
     if bound > table.limit:
@@ -281,8 +288,10 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
             n_r, r = _harmonic_split(primes, start, n)  # the terms that leave, p_{start+1}..p_n
             denominator //= r
             twin_d, rest_d = divmod(twin_d, r)  # `//` would drop a remainder unseen
-            numerator = (numerator - n_r * denominator) // r
-            twin_n, rest_n = divmod(twin_n - n_r * twin_d, r)
+            # n_R is 1 when one prime leaves, and 1 * D would copy D
+            left, twin_left = (denominator, twin_d) if n_r == 1 else (n_r * denominator, n_r * twin_d)
+            numerator = (numerator - left) // r
+            twin_n, rest_n = divmod(twin_n - twin_left, r)
             if rest_d or rest_n:
                 factor = f"p_n = {r}" if n - start == 1 else f"p_{start + 1} ··· p_n"
                 raise InvariantViolation(f"n={n}: the Decimal twin is not a multiple of {factor}")
@@ -293,6 +302,7 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
             twin_n, twin_d = twin_n * d2 + n2 * twin_d, twin_d * d2
         check_twins(f"n={n}", (numerator, twin_n), (denominator, twin_d))
         twin_sum = twin_n + twin_d
+    d_text = str(twin_d)  # D is printed once, as the denominator of both records
     total = numerator + denominator
     table._harmonic = (n, numerator, denominator, hi, (twin_n, twin_d))
     # cumsum adds in index order, one term at a time, as a Python loop would
@@ -300,9 +310,9 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     return CertificateReport(
         n=n,
         next_prime=primes[n],
-        exact_sum=Ratio(total, denominator, (twin_sum, twin_d)),
-        exact_floor=total // denominator,
-        margin=Ratio(numerator, denominator, (twin_n, twin_d)),
+        exact_sum=Ratio(total, denominator, (twin_sum, d_text)),
+        exact_floor=1 + numerator // denominator,  # (N + D) // D without the full-size sum's division
+        margin=Ratio(numerator, denominator, (twin_n, d_text)),
         float_sum=shadow,
         float_floor=math.floor(shadow),
         float_margin=shadow - 1.0,

@@ -391,8 +391,16 @@ def block_rows(block):
         (("n", "weights"), [[1, 2, 3], ["1:1.0;2:-1.0", "é", "x"]]),
     ),
 )
+@example(
+    rows=[{"source": "100% of %s", "weights": "5%,%d", "estimate": float("nan"), "minimum": float("-inf"),
+           "residual": float("inf"), "margin": ratio(-1, 3)}],
+    block=((("n",), [[1]]),),
+)
 def test_joined_lines_are_csv_writer_bytes(rows, block):
-    # csv.writer writes every float, numpy's included, by float.__repr__
+    # csv.writer writes every float, numpy's included, by float.__repr__; each dict row
+    # is written twice, so its second pass fills the layout its first one compiled
+    rows = [*rows, *rows]
+
     def cells(row, blank):
         values = [row.get(column, "") for column in REPORT_COLUMNS]
         return [f"{v.numerator}/{v.denominator}" if isinstance(v, core.Ratio) else blank if v == "" else v

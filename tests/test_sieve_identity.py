@@ -171,14 +171,16 @@ def test_certificate_memo_matches_naive_sum_in_any_call_order(table, small_table
 @given(calls=certificate_calls())
 @example(calls=[("main", 900), ("main", 901), ("other", 1200), ("main", 2500), ("main", 2501), ("main", 2500)])
 def test_certificate_decimals_print_the_binary_digits(table, small_table, limit, calls):
-    # the twin's digits, under any int-to-str limit, are str() of the ints without one
+    # the twin's digits, under any int-to-str limit, are str() of the ints without one;
+    # D's digits are printed once, by the certificate, and both records carry that text
     tables = {"main": table, "other": small_table}
     previous = sys.get_int_max_str_digits()
     for name, n in calls:
-        report = harmonic_certificate(n, tables[name])
-        values = (report.margin, report.exact_sum)
         try:
             sys.set_int_max_str_digits(limit)
+            report = harmonic_certificate(n, tables[name])
+            values = (report.margin, report.exact_sum)
+            assert report.margin.decimals[1] is report.exact_sum.decimals[1], n
             printed = [str(twin) for value in values for twin in value.decimals]
             sys.set_int_max_str_digits(0)
             assert printed == [str(part) for value in values for part in (value.numerator, value.denominator)]
@@ -203,6 +205,8 @@ def test_certificate_jumps_match_cold_certificates(table, start, gaps):
         n += gap
         report, cold = harmonic_certificate(n, table), cold_certificate(n, table)
         assert report == cold, n
+        for value in (report, cold):  # one printed D for both records
+            assert value.margin.decimals[1] is value.exact_sum.decimals[1], n
         assert [value.decimals for value in (report.margin, report.exact_sum)] == [
             value.decimals for value in (cold.margin, cold.exact_sum)
         ], n
@@ -252,10 +256,14 @@ def test_a_spoiled_twin_fails_a_jump_naming_n(table, spoil, message):
     assert str(err.value) == message
 
 
-def test_probe_running_sum_matches_cold_certificates(table):
+def test_probe_running_sum_matches_cold_certificates(monkeypatch, table):
     violations = []
     reports = list(certificate_sweep(3000, table, violations))
     assert violations == []
+    # each tail is far below 1/2, so bit lengths decide its ln 2 bound without LN2_LOWER's products
+    with monkeypatch.context() as patch:
+        patch.setattr(sieve_identity, "LN2_LOWER", None)
+        assert [r.violations() for r in reports] == [[]] * 3000
     assert [r.n for r in reports] == list(range(1, 3001))
     for n in [*range(1, 3001, 97), 2999, 3000]:
         # a fresh table has no running sum, so its first certificate is one product tree
@@ -306,14 +314,15 @@ def test_certificate_bounds_at_their_boundaries(tail, exact_floor, fired):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    bound=st.sampled_from([Fraction(0), LN2_LOWER]),
+    # 1/4, 1/2 and 1 put tails on both sides of the bit-length cut below 1/2
+    bound=st.sampled_from([Fraction(0), LN2_LOWER, Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
     offset=st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
     scale=st.integers(0, 60),
     exact_floor=st.integers(0, 2),
     next_prime=st.sampled_from([3, 1009, 17393, 1299721]),
 )
 def test_integer_bounds_match_the_fraction_bounds(bound, offset, scale, exact_floor, next_prime):
-    # margins within 10^-scale of 1/p (tail 0) or of 1/p + LN2_LOWER, on either side
+    # margins within 10^-scale of 1/p + bound, on either side
     report = _report_with_tail(bound + offset / 10**scale, exact_floor, next_prime)
     assert report.violations() == certificate_violations(report)
 
