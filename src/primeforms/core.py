@@ -17,7 +17,7 @@ import resource
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import pairwise
 from typing import NamedTuple
@@ -145,6 +145,18 @@ class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored re
         rel_error[:] = p_n  # exact: a sieve that fits in memory keeps p_n < 2^53
         np.divide(np.subtract(rel_error, estimate, out=residual), rel_error, out=rel_error)
         return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], DerivedColumn(math.floor, columns[0]), *columns[1:])
+
+
+def cofactor_multiples(large: np.ndarray, bound: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(k * large[:count], count) for k = 1, 2, ..., where large[:count] are the entries whose
+    k-th multiple is at most `bound`.
+
+    `large` ascends and holds only entries above isqrt(bound), so k stops at
+    bound // (isqrt(bound) + 1), and one k's multiples are distinct indices.
+    """
+    counts = np.searchsorted(large, bound // np.arange(1, bound // (math.isqrt(bound) + 1) + 1), side="right")
+    for k, count in enumerate(counts.tolist(), start=1):
+        yield k * large[:count], count
 
 
 class PrimeTable:
@@ -282,8 +294,7 @@ class PrimeTable:
         with k prime factors and 0 elsewhere.  Only the primes up to root =
         isqrt(bound) have a square to zero, so they flip their multiples one
         prime at a time; the primes above it flip theirs one cofactor k at a
-        time, every k p for the p <= bound / k at once, as in
-        `sieve_identity._filter_windows`.
+        time, every k p for the p <= bound / k at once (`cofactor_multiples`).
         """
         if upto > self.limit:
             raise ValueError(f"{upto} is beyond sieve limit {self.limit}")
@@ -292,16 +303,13 @@ class PrimeTable:
             bound = min(self.limit, max(upto, 2 * len(cache), 1024))
             cache = np.ones(bound + 1, dtype=np.int8)
             cache[0] = 0
-            root = math.isqrt(bound)
             primes = self.prime_array[: self.pi(bound)]
-            split = bisect_right(primes, root)
+            split = bisect_right(primes, math.isqrt(bound))
             for p in primes[:split]:
                 cache[p::p] *= -1
                 cache[p * p :: p * p] = 0
-            large = np.array(primes[split:], dtype=np.int64)
-            counts = np.searchsorted(large, bound // np.arange(1, bound // (root + 1) + 1), side="right")
-            for k, count in enumerate(counts.tolist(), start=1):
-                cache[k * large[:count]] *= -1  # distinct indices for one k
+            for multiples, _ in cofactor_multiples(np.array(primes[split:], dtype=np.int64), bound):
+                cache[multiples] *= -1
             self._mu_values = cache
         return cache
 

@@ -205,12 +205,9 @@ def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
 
 
 def _lines(keys: tuple, columns, fmt: str):
-    """The rows of one lane, equal-length `columns` under `keys`, in their layout: each row
-    is the join of the text between its cells and the cells."""
-    kinds = tuple([type(column[0]) if len(column) else str for column in columns])
-    texts, order, _, converters = _layout(keys, kinds, fmt)
-    if not order:
-        return texts
+    """The rows of one lane, equal-length non-empty `columns` under `keys`, in their layout:
+    each row is the join of the text between its cells and the cells."""
+    texts, order, _, converters = _layout(keys, tuple([type(column[0]) for column in columns]), fmt)
     parts = [repeat(texts[0])] if texts[0] else []
     for j, convert, text in zip(order, converters, texts[1:]):
         parts.append(convert(columns[j]))

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import InvariantViolation, PrimeTable, Ratio, check_twins, exact_decimals, to_decimal
+from .core import InvariantViolation, PrimeTable, Ratio, check_twins, cofactor_multiples, exact_decimals, to_decimal
 
 MACHINE_EPSILON = 2.22e-16  # 64-bit epsilon, as used by the float probes
 FLOAT_GAP_THRESHOLD = 1e3 * MACHINE_EPSILON
@@ -162,10 +162,9 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     split = int(np.searchsorted(divisors, root, side="right"))
     for d, weight in zip(divisors[:split].tolist(), mu[divisors[:split]].tolist()):
         moebius_sum[d::d] += weight
-    large, weights = divisors[split:], mu[divisors[split:]]
-    counts = np.searchsorted(large, bound // np.arange(1, bound // (root + 1) + 1), side="right")
-    for k, count in enumerate(counts.tolist(), start=1):
-        moebius_sum[k * large[:count]] += weights[:count]  # distinct indices for one k
+    weights = mu[divisors[split:]]
+    for multiples, count in cofactor_multiples(divisors[split:], bound):
+        moebius_sum[multiples] += weights[:count]
     # a prime p_n <= 2 p_{n-1}, n > lo, enters an earlier window, before p_n divides P_n
     later = np.array(primes[lo:], dtype=np.int64)
     early = later[later <= 2 * np.array(primes[lo - 1 : -1], dtype=np.int64)]
@@ -321,23 +320,21 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
 
 
 def _checked_certificate(
-    n: int, passed: np.ndarray, count: int, offsets: np.ndarray, table: PrimeTable
+    n: int, passed: np.ndarray, offsets: np.ndarray, table: PrimeTable
 ) -> tuple[CertificateReport, list[str]]:
     """The certificate for n and the invariants it breaks, given the filter's window at n.
 
-    `count` is a running count of the survivors in `passed`, and `offsets`
-    holds p - 1 for the primes p up to 2 p_n at least.  The survivors must
-    be 1 and the primes the certificate summed, which checks both filter
-    routes and its lemma (a composite survivor exceeds 2 p_n).  A gather
-    and a count check it: 1 and each summed prime pass, and no more
-    integers pass, for a superset of the right size is the set itself.
+    `offsets` holds p - 1 for the primes p up to 2 p_n at least.  The
+    survivors must be 1 and the primes the certificate summed, which checks
+    both filter routes and its lemma (a composite survivor exceeds 2 p_n).
+    A gather and a count over the whole window check it: 1 and each summed
+    prime pass, and no more integers pass, for a superset of the right size
+    is the set itself.
     """
     report = harmonic_certificate(n, table)
     found = report.violations()
     hi = table.pi(len(passed))
-    if count != 1 + hi - n:  # a running count is recounted before it is reported
-        count = int(np.count_nonzero(passed))
-    if not (passed[0] and passed[offsets[n:hi]].all() and count == 1 + hi - n):
+    if not (passed[0] and passed[offsets[n:hi]].all() and np.count_nonzero(passed) == 1 + hi - n):
         survivors = (passed.nonzero()[0] + 1).tolist()
         stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
         found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
@@ -347,26 +344,14 @@ def _checked_certificate(
 def certificate_steps(n_max: int, table: PrimeTable) -> Iterator[tuple[int, Callable[[], tuple]]]:
     """(n, certify) for n = 1..n_max, where certify() is `_checked_certificate` at n.
 
-    A step costs the filter sweep's step and the survivor count; only the
-    steps a caller certifies build a certificate.  certify is valid until
-    the generator advances.  The count of survivors in [1, 2 p_n] is kept
-    from step to step: the new tail (2 p_{n-1}, 2 p_n] adds its survivors,
-    and striking p_n's multiples removes m = p_n, their only one in
-    [1, 2 p_{n-1}], if it passed before.  That is exact while each window
-    is the last one struck at p_n; `_checked_certificate` recounts a count
-    that disagrees with the certificate's over the whole window, so a
-    disagreement is reported only from a whole-window count.
+    A step costs the filter sweep's step; only the steps a caller certifies
+    build a certificate and count the survivors of their window.  certify
+    is valid until the generator advances.
     """
-    count = seen = 0
     for n, passed in _filter_windows(1, n_max, table):
         if n == 1:  # the range is now validated; p - 1 for every prime the sweep sums
             offsets = np.array(table.prime_array[: table.pi(2 * table.nth(n_max))]) - 1
-        count += int(np.count_nonzero(passed[seen:]))
-        seen = len(passed)
-        yield n, partial(_checked_certificate, n, passed, count, offsets, table)
-        if n < n_max:  # p_{n+1} is struck next; it passes now unless a listed prime divides it
-            p = table.prime_array[n]
-            count -= p <= seen and bool(passed[p - 1])
+        yield n, partial(_checked_certificate, n, passed, offsets, table)
 
 
 def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:

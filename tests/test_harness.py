@@ -670,6 +670,22 @@ def test_certify_violation_in_a_worker_row_is_reported_as_by_one_process(monkeyp
     assert capsys.readouterr().err == "invariant violation: n=20: margin fell below 1/73\n"
 
 
+def test_certify_survivor_disagreement_in_a_worker_row_is_reported_as_by_one_process(monkeypatch, capsys, small_table):
+    # 109 lies in (p_17, 2 p_17] = (59, 118], and n = 17 is the worker's first row: with 109
+    # unlisted it survives the filter unsummed, so the worker ends and this process counts n = 17
+    monkeypatch.setitem(harness._TABLES, small_table.limit, mutant_table(small_table, drop=[109]))
+    reports = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        reports.append((*certify_report(70, sieve_limit=small_table.limit), capsys.readouterr().err))
+        assert_no_child_left()
+    assert reports[0] == reports[1]
+    code, _, err = reports[0]
+    assert code == EXIT_INVARIANT
+    assert err.startswith("invariant violation: n=17: the filter and the certificate disagree on the survivors [109]\n")
+
+
 def test_certify_spoiled_twin_in_a_worker_row_leaves_the_serial_partial_report(monkeypatch, capsys):
     # the running sum a certificate for n = 21, in the worker's first turn, starts from is
     # doubled: the worker steps to it from n = 20, this process from n = 16, and both fail

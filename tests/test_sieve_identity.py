@@ -500,8 +500,8 @@ def _certified(sweep, n_max, table):
 @example(n_max=12, drop=set(), insert={25})  # 25 is summed from n = 6 on, struck by 5
 @example(n_max=30, drop={29}, insert={49})  # 29 survives unsummed; 49, struck by 7, leaves no survivor at its step
 def test_running_survivor_count_matches_whole_window_counts(n_max, drop, insert):
-    # the certificate's running count, on tables whose prime list lost and gained
-    # numbers, finds what a whole-window comparison finds, message for message
+    # the certificate's gather and count, on tables whose prime list lost and gained
+    # numbers, find what a whole-window comparison finds, message for message
     primes = sorted(set(_BASE.primes) - drop | insert)
     tables = [PrimeTable(limit=_BASE.limit, primes=primes) for _ in range(2)]
     assert _certified(certificate_sweep, n_max, tables[0]) == _certified(reference.certificate_sweep, n_max, tables[1])
