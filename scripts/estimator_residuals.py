@@ -23,7 +23,7 @@ from primeforms.survival import capacity_sweep, survival_sweep
 
 def decade_stats(columns):
     buckets = {}
-    for n, rel_error in zip(columns.n, columns.rel_error):
+    for n, rel_error in zip(columns.n, columns.rel_error[:]):
         decade = 10 ** int(math.log10(n))
         buckets.setdefault(decade, []).append(abs(rel_error))
     return {d: sum(v) / len(v) for d, v in sorted(buckets.items())}
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         line = "  ".join(f"1e{int(math.log10(d))}: {v:.4f}" for d, v in stats.items())
         print(f"{name:22s} mean|rel err| by decade  {line}")
 
-    survival_residuals = sweeps["survival"].residual
+    survival_residuals = sweeps["survival"].residual[:]
     under = sum(1 for r in survival_residuals if r > 0)
     over = sum(1 for r in survival_residuals if r < 0)
     print(f"survival residual sign: {under} underestimates, {over} overestimates")

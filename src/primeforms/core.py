@@ -102,49 +102,61 @@ def to_decimal(value: int) -> decimal.Decimal:
 
 
 class DerivedColumn:
-    """A column whose entry i is of(base[i]), computed when read; a slice reads as a list."""
+    """A column whose entry i is of(*(base[i] for base in bases)), computed when read; a slice reads as a list.
 
-    __slots__ = ("of", "base")
+    A numpy ufunc `of` makes one pass over the bases' slices, and over one row for an
+    entry, so both reads make the same IEEE operations; any other `of` is mapped.
+    """
 
-    def __init__(self, of: Callable, base: Sequence):
-        self.of, self.base = of, base
+    __slots__ = ("of", "bases")
+
+    def __init__(self, of: Callable, *bases: Sequence):
+        self.of, self.bases = of, bases
 
     def __len__(self) -> int:
-        return len(self.base)
+        return len(self.bases[0])
 
     def __getitem__(self, i):
-        return [*map(self.of, self.base[i])] if isinstance(i, slice) else self.of(self.base[i])
+        if isinstance(self.of, np.ufunc):
+            return self._pass(i).tolist()
+        values = [base[i] for base in self.bases]
+        return [*map(self.of, *values)] if isinstance(i, slice) else self.of(*values)
+
+    def _pass(self, i):
+        """The ufunc over the bases' entries or slices, a ufunc column base's own pass unconverted."""
+        return self.of(*[base._pass(i) if isinstance(base, DerivedColumn) else base[i] for base in self.bases])
 
 
 class EstimatorColumns(namedtuple("EstimatorColumns", "n p_n estimate floored residual rel_error")):
     """Estimates of p_n for consecutive n scored against the oracle, as equal-length columns.
 
     The sweeps compute their estimates as float64 column kernels, taking
-    every log from libm through `math.log`.  n is a range and p_n a slice of
-    the table's `array("q")`; estimate, residual and rel_error are
-    `array("d")`s, eight bytes a value read back as Python floats; floored is
-    a DerivedColumn, math.floor of each estimate when read, so it holds no
-    int per row (an int64 could not hold the floor of an estimate past 2^63).
+    every log from libm through `math.log`.  n is a range and p_n a view of
+    the table's `array("q")`; estimate is the one `array("d")`, eight bytes
+    a row read back as Python floats.  The other columns are DerivedColumns,
+    computed when read, so they hold nothing per row: floored is math.floor
+    of each estimate (an int64 could not hold the floor of an estimate past
+    2^63), residual is p_n - estimate and rel_error is residual / p_n, each
+    in float64 (a sieve that fits in memory keeps p_n < 2^53, so p_n
+    converts exactly).
     """
 
     __slots__ = ()
 
     @classmethod
     def against(cls, n_lo: int, p_n: Sequence[int], estimates) -> EstimatorColumns:
-        """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite.
-
-        Each score is written straight into its `array("d")` through a numpy view of it.
-        """
+        """Score float64 `estimates` of p_n, n = n_lo, n_lo + 1, ...; all must be finite."""
         estimates = np.asarray(estimates, dtype=np.float64)
         if not np.isfinite(estimates).all():
             i = int(np.argmin(np.isfinite(estimates)))
             raise OverflowError(f"the estimate of p_{n_lo + i} is {float(estimates[i])}, not a finite number")
-        columns = [array("d", [0.0]) * len(p_n) for _ in range(3)]
-        estimate, residual, rel_error = (np.frombuffer(column, dtype=np.float64) for column in columns)
-        estimate[:] = estimates
-        rel_error[:] = p_n  # exact: a sieve that fits in memory keeps p_n < 2^53
-        np.divide(np.subtract(rel_error, estimate, out=residual), rel_error, out=rel_error)
-        return cls(range(n_lo, n_lo + len(p_n)), p_n, columns[0], DerivedColumn(math.floor, columns[0]), *columns[1:])
+        estimate = array("d", [0.0]) * len(p_n)
+        np.frombuffer(estimate, dtype=np.float64)[:] = estimates
+        residual = DerivedColumn(np.subtract, p_n, estimate)
+        return cls(
+            range(n_lo, n_lo + len(p_n)), p_n, estimate, DerivedColumn(math.floor, estimate),
+            residual, DerivedColumn(np.divide, residual, p_n),
+        )
 
 
 def cofactor_multiples(large: np.ndarray, bound: int) -> Iterator[tuple[np.ndarray, int]]:

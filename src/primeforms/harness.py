@@ -537,8 +537,8 @@ def _precision_rows(n_max: int, table: core.PrimeTable, amplitude: float, violat
     the anomaly count and the largest absolute float gap; it is emitted
     even when nothing deviated.  Broken exact invariants go to `violations`.
     """
-    survival_residuals = survival.survival_sweep(3, n_max, table).residual
-    spectral_residuals = spectral.spectral_sweep(3, n_max, amplitude, table).residual
+    survival_residuals = survival.survival_sweep(3, n_max, table).residual[:]  # one pass: an entry read is a numpy call
+    spectral_residuals = spectral.spectral_sweep(3, n_max, amplitude, table).residual[:]
     summary = {"source": "summary", "first_float_floor_break": "", "anomaly_count": 0, "float_gap": 0.0}
     for report in sieve_identity.certificate_sweep(n_max, table, violations):
         row = {

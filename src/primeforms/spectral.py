@@ -80,4 +80,4 @@ def spectral_sweep(n_lo: int, n_hi: int, amplitude: float, table: PrimeTable) ->
     with np.errstate(over="ignore"):  # `against` refuses an estimate that overflowed
         estimates = np.add(drift, np.multiply(oscillation, amplitude, out=oscillation), out=drift)
     del oscillation
-    return EstimatorColumns.against(n_lo, table.prime_array[n_lo - 1 : n_hi], estimates)
+    return EstimatorColumns.against(n_lo, memoryview(table.prime_array)[n_lo - 1 : n_hi], estimates)

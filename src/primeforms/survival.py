@@ -45,7 +45,7 @@ def survival_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     estimates = np.multiply(k_log_k, np.cumprod(terms, out=terms), out=k_log_k)[n_lo - 2 :]
     del terms
     np.multiply(estimates, math.exp(-EULER_GAMMA), out=estimates)
-    return EstimatorColumns.against(n_lo, table.prime_array[n_lo - 1 : n_hi], estimates)
+    return EstimatorColumns.against(n_lo, memoryview(table.prime_array)[n_lo - 1 : n_hi], estimates)
 
 
 # -- Selberg quadratic form --------------------------------------------------
@@ -168,7 +168,7 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2")
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table))
-    p_n = table.prime_array[n_lo - 1 : n_hi]
+    p_n = memoryview(table.prime_array)[n_lo - 1 : n_hi]
     # a sieve that fits in memory keeps p_n < 2^52, where the float square root floors to isqrt(p_n)
     estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
     np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)

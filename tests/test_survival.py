@@ -122,23 +122,54 @@ def test_survival_sweep_strictly_increasing(table):
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
 
 
-def test_estimator_columns_take_three_floats_a_row(table):
-    # the scores are written into their array("d")s, with no full-size copy beside them,
-    # and floored is read off estimate: 100k rows peak below 36 bytes a row, where
-    # per-row floor ints and copies of every score took over 80
-    p_n = table.primes[2:100_002]
+def test_estimator_columns_take_one_float_a_row(table):
+    # estimate is the one array("d"); residual and rel_error are computed when read, so
+    # 100k rows retain 8 bytes a row and peak below 12, where three stored scores and a
+    # copy of p_n took 32 and peaked at 40
+    rows = 100_000
+    p_n = table.primes[2 : rows + 2]
     estimates = np.multiply(p_n, 1.01)
     tracemalloc.start()
     try:
         columns = EstimatorColumns.against(3, p_n, estimates)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 36 * len(p_n)
+    assert 8 * rows <= retained < 8 * rows + 4096 and peak < 12 * rows
     i = 70_000
     assert (columns.estimate[i], columns.floored[i]) == (estimates[i], math.floor(estimates[i]))
     assert columns.residual[i] == p_n[i] - estimates[i]
     assert columns.rel_error[i] == (p_n[i] - estimates[i]) / p_n[i]
+    for sweep in (survival_sweep, capacity_sweep):
+        tracemalloc.start()
+        try:
+            columns = sweep(3, rows + 2, table)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns.p_n) == rows and retained < 8 * rows + 16384, sweep.__name__
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["table-view", "list"])
+def test_score_slices_are_their_entries_bit_for_bit(table, as_list):
+    rows = 100_000
+    p_n = memoryview(table.prime_array)[2 : rows + 2]
+    p_n = p_n.tolist() if as_list else p_n
+    estimates = np.multiply(p_n, 1.01)
+    estimates[[0, 511, 512, 1000, 70_000]] = [1e300, -1e300, float(p_n[512]), 1e300, p_n[70_000]]
+    columns = EstimatorColumns.against(3, p_n, estimates)
+    for lo, hi in ((0, 30), (490, 530), (1000, 1030), (69_990, 70_020), (rows - 30, rows)):
+        for score in (columns.residual, columns.rel_error):
+            assert [*map(float.hex, score[lo:hi])] == [float.hex(score[i]) for i in range(lo, hi)], (lo, hi)
+    assert (columns.residual[512], columns.rel_error[70_000]) == (0.0, 0.0)
+    assert columns.residual[511] == 1e300 and columns.rel_error[0] == -1e300 / p_n[0]
+    tracemalloc.start()
+    try:
+        window = columns.residual[500:530], columns.rel_error[500:530]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(window[1]) == 30 and peak < 8192
 
 
 def test_floored_is_the_exact_floor_past_int64():
