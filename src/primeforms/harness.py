@@ -136,7 +136,7 @@ def _fraction_str(value: core.Ratio) -> str:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
-_LAYOUTS: dict[tuple, tuple] = {}  # (keys, kinds, fmt) -> text between cells, column order, cell and column converters
+_LAYOUTS: dict[tuple, tuple] = {}  # (keys, kinds, fmt) -> text before the cells, per cell (key index, converter, text)
 
 
 def _needs_quotes(text: str) -> bool:
@@ -153,41 +153,31 @@ def _csv_texts(cells):
     return [*map(_csv_text, cells)] if _needs_quotes("".join(cells)) else cells
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_NONFINITE.get(text, text)
-
-
 def _json_fraction(value: core.Ratio) -> str:
     return encode_basestring_ascii(_fraction_str(value))
 
 
-def _converters(kind: type) -> dict:
-    """Per format, the converter from one value to its cell, of floats, `core.Ratio`s, text or ints."""
+def _converter(kind: type, fmt: str) -> Callable:
+    """The converter from a column of floats, `core.Ratio`s, text or ints to its `fmt` cells."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
-        return {"csv": float.__repr__, "json": _json_float}
+        if fmt == "csv":
+            return partial(map, float.__repr__)
+        return lambda column: map(_JSON_NONFINITE.get, *tee(map(float.__repr__, column)))
     if issubclass(kind, core.Ratio):
-        return {"csv": _fraction_str, "json": _json_fraction}
+        return partial(map, _fraction_str if fmt == "csv" else _json_fraction)
     if issubclass(kind, str):
-        return {"csv": _csv_text, "json": encode_basestring_ascii}
+        return _csv_texts if fmt == "csv" else partial(map, encode_basestring_ascii)
     if kind is int:  # an int prints as both formats spell it
-        return dict.fromkeys(("csv", "json"), int.__repr__)
+        return partial(map, int.__repr__)
     raise TypeError(f"a report cell cannot hold a {kind.__module__}.{kind.__qualname__}")
-
-
-# Column converters that beat mapping the cell converter over the column.
-_COLUMN_CONVERTERS = {
-    _json_float: lambda column: map(_JSON_NONFINITE.get, *tee(map(float.__repr__, column))),
-    _csv_text: _csv_texts,
-}
 
 
 def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
     """The layout of rows with cells under `keys` of types `kinds`, compiled once for them and `fmt`.
 
     It is a CSV line or an element of json.dump(..., indent=1), absent columns already
-    blank or null: the text between its cells, the order in which the cells take the
-    keys, and each cell's converters, from one value and from a column of them.
+    blank or null: the text before its first cell, then per cell the key index it takes,
+    its column converter and the text after it, each text one endless `repeat`, None where empty.
     """
     if (keys, kinds, fmt) not in _LAYOUTS:
         at = dict(sorted((REPORT_COLUMNS.index(key), j) for j, key in enumerate(keys)))  # column -> key index
@@ -196,23 +186,22 @@ def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
             line = ",".join(cells) + "\r\n"
         else:
             line = " {\n" + ",\n".join(f'  "{c}": {cell or "null"}' for c, cell in zip(REPORT_COLUMNS, cells)) + "\n }"
-        texts = line.split("%s")
-        order = [*at.values()]
-        converters = [_converters(kinds[j])[fmt] for j in order]
-        columns = [_COLUMN_CONVERTERS.get(convert) or partial(map, convert) for convert in converters]
-        _LAYOUTS[keys, kinds, fmt] = texts, order, converters, columns
+        texts = [repeat(text) if text else None for text in line.split("%s")]
+        slots = [(j, _converter(kinds[j], fmt), text) for j, text in zip(at.values(), texts[1:])]
+        _LAYOUTS[keys, kinds, fmt] = texts[0], slots
     return _LAYOUTS[keys, kinds, fmt]
 
 
 def _lines(keys: tuple, columns, fmt: str):
-    """The rows of one lane, equal-length non-empty `columns` under `keys`, in their layout:
-    each row is the join of the text between its cells and the cells."""
-    texts, order, _, converters = _layout(keys, tuple([type(column[0]) for column in columns]), fmt)
-    parts = [repeat(texts[0])] if texts[0] else []
-    for j, convert, text in zip(order, converters, texts[1:]):
+    """The rows of one lane, equal-length non-empty `columns` under `keys`, in their layout: each
+    row is one join of the text between its cells and the cells (a `%` template filled the same
+    way grows its buffer cell by cell, which costs more once a certificate's cells pass a megabyte)."""
+    head, slots = _layout(keys, tuple([type(column[0]) for column in columns]), fmt)
+    parts = [head] if head else []
+    for j, convert, text in slots:
         parts.append(convert(columns[j]))
         if text:
-            parts.append(repeat(text))
+            parts.append(text)
     return map("".join, zip(*parts))
 
 
@@ -230,16 +219,11 @@ class Block(NamedTuple):
 
 
 def _row_text(row: dict, fmt: str) -> str:
-    """One row keyed by REPORT_COLUMNS ("" is a blank cell): each cell converted on its own and
-    joined once with the text between cells.  A `%` template filled the same way grows its
-    buffer as each cell arrives, which costs more once a certificate's cells pass a megabyte."""
+    """One row keyed by REPORT_COLUMNS ("" is a blank cell), in its layout: a lane of one row,
+    converted by the same column converters.  `next` takes it, since a row with no cells
+    is a lane of no columns, whose lines repeat without end."""
     kept = {k: v for k, v in row.items() if v.__class__ is not str or v}
-    values = [*kept.values()]
-    texts, order, converters, _ = _layout(tuple(kept), tuple(map(type, values)), fmt)
-    parts = [texts[0]]
-    for j, convert, text in zip(order, converters, texts[1:]):
-        parts += (convert(values[j]), text)
-    return "".join(parts)
+    return next(_lines(tuple(kept), [[v] for v in kept.values()], fmt))
 
 
 def write_rows(rows, fmt: str, stream) -> None:
@@ -364,11 +348,15 @@ def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:
 # -- command executors -------------------------------------------------------
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of the RunConfig field `name`."""
+    return "--X" if name == "x_upper" else f"--{name.replace('_', '-')}"
+
+
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
-            flag = "--X" if name == "x_upper" else f"--{name.replace('_', '-')}"
-            raise UsageError(f"command {config.command!r} needs {flag}")
+            raise UsageError(f"command {config.command!r} needs {_flag(name)}")
 
 
 def _approx_limit(n: int) -> int:
@@ -591,9 +579,11 @@ def run(config: RunConfig, stream=None) -> int:
     the full report, with exit 1.  An InvariantViolation raised while rows
     are produced ends the report early: the rows before it stay written, on
     `stream`, on stdout or in --out alike, its message follows those of the
-    earlier rows, and the exit code is 1.
+    earlier rows, and the exit code is 1.  A MemoryError raised while the command
+    computes or writes ends it the same way, after those messages, with one line
+    naming the flag to lower and exit 3 (1 if an invariant already failed).
     """
-    violations = []
+    violations, exhausted = [], None
     try:
         table = _table(config.sieve_limit)
         rows, violations = _EXECUTORS[config.command](config, table)
@@ -606,9 +596,14 @@ def run(config: RunConfig, stream=None) -> int:
         return EXIT_RESOURCE
     except core.InvariantViolation as exc:
         violations.append(str(exc))
+    except MemoryError:  # an allocation no estimate refused, numpy's included
+        size = next(name for name in ("n_max", "n", "x_upper", "x", "sieve_limit") if getattr(config, name) is not None)
+        exhausted = f"{config.command} ran out of memory; pass a smaller {_flag(size)}"
     for violation in violations:
         print(f"invariant violation: {violation}", file=sys.stderr)
-    return EXIT_INVARIANT if violations else EXIT_OK
+    if exhausted:
+        print(f"resource limit: {exhausted}", file=sys.stderr)
+    return EXIT_INVARIANT if violations else EXIT_RESOURCE if exhausted else EXIT_OK
 
 
 def _write_report(rows, config: RunConfig, stream) -> None:

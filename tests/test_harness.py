@@ -734,6 +734,38 @@ def test_certify_twin_spoiled_before_a_jump_exits_one_naming_n(monkeypatch, caps
     assert text == partial
 
 
+@pytest.mark.parametrize(
+    "short, code, err",
+    [
+        (None, EXIT_RESOURCE, ""),
+        (3, EXIT_INVARIANT, "invariant violation: n=3: margin fell below 1/7\n"),
+    ],
+    ids=["alone", "after a violation"],
+)
+@pytest.mark.parametrize("fork", [False, True], ids=["one process", "forked"])
+def test_certify_out_of_memory_keeps_the_rows_before_it(monkeypatch, capsys, short, code, err, fork):
+    # an allocation fails making the fifth row, in this process's first turn, after an
+    # invariant broke at n = `short`; a worker making the second turn is reaped
+    real = harness.sieve_identity.harmonic_certificate
+
+    def failing(n, table):
+        if n == 5:
+            raise MemoryError
+        report = real(n, table)
+        if n == short:
+            report.margin = ratio(Fraction(1, report.next_prime) - Fraction(1, 10**40))
+        return report
+
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", failing)
+    _, rows = certify_report(4)  # the four rows before it, the broken one included
+    assert capsys.readouterr().err == err
+    assert certify_report(4 * TURN + 3) == (code, rows)
+    assert capsys.readouterr().err == err + "resource limit: certify ran out of memory; pass a smaller --n-max\n"
+    assert_no_child_left()
+
+
 def test_survival_rows_interleave_by_n():
     code, _, rows = run_to_rows(RunConfig(command="survival", n_max=2_000, sieve_limit=LIMIT))
     assert code == EXIT_OK
@@ -1281,6 +1313,21 @@ def test_cli_samples_run_in_bounded_memory_under_the_cap(capped_address_space):
     assert proc.stdout.count("\n") == 2 and proc.stderr == ""
 
 
+def test_cli_allocation_failure_mid_run_exits_three(capped_address_space):
+    # past every estimate: the sweep asks numpy for 1 TiB, which the 1 GiB cap refuses
+    code = (
+        "import sys\nimport numpy as np\nfrom primeforms import harness, survival\n"
+        "survival.survival_sweep = lambda *args: np.ones(1 << 40, dtype=np.uint8)\n"
+        "sys.exit(harness.main(['survival', '--n-max', '100']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, preexec_fn=capped_address_space
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stdout == ""
+    assert proc.stderr == "resource limit: survival ran out of memory; pass a smaller --n-max\n"
+
+
 def recorded_workloads():
     """Every command the benchmark runs, with the digest `perfbench/workloads.py` records for it."""
     limit = csv.field_size_limit()  # the module lifts csv's field limit when it loads
@@ -1322,6 +1369,26 @@ def test_workload_report_bytes_are_unchanged(argv, digest):
 def test_exact_json_report_bytes_are_unchanged(argv, digest):
     # no benchmark workload writes a rational cell to JSON
     assert report_digest([*argv, "--format", "json"]) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("selberg", "--x", "10", "--z", "3"), "f51321988a20093891658ce91803b343445013cc0f849ad8cff19e82f4ac6910"),
+        (
+            ("selberg", "--x", "10", "--z", "3", "--format", "json"),
+            "74077f08b94ce266a62b5ee1bddd410384fb0dfa39f569be4855b8b2de12b16f",
+        ),
+        (("brun", "--X", "1000000"), "4809f16b7dcfb9aee6a4e64fa4a60c1a47e4d0472a13f7f9b4e931eca2692823"),
+        (
+            ("brun", "--X", "1000000", "--format", "json"),
+            "1be192c21c874a8841c3c09aa20cc6321d52992de5ade6d7f22d616c2d34085c",
+        ),
+    ],
+)
+def test_single_row_report_bytes_are_unchanged(argv, digest):
+    # one dict row each, exact on every BLAS: the Selberg solve is 1x1 over integers and brun one math.fsum
+    assert report_digest(argv) == digest
 
 
 @pytest.mark.parametrize(
