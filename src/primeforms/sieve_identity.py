@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,12 +102,11 @@ def coprime_indicator(m: int, n: int, table: PrimeTable) -> int:
 
 
 # Bytes per entry of [0, 2 p_hi] that a filter sweep's arrays take at their peak, at most.
-# While the divisors are found: the Möbius table's int8 (1), the uint32 quotients `rest`
-# (4), the prime marks and three boolean masks (4) and numpy's intp copy of `rest` for
-# the gather `listed[rest]` (8).  Later arrays peak lower: the int32 Möbius sums, the
-# int64 divisors and one int64 batch of their multiples, about 0.6 of the entries each.
-# tracemalloc measured 17.4 bytes an entry at 2 p_hi from 2e5 to 8e6; the rest of the
-# 20 covers the per-n lists the callers build beside it.
+# tracemalloc measured 17.51, 17.50 and 17.52 with 2 p_hi near 2e5, 2e6 and 8e6 (numpy 2.4),
+# while the Möbius sums are added: the int8 Möbius table (1), the int32 sums (4), the int64
+# divisors and their first int64 batch of multiples (0.6 of the entries each) and its int32
+# gather.  Comparing the routes takes 16.4, finding the divisors 11.9 (the uint32 gather
+# `listed[rest]` copies no intp index).  The rest covers the per-n lists the callers build.
 SWEEP_BYTES = 20
 
 
@@ -115,30 +115,45 @@ def sweep_bytes(hi: int, table: PrimeTable) -> int:
     return SWEEP_BYTES * (2 * table.nth(hi) + 1)
 
 
-def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, np.ndarray]]:
-    """(n, passed) for n = lo..hi, where passed[m - 1] is the filter at m in [1, 2 p_n].
+class FilterSweep(NamedTuple):
+    """The filter at steps n = lo..hi: m in [1, 2 p_n] passes at n exactly when death[m] > n."""
 
-    `passed` is a read-only view of the one array the sweep strikes: it is
-    valid until the generator advances, so a caller that keeps a window
-    copies it.
+    death: np.ndarray  # the least n <= hi whose listed entry divides m, or hi + 1; read-only, as are the next two
+    next_primes: np.ndarray  # at n - lo, the smallest m >= 2 that passes at n; above 2 p_n if none does
+    survivors: np.ndarray  # at n - lo, how many m in [1, 2 p_n] pass at n
+    failure: tuple | None  # (n, 0 for the re-check of p_n or 1 for the tail, m, Möbius sum, gcd test)
 
-    Each m is checked when it enters the window [1, 2 p_n], and each prime
-    m again at n = pi(m); the first window, [1, 2 p_lo], is checked whole.
-    That checks every window whole: between steps both routes change only
-    at the multiples of p_n, the direct route by striking them and the
-    Möbius route through the divisors p_n brings to P_n, each p_n times an
-    old one and so p_n or at least 2 p_n.  In [1, 2 p_{n-1}] that leaves
-    m = p_n, so the routes agree on all of [1, 2 p_n] once they agree at
-    p_n and on the new tail (2 p_{n-1}, 2 p_n].  A mismatch is reported at
-    the same n and the same smallest m as a whole-window check reports it.
+    def check(self, n: int) -> None:
+        """Raise the routes' first mismatch if it lies at step n or before."""
+        if self.failure is not None and self.failure[0] <= n:
+            step, _, m, moebius, gcd = map(int, self.failure)
+            raise InvariantViolation(f"filter mismatch at m={m}, n={step}: Möbius sum {moebius}, gcd test {gcd}")
 
-    The Möbius route, the sum of mu(d) over the divisors d of P_n that
-    divide m, is summed once before the steps, each m at its entry step.
-    The divisors of P_hi in [1, 2 p_hi] are the products of distinct
-    primes up to p_hi, found from the table's primes alone; only their
-    weights mu(d) are read from the Möbius table.  Each adds its weight to
-    all its multiples, but a prime p_n that enters an earlier window misses
-    m = p_n until the re-check at step n adds it.
+
+def _filter_sweep(lo: int, hi: int, table: PrimeTable) -> FilterSweep:
+    """Both routes of the filter on [1, 2 p_n] for n = lo..hi, compared in whole-array passes.
+
+    The direct route is `death`, a least-factor table over the listed entries
+    in the manner of Gries & Misra's linear sieve (CACM 21, 1978).  Each m is
+    compared at its entry step, lo or the n with 2 p_{n-1} < m <= 2 p_n, and
+    each prime m again at n = pi(m).  That compares every window [1, 2 p_n]
+    whole: between steps both routes change only at the multiples of p_n, the
+    direct route by striking them and the Möbius route through the divisors
+    p_n brings to P_n, each p_n times an old one and so p_n or at least 2 p_n.
+    In [1, 2 p_{n-1}] that leaves m = p_n, so the routes agree on [1, 2 p_n]
+    once they agree at p_n and on the new tail (2 p_{n-1}, 2 p_n].  The first
+    mismatch by step, the re-check of p_n before the tail, then by m, is the
+    one a whole-window check names first; `FilterSweep.check` raises it.
+
+    The Möbius route, the sum of mu(d) over the divisors d of P_n that divide
+    m, is summed once.  The divisors of P_hi in [1, 2 p_hi], the products of
+    distinct primes up to p_hi, are found from the table's primes alone, and
+    each adds its weight mu(d) to all its multiples; but a prime p_n that
+    enters an earlier window misses m = p_n until its re-check at step n.
+
+    Striking only removes survivors, so the smallest above 1 at n is where the
+    running maximum of death[2:] first passes n; an m survives from its entry
+    step until death[m] if it passes when it enters, and never if not.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"sweep needs 1 <= lo <= hi, not [{lo}, {hi}]")
@@ -151,8 +166,9 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     # m is a product of distinct primes up to p_hi exactly when dividing it
     # once by each prime up to root leaves 1 or one such prime above root.
     root = math.isqrt(bound)
+    small = bisect_right(primes, root)
     rest = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
-    for p in primes[: bisect_right(primes, root)]:
+    for p in primes[:small]:
         rest[p::p] //= p
     listed = np.zeros(bound + 1, dtype=bool)
     listed[primes] = True
@@ -165,64 +181,50 @@ def _filter_windows(lo: int, hi: int, table: PrimeTable) -> Iterator[tuple[int, 
     weights = mu[divisors[split:]]
     for multiples, count in cofactor_multiples(divisors[split:], bound):
         moebius_sum[multiples] += weights[:count]
+    del divisors, weights
+    entries = np.array(primes)  # p_n at n - 1
     # a prime p_n <= 2 p_{n-1}, n > lo, enters an earlier window, before p_n divides P_n
-    later = np.array(primes[lo:], dtype=np.int64)
-    early = later[later <= 2 * np.array(primes[lo - 1 : -1], dtype=np.int64)]
+    rechecked = lo + 1 + (entries[lo:] <= 2 * entries[lo - 1 : -1]).nonzero()[0]
+    early = entries[rechecked - 1]
     moebius_sum[early] -= mu[early]
 
-    alive = np.ones(bound + 1, dtype=bool)  # m has no prime factor <= p_n
-    passed = alive.view()
-    passed.flags.writeable = False  # callers read the windows; only the sweep strikes
-    checked = 0  # the routes agree on [1, checked]
-
-    def mismatch(m: int, n: int) -> InvariantViolation:
-        return InvariantViolation(
-            f"filter mismatch at m={m}, n={n}: Möbius sum {moebius_sum[m]}, gcd test {int(alive[m])}"
-        )
-
-    for n, p in enumerate(primes, start=1):
-        alive[p::p] = False
-        if n < lo:
-            continue
-        if p <= checked:  # the re-check: the divisor p_n reaches m = p_n only now
-            moebius_sum[p] += mu[p]
-            if moebius_sum[p] != alive[p]:
-                raise mismatch(p, n)
-        window = 2 * p
-        tail = (moebius_sum[checked + 1 : window + 1] != alive[checked + 1 : window + 1]).nonzero()[0]
-        if tail.size:
-            raise mismatch(checked + 1 + int(tail[0]), n)
-        checked = window
-        yield n, passed[1 : window + 1]
-
-
-_SCAN_CHUNK = 256  # entries of a next-prime scan's first chunk
+    death = np.full(bound + 1, hi + 1, dtype=np.int32)
+    for n in range(small, 0, -1):  # the least n is written last
+        death[primes[n - 1] :: primes[n - 1]] = n
+    ordinals = np.arange(1, hi + 1, dtype=np.int32)  # int32, as `death` is, so no int64 copy of it is made
+    for multiples, count in cofactor_multiples(entries[small:], bound):
+        death[multiples] = np.minimum(death[multiples], ordinals[small : small + count])
+    entry = np.repeat(ordinals[lo - 1 :], np.diff(2 * entries[lo - 1 :], prepend=0))  # at m - 1, as is `alive`
+    alive = death[1:] > entry  # m passes at its entry step
+    sums, passes = moebius_sum[early] + mu[early], death[early] > rechecked
+    failures = [(rechecked[i], 0, early[i], sums[i], passes[i]) for i in np.flatnonzero(sums != passes)[:1]]
+    m = int(np.argmax(moebius_sum[1:] != alive)) + 1
+    if moebius_sum[m] != alive[m - 1]:
+        failures.append((entry[m - 1], 1, m, moebius_sum[m], alive[m - 1]))
+    counts = np.bincount(entry[alive], minlength=hi + 2) - np.bincount(death[1:][alive], minlength=hi + 2)
+    del moebius_sum, entry, alive
+    reach = np.maximum.accumulate(death[2:])
+    arrays = death, 2 + np.searchsorted(reach, ordinals[lo - 1 :], side="right"), np.cumsum(counts)[lo : hi + 1]
+    for array in arrays:
+        array.flags.writeable = False
+    return FilterSweep(*arrays, min(failures, default=None))
 
 
 def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
-    """Smallest filter survivor above 1 for each n in [lo, hi], from one sweep.
+    """Smallest filter survivor above 1 for each n in [lo, hi], from one `_filter_sweep`.
 
-    Both routes of the filter agree on every m of Bertrand's range
-    [1, 2 p_n] for every swept n: each m is checked when it enters that
-    range, and each prime m again at n = pi(m) (see `_filter_windows`).
-    Striking only removes survivors, so the scan for each n starts at the
-    survivor found for n - 1.
+    A mismatch of the filter's routes, or a step with no survivor in
+    [2, 2 p_n], raises at the first step it lies at, the mismatch first.
     """
-    found = []
-    first = 2  # nothing in [2, first) passes
-    for n, passed in _filter_windows(lo, hi, table):
-        # argmax reads a read-only view to its end, so it scans a chunk widened until
-        # it holds a survivor or reaches the end: O(gap) entries a step, not O(p_n)
-        width = _SCAN_CHUNK
-        while not (chunk := passed[first - 1 : first - 1 + width]).any() and first - 1 + width < len(passed):
-            width *= 4
-        first += int(np.argmax(chunk))  # unchanged when nothing from first on passed
-        if not passed[first - 1]:
-            raise InvariantViolation(
-                f"no filter survivor in [2, {len(passed)}] for n={n}; the scan range guarantees one"
-            )
-        found.append(first)
-    return found
+    sweep = _filter_sweep(lo, hi, table)
+    empty = lo + np.flatnonzero(sweep.next_primes > 2 * np.array(table.prime_array[lo - 1 : hi]))
+    n = int(empty[0]) if empty.size else hi  # the last step to check
+    sweep.check(n)
+    if empty.size:
+        raise InvariantViolation(
+            f"no filter survivor in [2, {2 * table.nth(n)}] for n={n}; the scan range guarantees one"
+        )
+    return sweep.next_primes.tolist()
 
 
 def next_prime_via_filter(n: int, table: PrimeTable) -> int:
@@ -319,23 +321,21 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     )
 
 
-def _checked_certificate(
-    n: int, passed: np.ndarray, offsets: np.ndarray, table: PrimeTable
-) -> tuple[CertificateReport, list[str]]:
-    """The certificate for n and the invariants it breaks, given the filter's window at n.
+def _checked_certificate(n: int, sweep: FilterSweep, table: PrimeTable) -> tuple[CertificateReport, list[str]]:
+    """The certificate for n and the invariants it breaks, given the filter sweep from n = 1.
 
-    `offsets` holds p - 1 for the primes p up to 2 p_n at least.  The
-    survivors must be 1 and the primes the certificate summed, which checks
-    both filter routes and its lemma (a composite survivor exceeds 2 p_n).
-    A gather and a count over the whole window check it: 1 and each summed
-    prime pass, and no more integers pass, for a superset of the right size
-    is the set itself.
+    The survivors must be 1 and the primes the certificate summed, which checks both
+    filter routes and its lemma (a composite survivor exceeds 2 p_n).  A gather of `death`
+    and the sweep's survivor count check it: 1 and each summed prime pass, and no more
+    integers pass, for a superset of the right size is the set itself.
     """
     report = harmonic_certificate(n, table)
     found = report.violations()
-    hi = table.pi(len(passed))
-    if not (passed[0] and passed[offsets[n:hi]].all() and np.count_nonzero(passed) == 1 + hi - n):
-        survivors = (passed.nonzero()[0] + 1).tolist()
+    window = 2 * table.nth(n)
+    hi = table.pi(window)
+    death, summed = sweep.death, np.frombuffer(table.prime_array, dtype=np.int64)[n:hi]  # a view gathers fastest
+    if not (death[1] > n and (death[summed] > n).all() and sweep.survivors[n - 1] == 1 + hi - n):
+        survivors = ((death[1 : window + 1] > n).nonzero()[0] + 1).tolist()
         stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
         found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
     return report, found
@@ -344,14 +344,13 @@ def _checked_certificate(
 def certificate_steps(n_max: int, table: PrimeTable) -> Iterator[tuple[int, Callable[[], tuple]]]:
     """(n, certify) for n = 1..n_max, where certify() is `_checked_certificate` at n.
 
-    A step costs the filter sweep's step; only the steps a caller certifies
-    build a certificate and count the survivors of their window.  certify
-    is valid until the generator advances.
+    The filter sweep runs whole before the first step, a mismatch of its routes raises
+    when the generator reaches its step, and only the steps certified build a certificate.
     """
-    for n, passed in _filter_windows(1, n_max, table):
-        if n == 1:  # the range is now validated; p - 1 for every prime the sweep sums
-            offsets = np.array(table.prime_array[: table.pi(2 * table.nth(n_max))]) - 1
-        yield n, partial(_checked_certificate, n, passed, offsets, table)
+    sweep = _filter_sweep(1, n_max, table)
+    for n in range(1, n_max + 1):
+        sweep.check(n)
+        yield n, partial(_checked_certificate, n, sweep, table)
 
 
 def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:

@@ -8,7 +8,7 @@ import numpy as np
 
 from primeforms.core import InvariantViolation, PrimeTable, Ratio, exact_decimals, sieve, to_decimal
 from primeforms.gandhi import GandhiEvaluation
-from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_windows, harmonic_certificate
+from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_sweep, harmonic_certificate
 from primeforms.survival import _capacity_terms, quadratic_form_value, squarefree_support
 
 
@@ -132,7 +132,7 @@ def extract_prime(probability) -> int:
 
 
 def filter_windows(lo: int, hi: int, table: PrimeTable):
-    """`sieve_identity._filter_windows` as a per-step whole-window check.
+    """`sieve_identity._filter_sweep` as a per-step whole-window check.
 
     Both routes are advanced once per prime p_n over [0, 2 p_hi], and at
     every n >= lo they are compared on all of [1, 2 p_n].  Yields (n, passed)
@@ -168,9 +168,25 @@ def filter_windows(lo: int, hi: int, table: PrimeTable):
         yield n, passed
 
 
+def sweep_windows(lo: int, hi: int, table: PrimeTable):
+    """The windows `sieve_identity._filter_sweep` stands for, as `filter_windows` yields them.
+
+    Window n is death[1 : 2 p_n + 1] > n; the sweep's first mismatch of the
+    routes is raised when its step is reached.
+    """
+    sweep = _filter_sweep(lo, hi, table)
+    for n in range(lo, hi + 1):
+        sweep.check(n)
+        yield n, sweep.death[1 : 2 * table.nth(n) + 1] > n
+
+
 def certificate_sweep(n_max: int, table: PrimeTable, violations: list):
-    """`sieve_identity.certificate_sweep` with the survivors compared over each whole window."""
-    for n, passed in _filter_windows(1, n_max, table):
+    """`sieve_identity.certificate_sweep` with the survivors compared over each whole window.
+
+    The windows are the sweep's own, materialized by `sweep_windows`: on a list
+    holding a squarefree composite, `filter_windows` prints other Möbius sums.
+    """
+    for n, passed in sweep_windows(1, n_max, table):
         report = harmonic_certificate(n, table)
         violations.extend(report.violations())
         hi = table.pi(len(passed))

@@ -919,24 +919,56 @@ def test_certificates_are_checked_against_the_filter(monkeypatch, capsys, small_
 
 def test_certificates_are_checked_by_gather_not_only_by_count(monkeypatch, capsys):
     # at n = 9 the window [1, 46] loses the summed prime 41 and gains 25: the
-    # count of survivors is still right, the survivors are not
+    # count of survivors is still right, the survivors are not.  41 stays struck
+    # after n = 9, so the run ends there
     from primeforms import sieve_identity
 
-    real = sieve_identity._filter_windows
+    real = sieve_identity._filter_sweep
 
     def swapped(lo, hi, table):
-        for n, passed in real(lo, hi, table):
-            if n == 9:
-                passed = passed.copy()
-                passed[41 - 1], passed[25 - 1] = False, True
-            yield n, passed
+        sweep = real(lo, hi, table)
+        death = sweep.death.copy()
+        death[41], death[25] = 9, 10
+        return sweep._replace(death=death)
 
-    monkeypatch.setattr(sieve_identity, "_filter_windows", swapped)
-    config = RunConfig(command="certify", n_max=12, sieve_limit=LIMIT)
+    monkeypatch.setattr(sieve_identity, "_filter_sweep", swapped)
+    config = RunConfig(command="certify", n_max=9, sieve_limit=LIMIT)
     assert run(config, stream=io.StringIO()) == EXIT_INVARIANT
     assert capsys.readouterr().err == (
         "invariant violation: n=9: the filter and the certificate disagree on the survivors [25, 41]\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, n_max, d, kept, message",
+    [
+        # 7 enters [1, 2 p_3] = [1, 10] with only d = 1 dividing P_3; the re-check of p_4 adds mu(7)
+        ("certify", 10, 7, 3, "filter mismatch at m=7, n=4: Möbius sum 1, gcd test 0"),
+        ("report", 10, 7, 3, "filter mismatch at m=7, n=4: Möbius sum 1, gcd test 0"),
+        # the re-check of p_20 = 71 lies in the worker's first turn, rows 17..32
+        ("certify", 40, 71, 19, "filter mismatch at m=71, n=20: Möbius sum 1, gcd test 0"),
+    ],
+)
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one process"])
+def test_a_filter_mismatch_stops_the_report_at_its_step(monkeypatch, capsys, command, n_max, d, kept, message, fork):
+    config = RunConfig(command=command, n_max=n_max, sieve_limit=LIMIT)
+    complete = io.StringIO()
+    assert run(config, stream=complete) == EXIT_OK
+    real = core.PrimeTable.moebius_values
+
+    def corrupted(self, upto):
+        mu = real(self, upto).copy()
+        mu[d] = 0
+        return mu
+
+    monkeypatch.setattr(core.PrimeTable, "moebius_values", corrupted)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    buffer = io.StringIO()
+    assert run(config, stream=buffer) == EXIT_INVARIANT
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
+    assert buffer.getvalue().splitlines() == complete.getvalue().splitlines()[: 1 + kept]
+    assert_no_child_left()
 
 
 def test_certify_flags_a_margin_below_the_next_prime_term(monkeypatch, capsys):

@@ -8,6 +8,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from primeforms.core import InvariantViolation, PrimeTable, exact_decimals, siev
 from primeforms.sieve_identity import (
     LN2_LOWER,
     CertificateReport,
-    _filter_windows,
+    _filter_sweep,
     certificate_sweep,
     coprime_indicator,
     harmonic_certificate,
@@ -27,7 +28,7 @@ from primeforms.sieve_identity import (
 )
 
 import reference
-from reference import certificate_violations, filter_windows, fraction, ratio
+from reference import certificate_violations, filter_windows, fraction, ratio, sweep_windows
 
 
 def test_filter_hand_values(table):
@@ -46,9 +47,8 @@ def test_filter_passes_one_for_any_n(table, n):
 def test_filter_dual_paths_agree_exhaustively(table):
     # coprime_indicator and the sweep each raise on a Möbius-vs-gcd disagreement
     # of their own routes; a clean run over n <= 500, m <= 2 p_n in which the two
-    # implementations agree at every m is the agreement proof.  Each window is a
-    # view, valid until the sweep advances.
-    windows = [(n, passed.copy()) for n, passed in _filter_windows(1, 500, table)]
+    # implementations agree at every m is the agreement proof.
+    windows = list(sweep_windows(1, 500, table))
     assert [n for n, _ in windows] == list(range(1, 501))
     for n, passed in windows:
         expected = [coprime_indicator(m, n, table) for m in range(1, 2 * table.nth(n) + 1)]
@@ -349,9 +349,10 @@ def test_scan_range_error_beyond_limit(small_table):
 
 
 def test_sweep_windows_are_read_only(table):
-    _, passed = next(_filter_windows(1, 5, table))
-    with pytest.raises(ValueError, match="read-only"):
-        passed[0] = False
+    sweep = _filter_sweep(1, 5, table)
+    for array in (sweep.death, sweep.next_primes, sweep.survivors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_sweep_starting_above_one_matches_full_sweep(table):
@@ -360,9 +361,14 @@ def test_sweep_starting_above_one_matches_full_sweep(table):
         next_prime_sweep(5, 4, table)
 
 
-def test_next_prime_scan_widens_its_chunk(monkeypatch, table):
-    # a one-entry first chunk must widen past every gap up to p_501
-    monkeypatch.setattr(sieve_identity, "_SCAN_CHUNK", 1)
+def test_next_prime_sweep_crosses_the_widest_gap(table):
+    # the widest gap below 2e6 follows p_n = 1357201; sweeping past it needs 2 p_{n+2} < 2.8e6
+    gaps = np.diff(table.prime_array)
+    n = int(np.argmax(gaps)) + 1
+    assert (table.nth(n), int(gaps[n - 1])) == (1357201, 132)
+    wider = sieve(2_800_000)
+    assert next_prime_sweep(n - 2, n + 2, wider) == wider.primes[n - 2 : n + 3]
+    assert next_prime_sweep(n, n, wider) == [table.nth(n + 1)]
     assert next_prime_sweep(1, 500, table) == table.primes[1:501]
     assert next_prime_sweep(400, 400, table) == [table.primes[400]]
 
@@ -466,12 +472,12 @@ def test_sweep_matches_the_whole_window_reference_under_corruption(case):
         mu = _BASE.moebius_values(2 * _BASE.nth(hi)).copy()
         mu[write[0]] = write[1]
         mutant.moebius_values = lambda upto: mu
-    ours, theirs = _sweep_outcome(_filter_windows, lo, hi, mutant), _sweep_outcome(filter_windows, lo, hi, mutant)
+    ours, theirs = _sweep_outcome(sweep_windows, lo, hi, mutant), _sweep_outcome(filter_windows, lo, hi, mutant)
     if insert is None:
         assert ours == theirs
         return
     # The reference adds mu(d) once per product of listed entries equal to d (10 = 2 * 5 and 10),
-    # `_filter_windows` at most once, and not before the re-check where its `rest` division leaves
+    # `_filter_sweep` at most once, and not before the re-check where its `rest` division leaves
     # 0 at a listed composite up to sqrt(2 p_hi): the printed sums differ, and n can be later.
     (windows, at), (reference_windows, reference_at) = _raised_at(ours), _raised_at(theirs)
     assert windows[: len(reference_windows)] == reference_windows
@@ -505,6 +511,27 @@ def test_running_survivor_count_matches_whole_window_counts(n_max, drop, insert)
     primes = sorted(set(_BASE.primes) - drop | insert)
     tables = [PrimeTable(limit=_BASE.limit, primes=primes) for _ in range(2)]
     assert _certified(certificate_sweep, n_max, tables[0]) == _certified(reference.certificate_sweep, n_max, tables[1])
+
+
+def test_sweep_counts_are_whole_window_counts(table):
+    windows = filter_windows(1, 500, table)
+    assert _filter_sweep(1, 500, table).survivors.tolist() == [np.count_nonzero(passed) for _, passed in windows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(1, 60),
+    drop=st.sets(st.sampled_from(_BASE.primes[:40]), max_size=3),
+    insert=st.sets(st.integers(4, 300).filter(lambda m: m not in _BASE.primes), max_size=3),
+)
+@example(n_max=12, drop={41}, insert=set())
+@example(n_max=12, drop=set(), insert={25})
+@example(n_max=30, drop={29}, insert={49})
+def test_sweep_counts_are_whole_window_counts_on_a_spoiled_list(n_max, drop, insert):
+    # the counts hold at every step the whole-window reference reaches before a mismatch
+    table = PrimeTable(limit=_BASE.limit, primes=sorted(set(_BASE.primes) - drop | insert))
+    windows, _ = _sweep_outcome(filter_windows, 1, n_max, table)
+    assert _filter_sweep(1, n_max, table).survivors[: len(windows)].tolist() == [sum(w) for _, w in windows]
 
 
 def test_sieve_next_exits_one_on_a_corrupted_moebius_value(corrupt_moebius_six, capsys):
