@@ -30,7 +30,6 @@ small integer.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -193,6 +192,14 @@ def evaluate(n: int, table: PrimeTable, *, allow_large: bool = False) -> GandhiE
     return GandhiEvaluation(n, probability, half_excess, m, scaled_remainder, subset_count=(1 << n) - 1)
 
 
+def check_samples(samples: int) -> None:
+    """ValueError for fewer draws than MIN_SAMPLES, ResourceLimitError for more than MAX_SAMPLES."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimitError(f"--samples {samples} is too many draws; pass --samples {MAX_SAMPLES} or fewer")
+
+
 def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeTable) -> float:
     """Seeded Monte Carlo estimate of the survivor probability.
 
@@ -201,13 +208,13 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
     first head of a fair coin.  Deterministic for a fixed seed.  The draws for
     one (samples, seed) are made once, in batches, into a histogram, so memory
     does not grow with `samples`, time is bounded by `MAX_SAMPLES`, and a sweep
-    over n only masks its at most 54 values.
+    over n only masks its at most 54 values.  A histogram handed to
+    `remember_draws` is read in place of the draws.
     """
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
-    if samples > MAX_SAMPLES:
-        raise ResourceLimitError(f"--samples {samples} is too many draws; pass --samples {MAX_SAMPLES} or fewer")
-    counts = _draw_counts(samples, seed)
+    check_samples(samples)
+    counts = _HISTOGRAMS.get((samples, seed))
+    if counts is None:
+        counts = remember_draws(samples, seed, _draw_counts(samples, seed))
     values = np.arange(counts.size)
     coprime = np.ones(counts.size, dtype=bool)
     for p in table.prime_array[:n]:
@@ -217,9 +224,31 @@ def monte_carlo_survivor_fraction(n: int, samples: int, seed: int, table: PrimeT
     return int(counts[coprime].sum()) / samples
 
 
-@functools.lru_cache(maxsize=4)
+_HISTOGRAMS: dict[tuple[int, int], np.ndarray] = {}  # (samples, seed) -> read-only histogram, oldest first
+_HISTOGRAMS_KEPT = 4
+
+
+def drawn(samples: int, seed: int) -> bool:
+    """Whether the histogram of (samples, seed) is remembered, so an estimate from it draws nothing."""
+    return (samples, seed) in _HISTOGRAMS
+
+
+def remember_draws(samples: int, seed: int, counts: Sequence[int]) -> np.ndarray:
+    """Keep `counts`, the histogram `_draw_counts(samples, seed)` returns, for the estimates to read;
+    the oldest past `_HISTOGRAMS_KEPT` is dropped.  Returns it as a read-only int64 array."""
+    counts = np.asarray(counts, dtype=np.int64)
+    counts.flags.writeable = False
+    while len(_HISTOGRAMS) >= _HISTOGRAMS_KEPT:
+        del _HISTOGRAMS[next(iter(_HISTOGRAMS))]
+    _HISTOGRAMS[samples, seed] = counts
+    return counts
+
+
 def _draw_counts(samples: int, seed: int) -> np.ndarray:
-    """Read-only histogram of the seeded draws: entry v counts the draws equal to v."""
+    """Read-only histogram of the seeded draws: entry v counts the draws equal to v.
+
+    This is the only use of `numpy.random`, which numpy 2 imports on first use.
+    """
     rng = np.random.default_rng(seed)
     counts = np.zeros(54, dtype=np.int64)  # draws are at most 53, since u >= 2^-53
     # successive rng.random(k) calls continue the stream one rng.random(samples) would draw

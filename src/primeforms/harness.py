@@ -14,13 +14,14 @@ import argparse
 import fcntl
 import math
 import os
+import signal
 import sys
 import warnings
 from collections.abc import Callable
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat, tee
+from itertools import chain, repeat, starmap, tee
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -274,7 +275,7 @@ def _block_chunks(block: Block, text):
     pid = pipe = None
     try:
         if len(pieces) > block.turn:
-            pid, pipe = _start_worker(text, [piece for piece, its in zip(pieces, worker) if its])
+            pid, pipe = _start_worker(starmap(text, [piece for piece, its in zip(pieces, worker) if its]))
         for piece, its in zip(pieces, worker):
             # once the pipe has ended, every later read ends at once too
             received = _receive(pipe) if its and pipe is not None else None
@@ -294,9 +295,9 @@ def _chunk_text(lanes, fmt: str, joiner: str, lo: int, hi: int) -> str:
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
-def _start_worker(text, bounds) -> tuple:
-    """(pid, read end as a binary file) of a forked worker that sends text(lo, hi) for each
-    (lo, hi) in `bounds`, each as an 8-byte length and the UTF-8 text; (None, None) if none starts."""
+def _start_worker(texts) -> tuple:
+    """(pid, read end as a binary file) of a forked worker that makes each text of the lazy
+    iterable `texts` and sends it as an 8-byte length and the UTF-8 text; (None, None) if none starts."""
     if not hasattr(os, "fork"):
         return None, None
     reader, writer = os.pipe()
@@ -307,16 +308,17 @@ def _start_worker(text, bounds) -> tuple:
         # numpy's thread pool makes this process multi-threaded, which Python 3.12+
         # warns about.  The pool serves BLAS calls, and no block's text makes one:
         # the worker runs cell printing, str joins, the certificates' int and Decimal
-        # arithmetic, numpy's element-wise and indexing calls, and writes to the pipe
-        # it opens itself, so it takes no lock another thread could hold.
+        # arithmetic, numpy's element-wise and indexing calls, Gandhi's seeded draws,
+        # and writes to the pipe it opens itself, so it takes no lock another thread
+        # could hold.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             os.close(reader)
             with open(writer, "wb") as pipe:
-                for lo, hi in bounds:
-                    data = text(lo, hi).encode()
+                for text in texts:
+                    data = text.encode()
                     pipe.write(len(data).to_bytes(8, "little"))
                     pipe.write(data)
             done = True
@@ -444,21 +446,59 @@ def _run_gandhi(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_reach(table, hi + 1, "the extracted prime's ordinal", 1)
     gandhi.check_feasible(hi, table, config.allow_large_gandhi)
-    ns = range(lo, hi + 1)  # draws refused end the run before its report starts
-    estimates = [gandhi.monte_carlo_survivor_fraction(n, config.samples, config.seed, table) for n in ns]
+    gandhi.check_samples(config.samples)  # draws refused end the run before its report starts or a worker forks
     violations = []
+    return _gandhi_rows(range(lo, hi + 1), config, table, violations), violations
 
-    def rows():
-        for n, estimate in zip(ns, estimates):
-            evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
+
+def _draws_text(samples: int, seed: int) -> str:
+    """The histogram of the seeded draws as one text: its counts in decimal, space-separated."""
+    return " ".join(map(str, gandhi._draw_counts(samples, seed).tolist()))
+
+
+def _gandhi_rows(ns: range, config: RunConfig, table: core.PrimeTable, violations: list):
+    """Gandhi's row for each n in `ns`, made once every n is evaluated.
+
+    No exact row reads the Monte Carlo estimate, so a forked worker draws the
+    histogram while this process evaluates n = lo..hi; the rows then read it
+    from the memo the estimates share, or draw it here if the worker delivered
+    nothing (no fork, or it ended), so the bytes never depend on the worker.  A
+    remembered histogram forks nothing.  An InvariantViolation or MemoryError
+    raised at n = k is raised after the rows before k.  The worker is killed and
+    reaped before the first row is yielded, and on every other way out: one
+    still drawing (10^9 draws take about 12 s) would never notice a closed pipe.
+    """
+    draws, evaluated, failure = (config.samples, config.seed), [], None
+    pid = pipe = None
+    try:
+        if not gandhi.drawn(*draws):
+            pid, pipe = _start_worker(starmap(_draws_text, [draws]))
+        for n in ns:
+            try:
+                evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
+            except (core.InvariantViolation, MemoryError) as exc:
+                failure = exc
+                break
             violations.extend(evaluation.violations())
             expected = table.nth(n + 1)
             if evaluation.extracted_prime != expected:
                 violations.append(f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}")
-            # each field of the evaluation is a report column
-            yield dict(vars(evaluation), source="gandhi", p_n=table.nth(n), next_prime=expected, mc_estimate=estimate)
-
-    return rows(), violations
+            evaluated.append((evaluation, expected))
+        received = _receive(pipe) if pipe is not None and evaluated else None  # no row, no estimate to wait for
+        if received is not None:
+            gandhi.remember_draws(*draws, [*map(int, received.split())])
+    finally:
+        if pid is not None:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a worker that delivered is exiting anyway
+            os.waitpid(pid, 0)
+    for evaluation, expected in evaluated:
+        n = evaluation.n
+        estimate = gandhi.monte_carlo_survivor_fraction(n, *draws, table)
+        # each field of the evaluation is a report column
+        yield dict(vars(evaluation), source="gandhi", p_n=table.nth(n), next_prime=expected, mc_estimate=estimate)
+    if failure is not None:
+        raise failure
 
 
 def _resolve_amplitude(config: RunConfig, table: core.PrimeTable, window_end: str) -> float:
@@ -574,12 +614,12 @@ _EXECUTORS = {
 def run(config: RunConfig, stream=None) -> int:
     """Dispatch one configured command; returns the process exit code.
 
-    Rows are written in ascending n as the command produces them (`certify`,
-    `report` and `gandhi` stream them).  Invariants the rows break are printed after
-    the full report, with exit 1.  An InvariantViolation raised while rows
-    are produced ends the report early: the rows before it stay written, on
-    `stream`, on stdout or in --out alike, its message follows those of the
-    earlier rows, and the exit code is 1.  A MemoryError raised while the command
+    Rows are written in ascending n as the command produces them (`certify` and
+    `report` stream them, `gandhi` writes them once it has evaluated every n).
+    Invariants the rows break are printed after the full report, with exit 1.
+    An InvariantViolation raised while rows are produced ends the report early:
+    the rows before it stay written, on `stream`, on stdout or in --out alike,
+    its message follows those of the earlier rows, and the exit code is 1.  A MemoryError raised while the command
     computes or writes ends it the same way, after those messages, with one line
     naming the flag to lower and exit 3 (1 if an invariant already failed).
     """

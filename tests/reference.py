@@ -151,6 +151,7 @@ def filter_windows(lo: int, hi: int, table: PrimeTable):
     for n, p in enumerate(table.primes[:hi], start=1):
         struck[p::p] = True
         new = p * divides[: bound // p + 1].nonzero()[0]
+        new = new[~divides[new]]  # a listed composite is also a product of listed entries: weigh it once
         divides[new] = True
         for d, weight in zip(new.tolist(), mu[new].tolist()):
             moebius_sum[d::d] += weight
@@ -184,7 +185,8 @@ def certificate_sweep(n_max: int, table: PrimeTable, violations: list):
     """`sieve_identity.certificate_sweep` with the survivors compared over each whole window.
 
     The windows are the sweep's own, materialized by `sweep_windows`: on a list
-    holding a squarefree composite, `filter_windows` prints other Möbius sums.
+    holding a squarefree composite c, the sweep leaves mu(c) out of the sum at
+    m = c that `filter_windows` prints, and can raise at a later step.
     """
     for n, passed in sweep_windows(1, n_max, table):
         report = harmonic_certificate(n, table)

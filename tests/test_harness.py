@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from array import array
@@ -1078,6 +1079,128 @@ def test_gandhi_flags_a_decimal_twin_that_differs(monkeypatch, capsys):
     assert run(config, stream=buffer) == EXIT_INVARIANT
     assert [row["n"] for row in json.loads(buffer.getvalue())] == [1]  # a closed array
     assert capsys.readouterr().err == "invariant violation: n=2: a Decimal twin differs from its int modulo 2^61 - 1\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork a run makes, with no histogram of seeded draws remembered before it."""
+    monkeypatch.setattr(gandhi, "_HISTOGRAMS", {})
+    calls, real = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def gandhi_report(config, stream=None):
+    """(exit code, report text) of a gandhi run written to `stream` or a fresh buffer."""
+    stream = io.StringIO() if stream is None else stream
+    return run(config, stream=stream), stream.getvalue()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_gandhi_bytes_do_not_depend_on_the_draws_worker(monkeypatch, forks, seed):
+    config = RunConfig(command="gandhi", n_max=7, seed=seed, sieve_limit=1_000)
+    forked = gandhi_report(config)
+    assert forks == [os.getpid()]  # the draws were made in the worker
+    assert_no_child_left()
+    monkeypatch.setattr(gandhi, "_HISTOGRAMS", {})
+    monkeypatch.delattr(os, "fork")
+    assert gandhi_report(config) == forked
+    assert forked[0] == EXIT_OK and forked[1].count("\n") == 8
+
+
+def test_gandhi_draws_the_worker_did_not_deliver_here(monkeypatch, forks):
+    config = RunConfig(command="gandhi", n_max=4, samples=20_000, seed=3, sieve_limit=1_000)
+    expected = gandhi_report(config)
+    monkeypatch.setattr(gandhi, "_HISTOGRAMS", {})
+    parent, real = os.getpid(), gandhi._draw_counts
+
+    def spoiled(samples, seed):
+        if os.getpid() != parent:
+            raise RuntimeError("the worker ends before sending its histogram")
+        return real(samples, seed)
+
+    monkeypatch.setattr(gandhi, "_draw_counts", spoiled)
+    assert gandhi_report(config) == expected
+    assert forks == [parent, parent]
+    assert_no_child_left()
+
+
+def test_gandhi_forks_nothing_for_refused_or_remembered_draws(capsys, forks):
+    refused = RunConfig(command="gandhi", n=1, samples=gandhi.MAX_SAMPLES + 1, sieve_limit=1_000)
+    assert gandhi_report(refused) == (EXIT_RESOURCE, "")
+    assert "pass --samples" in capsys.readouterr().err
+    assert forks == []
+    config = RunConfig(command="gandhi", n_max=3, samples=20_000, sieve_limit=1_000)
+    first = gandhi_report(config)
+    assert len(forks) == 1 and gandhi.drawn(20_000, 42)
+    assert gandhi_report(config) == first  # from the histogram the worker delivered
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize(
+    "writes, error",
+    [(None, None), (2, BrokenPipeError), (3, KeyboardInterrupt)],  # the header, then n = 1, then n = 2
+    ids=["violation at n=2", "closed pipe at n=1", "interrupt at n=2"],
+)
+def test_gandhi_leaves_no_process(monkeypatch, capsys, forks, writes, error):
+    config = RunConfig(command="gandhi", n_max=3, samples=20_000, sieve_limit=1_000)
+    if error is None:
+        real = gandhi.survivor_probability
+        monkeypatch.setattr(
+            gandhi, "survivor_probability", lambda n, table, allow_large=False: (1, 2) if n == 2 else real(n, table)
+        )
+        code, text = gandhi_report(config)
+        assert code == EXIT_INVARIANT and text.count("\n") == 2  # the header and n = 1, with its estimate
+        assert capsys.readouterr().err == "invariant violation: n=2: survivor probability does not exceed 1/2\n"
+    else:
+        with pytest.raises(error):
+            gandhi_report(config, FailingStream(writes, error))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("at, error", [(1, core.InvariantViolation), (2, KeyboardInterrupt)])
+def test_gandhi_kills_a_worker_still_drawing(monkeypatch, capsys, forks, at, error):
+    # a violation at the first n needs no estimate, and an interrupt abandons the report
+    parent, real = os.getpid(), gandhi.evaluate
+
+    def slow(samples, seed):
+        time.sleep(60)  # the worker exits only when killed
+
+    def failing(n, table, allow_large=False):
+        if n == at:
+            raise error("stop")
+        return real(n, table, allow_large=allow_large)
+
+    monkeypatch.setattr(gandhi, "_draw_counts", slow)
+    monkeypatch.setattr(gandhi, "evaluate", failing)
+    config = RunConfig(command="gandhi", n_max=3, samples=20_000, sieve_limit=1_000)
+    start = time.monotonic()
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            gandhi_report(config)
+    else:
+        assert gandhi_report(config) == (EXIT_INVARIANT, ",".join(REPORT_COLUMNS) + "\r\n")
+        assert capsys.readouterr().err == "invariant violation: stop\n"
+    assert time.monotonic() - start < 30
+    assert forks == [parent]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1 imports numpy.random with numpy")
+def test_gandhi_leaves_numpy_random_to_the_worker():
+    code = (
+        "import os, sys\nfrom primeforms import harness\n"
+        "code = harness.main(['gandhi', '--n-max', '7', '--out', os.devnull])\n"
+        "print(code, sorted(name for name in sys.modules if name.startswith('numpy.random')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 []\n", "")
 
 
 @pytest.mark.parametrize(

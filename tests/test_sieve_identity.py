@@ -463,6 +463,7 @@ def _raised_at(outcome):
 @example(case=(1, 10, (7, 0), None, None))  # "m=7, n=4", the re-check of p_4
 @example(case=(3, 10, None, 3, None))  # p_2 = 5 lies beyond 2 p_1 = 4
 @example(case=(1, 10, None, None, 10))  # "m=10, n=3" in both, the sums -1 and -2
+@example(case=(30, 60, None, None, 10))  # "m=10, n=30": -3 when the reference weighed 10 as 2 * 5 and as 10
 @example(case=(1, 118, None, None, 35))  # m = 35, at n = 12 here and n = 8 in the reference
 def test_sweep_matches_the_whole_window_reference_under_corruption(case):
     lo, hi, write, drop, insert = case
@@ -476,13 +477,23 @@ def test_sweep_matches_the_whole_window_reference_under_corruption(case):
     if insert is None:
         assert ours == theirs
         return
-    # The reference adds mu(d) once per product of listed entries equal to d (10 = 2 * 5 and 10),
-    # `_filter_sweep` at most once, and not before the re-check where its `rest` division leaves
-    # 0 at a listed composite up to sqrt(2 p_hi): the printed sums differ, and n can be later.
+    # Both add each divisor's mu(d) once, the reference from the step whose entry completes d
+    # (10 = 2 * 5 at n = 3).  `_filter_sweep` leaves the weight of c, listed as p_k with k <= hi,
+    # out of the sum at m = c: for good where its `rest` division leaves 0 at a c up to
+    # sqrt(2 p_hi), and before step k where c enters an earlier window, as an early prime does.
+    # So n can be later, and at the same step the sums differ by that weight alone.
     (windows, at), (reference_windows, reference_at) = _raised_at(ours), _raised_at(theirs)
     assert windows[: len(reference_windows)] == reference_windows
     assert (at and at[0]) == (reference_at and reference_at[0])  # the same m, or neither raises
     assert at is None or at[1] >= reference_at[1]
+    if at is not None and at[1] == reference_at[1]:
+        k = mutant.pi(insert)
+        withheld = at[0] == insert and k <= hi and (
+            insert <= math.isqrt(2 * mutant.nth(hi)) or lo < k and insert <= 2 * mutant.nth(k - 1) and at[1] < k
+        )
+        moebius = int(re.search(r"Möbius sum (-?\d+)", theirs[1]).group(1))
+        moebius -= withheld * int(mutant.moebius_values(insert)[insert])
+        assert ours == (reference_windows, re.sub(r"Möbius sum -?\d+", f"Möbius sum {moebius}", theirs[1]))
 
 
 def _certified(sweep, n_max, table):
