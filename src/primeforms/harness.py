@@ -17,11 +17,11 @@ import os
 import signal
 import sys
 import warnings
-from collections.abc import Callable
-from contextlib import closing, nullcontext, suppress
+from collections.abc import Callable, Iterable
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat, starmap, tee
+from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -209,14 +209,14 @@ def _lines(keys: tuple, columns, fmt: str):
 class Block(NamedTuple):
     """A report block of `rows` rows, made `piece` rows at a time by text(fmt, joiner, lo, hi).
 
-    text returns rows lo..hi-1, each line joined to the next by `joiner`.  Turns of
-    `turn` pieces alternate between this process and a forked worker.
+    text returns the texts of rows lo..hi-1, the lines within one text joined by
+    `joiner`.  Pieces alternate between this process, which makes the even-numbered
+    ones, and a forked worker, which sends each odd-numbered one as one text.
     """
 
     rows: int
     piece: int
-    turn: int
-    text: Callable[[str, str, int, int], str]
+    text: Callable[[str, str, int, int], Iterable[str]]
 
 
 def _row_text(row: dict, fmt: str) -> str:
@@ -240,8 +240,8 @@ def write_rows(rows, fmt: str, stream) -> None:
         for item in rows:
             if isinstance(item, dict):
                 chunks = nullcontext([_row_text(item, fmt)])
-            else:  # closing reaps the block's worker however this ends
-                chunks = closing(_block_chunks(item, partial(item.text, fmt, joiner)))
+            else:  # closing kills and reaps the block's worker however this ends
+                chunks = closing(_block_chunks(item, fmt, joiner))
             with chunks as texts:
                 for text in texts:
                     stream.write(separator + text)
@@ -255,83 +255,81 @@ _CHUNK_LINES = 1024  # lines of a lane block formatted and written at a time
 
 
 def _lanes_block(lanes) -> Block:
-    """Lanes (keys, columns), all columns of one length, as a Block of chunks of `_CHUNK_LINES`
-    lines, one chunk a turn; row i of every lane is written in turn."""
+    """Lanes (keys, columns), all columns of one length, as a Block of pieces of `_CHUNK_LINES`
+    lines, each one text; row i of every lane is written in turn."""
     rows = min((len(columns[0]) for _, columns in lanes), default=0)
-    return Block(rows, max(1, _CHUNK_LINES // len(lanes)), 1, partial(_chunk_text, lanes))
+    return Block(rows, max(1, _CHUNK_LINES // len(lanes)), partial(_chunk_text, lanes))
 
 
-def _block_chunks(block: Block, text):
-    """A block's pieces as texts, in order, from text(lo, hi) here or from a forked worker.
+def _block_chunks(block: Block, fmt: str, joiner: str):
+    """A block's texts, in order: those of the even-numbered pieces made here, those of the
+    odd-numbered ones as a forked worker sent them, one text a piece.
 
-    A block of more than one turn forks a worker that makes the pieces of the
-    odd-numbered turns and sends them back while this process makes those of the
-    even-numbered ones.  A piece the worker did not deliver (it ended early, or no
-    worker started) is made here, so the bytes never depend on it.  The worker is
-    reaped when the generator ends or is closed.
+    A piece the worker did not deliver (it ended early, or no worker started) is made
+    here, so the bytes never depend on it.  The worker is killed and reaped when the
+    generator ends or is closed.
     """
+    text = partial(block.text, fmt, joiner)
     pieces = [(lo, min(lo + block.piece, block.rows)) for lo in range(0, block.rows, block.piece)]
-    worker = [k // block.turn % 2 == 1 for k in range(len(pieces))]  # in an odd-numbered turn
-    pid = pipe = None
-    try:
-        if len(pieces) > block.turn:
-            pid, pipe = _start_worker(starmap(text, [piece for piece, its in zip(pieces, worker) if its]))
-        for piece, its in zip(pieces, worker):
-            # once the pipe has ended, every later read ends at once too
-            received = _receive(pipe) if its and pipe is not None else None
-            yield text(*piece) if received is None else received
-    finally:
-        if pid is not None:
-            pipe.close()  # a worker still writing gets EPIPE and exits
-            os.waitpid(pid, 0)
+    with _worker(lambda lo, hi: joiner.join(text(lo, hi)), pieces[1::2]) as receive:
+        for k, piece in enumerate(pieces):
+            received = receive() if k % 2 else None
+            yield from text(*piece) if received is None else [received]
 
 
-def _chunk_text(lanes, fmt: str, joiner: str, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of every lane, interleaved row by row, as one text."""
+def _chunk_text(lanes, fmt: str, joiner: str, lo: int, hi: int) -> list[str]:
+    """Rows lo..hi-1 of every lane, interleaved row by row, as a list of one text."""
     lines = zip(*(_lines(keys, [column[lo:hi] for column in columns], fmt) for keys, columns in lanes))
-    return joiner.join(chain.from_iterable(lines))
+    return [joiner.join(chain.from_iterable(lines))]
 
 
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
-def _start_worker(texts) -> tuple:
-    """(pid, read end as a binary file) of a forked worker that makes each text of the lazy
-    iterable `texts` and sends it as an 8-byte length and the UTF-8 text; (None, None) if none starts."""
-    if not hasattr(os, "fork"):
-        return None, None
-    reader, writer = os.pipe()
-    with suppress(AttributeError, OSError):  # Linux: a 1 MiB pipe lets the worker run chunks ahead
-        fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 1 << 20)
-    pid = done = None
+@contextmanager
+def _worker(make: Callable[..., str], pieces: list):
+    """receive(): the text make(*piece) of each of `pieces` in turn, as a forked worker
+    made and sent it, or None once the worker has ended early or if none started.
+
+    A worker is forked only for pieces to make, on a platform that can fork.  It
+    sends each text as an 8-byte length and the UTF-8 text, and ends at its first
+    error.  On every way out the pipe is closed and the worker killed and reaped: one
+    still making a piece would not see a closed pipe before its next write.
+    """
+    pid = pipe = None
     try:
-        # numpy's thread pool makes this process multi-threaded, which Python 3.12+
-        # warns about.  The pool serves BLAS calls, and no block's text makes one:
-        # the worker runs cell printing, str joins, the certificates' int and Decimal
-        # arithmetic, numpy's element-wise and indexing calls, Gandhi's seeded draws,
-        # and writes to the pipe it opens itself, so it takes no lock another thread
-        # could hold.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            os.close(reader)
-            with open(writer, "wb") as pipe:
-                for text in texts:
-                    data = text.encode()
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            done = True
-    except OSError:  # no fork; in the worker, a pipe the parent closed
-        pass
+        if pieces and hasattr(os, "fork"):
+            reader, writer = os.pipe()
+            pipe = open(reader, "rb")
+            with suppress(AttributeError, OSError):  # Linux: a 1 MiB pipe lets the worker run pieces ahead
+                fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 1 << 20)
+            # numpy's thread pool makes this process multi-threaded, which Python 3.12+
+            # warns about.  The pool serves BLAS calls, and no piece makes one: the
+            # worker runs cell printing, str joins, the certificates' int and Decimal
+            # arithmetic, numpy's element-wise and indexing calls, Gandhi's seeded draws,
+            # and writes to the pipe it opens itself, so it takes no lock another thread
+            # could hold.
+            with warnings.catch_warnings(), suppress(OSError):  # no fork: receive() reads the end at once
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the worker never leaves this block, whatever it raises
+                try:
+                    pipe.close()
+                    with open(writer, "wb") as sink:
+                        for piece in pieces:
+                            data = make(*piece).encode()
+                            sink.write(len(data).to_bytes(8, "little"))
+                            sink.write(data)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+        yield (lambda: None) if pipe is None else partial(_receive, pipe)
     finally:
-        if pid == 0:  # the worker never leaves this function, whatever it raised
-            os._exit(0 if done else 1)
-        os.close(writer)
-    if pid is None:
-        os.close(reader)
-        return None, None
-    return pid, open(reader, "rb")
+        if pipe is not None:
+            pipe.close()
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)  # one that sent every piece is exiting anyway
+            os.waitpid(pid, 0)
 
 
 def _receive(pipe) -> str | None:
@@ -407,39 +405,39 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     return [_lanes_block(((("source", "n", "p_n", "next_prime"), columns),))], violations
 
 
-# Rows per turn of a certify block: at n = 2000 a worker's turn of 16 rows (about
-# 0.4 MB) fits the 1 MiB pipe, so the worker is not held up writing it; turns of
-# 64 rows (about 1.7 MB) were.  A piece is one row, not one turn, so a turn this
-# process makes in the worker's place is written row by row: a violation raised at
-# its fifth row leaves the four before it written, as one process leaves them.  A
-# block of 16-row pieces, one a turn, would write none of them.
-_CERTIFY_TURN = 16
+# Rows a piece of a certify block: at n = 2000 a worker's piece of 16 rows (about
+# 0.4 MB) fits the 1 MiB pipe, so the worker is not held up writing it; pieces of
+# 64 rows (about 1.7 MB) were.  This process writes the rows of its own pieces one
+# at a time, so a violation raised at a piece's fifth row leaves the four before it
+# written, as one process leaves them.
+_CERTIFY_PIECE = 16
 
 
 def _run_certify(config: RunConfig, table: core.PrimeTable):
-    """Certificate rows for n = 1..n_max as a Block of one row a piece.
+    """Certificate rows for n = 1..n_max as a Block of `_CERTIFY_PIECE` rows a piece.
 
     Each process sweeps the filter over every n and certifies the rows of its own
-    turns.  A worker delivers a row only if making it raised nothing and broke no
-    invariant; otherwise it ends, and this process makes that row and every later
-    one, so the report, the violations and their order are those of one process.
+    pieces, stepping its running sum over the other's.  A worker delivers a piece
+    only if making each of its rows raised nothing and broke no invariant; otherwise
+    it ends, and this process makes that piece and every later one, so the report,
+    the violations and their order are those of one process.
     """
     _require(config, "n_max")
     _check_sweep(table, config.n_max, "--n-max")
     violations, owner = [], os.getpid()
     steps = sieve_identity.certificate_steps(config.n_max, table)
 
-    def text(fmt: str, joiner: str, lo: int, hi: int) -> str:
-        # the calls come in ascending rows, the steps between them skipped; row lo is n = hi
-        certify = next(step for n, step in steps if n == hi)
-        report, found = certify()
-        if found and os.getpid() != owner:  # the worker ends; this process makes the row
-            raise core.InvariantViolation(found[0])
-        violations.extend(found)
-        # each field of the certificate is a report column
-        return _row_text(dict(vars(report), source="sieve_identity", p_n=table.nth(hi)), fmt)
+    def text(fmt: str, joiner: str, lo: int, hi: int):
+        for n in range(lo + 1, hi + 1):  # the calls come in ascending pieces, the steps between them skipped
+            certify = next(step for m, step in steps if m == n)
+            report, found = certify()
+            if found and os.getpid() != owner:  # the worker ends; this process makes the piece
+                raise core.InvariantViolation(found[0])
+            violations.extend(found)
+            # each field of the certificate is a report column
+            yield _row_text(dict(vars(report), source="sieve_identity", p_n=table.nth(n)), fmt)
 
-    return [Block(config.n_max, 1, _CERTIFY_TURN, text)], violations
+    return [Block(config.n_max, _CERTIFY_PIECE, text)], violations
 
 
 def _run_gandhi(config: RunConfig, table: core.PrimeTable):
@@ -465,14 +463,11 @@ def _gandhi_rows(ns: range, config: RunConfig, table: core.PrimeTable, violation
     nothing (no fork, or it ended), so the bytes never depend on the worker.  A
     remembered histogram forks nothing.  An InvariantViolation or MemoryError
     raised at n = k is raised after the rows before k.  The worker is killed and
-    reaped before the first row is yielded, and on every other way out: one
-    still drawing (10^9 draws take about 12 s) would never notice a closed pipe.
+    reaped before the first row is yielded, or as this raises: one still drawing
+    (10^9 draws take about 12 s) would never notice a closed pipe.
     """
     draws, evaluated, failure = (config.samples, config.seed), [], None
-    pid = pipe = None
-    try:
-        if not gandhi.drawn(*draws):
-            pid, pipe = _start_worker(starmap(_draws_text, [draws]))
+    with _worker(_draws_text, [] if gandhi.drawn(*draws) else [draws]) as receive:
         for n in ns:
             try:
                 evaluation = gandhi.evaluate(n, table, allow_large=config.allow_large_gandhi)
@@ -484,14 +479,9 @@ def _gandhi_rows(ns: range, config: RunConfig, table: core.PrimeTable, violation
             if evaluation.extracted_prime != expected:
                 violations.append(f"n={n}: extracted {evaluation.extracted_prime}, oracle has {expected}")
             evaluated.append((evaluation, expected))
-        received = _receive(pipe) if pipe is not None and evaluated else None  # no row, no estimate to wait for
+        received = receive() if evaluated else None  # no row, no estimate to wait for
         if received is not None:
             gandhi.remember_draws(*draws, [*map(int, received.split())])
-    finally:
-        if pid is not None:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a worker that delivered is exiting anyway
-            os.waitpid(pid, 0)
     for evaluation, expected in evaluated:
         n = evaluation.n
         estimate = gandhi.monte_carlo_survivor_fraction(n, *draws, table)

@@ -593,7 +593,7 @@ def test_a_failed_write_reaps_the_worker(writes, error):
     assert_no_child_left()
 
 
-TURN = harness._CERTIFY_TURN  # certify rows per turn; turns alternate, this process first
+PIECE = harness._CERTIFY_PIECE  # certify rows per piece; pieces alternate, this process first
 
 
 def serial_certify(n_max, fmt="csv"):
@@ -609,7 +609,7 @@ def certify_report(n_max, fmt="csv", sieve_limit=LIMIT):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_max", [TURN - 1, TURN, TURN + 1, 2 * TURN + 1, 600])
+@pytest.mark.parametrize("n_max", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 1, 600])
 def test_certify_turns_match_the_serial_writer(fmt, n_max):
     assert certify_report(n_max, fmt) == (EXIT_OK, serial_certify(n_max, fmt))
     assert_no_child_left()
@@ -636,14 +636,14 @@ def _certify_worker_fails_at(first):
     [
         lambda monkeypatch: monkeypatch.delattr(os, "fork"),
         _fork_refused,
-        _certify_worker_fails_at(TURN + 1),  # at once
-        _certify_worker_fails_at(TURN + 4),  # after 3 rows
-        _certify_worker_fails_at(3 * TURN + 2),  # after its first turn and a row
+        _certify_worker_fails_at(PIECE + 1),  # at once
+        _certify_worker_fails_at(PIECE + 4),  # after 3 rows
+        _certify_worker_fails_at(3 * PIECE + 2),  # after its first piece and a row
     ],
     ids=["no fork", "fork refused", "worker fails at once", "after 3 rows", "in its second turn"],
 )
 def test_certify_rows_the_worker_does_not_deliver_are_made_here(monkeypatch, spoil):
-    n_max = 4 * TURN + 3
+    n_max = 4 * PIECE + 3
     expected = [(EXIT_OK, serial_certify(n_max, fmt)) for fmt in ("csv", "json")]
     spoil(monkeypatch)
     assert [certify_report(n_max, fmt) for fmt in ("csv", "json")] == expected
@@ -651,17 +651,17 @@ def test_certify_rows_the_worker_does_not_deliver_are_made_here(monkeypatch, spo
 
 
 def test_certify_violation_in_a_worker_row_is_reported_as_by_one_process(monkeypatch, capsys):
-    # n = 20 is in the worker's first turn; its margin is 10^-40 short of 1/p_21 = 1/73
+    # n = 20 is in the worker's first piece; its margin is 10^-40 short of 1/p_21 = 1/73
     real = harness.sieve_identity.harmonic_certificate
 
     def short(n, table):
         report = real(n, table)
-        if n == TURN + 4:
+        if n == PIECE + 4:
             report.margin = ratio(Fraction(1, report.next_prime) - Fraction(1, 10**40))
         return report
 
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", short)
-    n_max = 4 * TURN + 3
+    n_max = 4 * PIECE + 3
     forked = certify_report(n_max)
     assert forked[0] == EXIT_INVARIANT
     assert capsys.readouterr().err == "invariant violation: n=20: margin fell below 1/73\n"
@@ -688,25 +688,25 @@ def test_certify_survivor_disagreement_in_a_worker_row_is_reported_as_by_one_pro
 
 
 def test_certify_spoiled_twin_in_a_worker_row_leaves_the_serial_partial_report(monkeypatch, capsys):
-    # the running sum a certificate for n = 21, in the worker's first turn, starts from is
+    # the running sum a certificate for n = 21, in the worker's first piece, starts from is
     # doubled: the worker steps to it from n = 20, this process from n = 16, and both fail
     real = harness.sieve_identity.harmonic_certificate
 
     def spoiled(n, table):
-        if n == TURN + 5 and table._harmonic is not None:
+        if n == PIECE + 5 and table._harmonic is not None:
             *pair, (twin_n, twin_d) = table._harmonic
             with core.exact_decimals():
                 table._harmonic = (*pair, (2 * twin_n, 2 * twin_d))
         return real(n, table)
 
-    partial = "".join(serial_certify(4 * TURN + 3).splitlines(keepends=True)[: TURN + 5])
+    partial = "".join(serial_certify(4 * PIECE + 3).splitlines(keepends=True)[: PIECE + 5])
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", spoiled)
     reports = []
     for fork in (True, False):
         if not fork:
             monkeypatch.delattr(os, "fork")
         monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))  # its memo is left spoiled
-        reports.append(certify_report(4 * TURN + 3, sieve_limit=1_000))
+        reports.append(certify_report(4 * PIECE + 3, sieve_limit=1_000))
         assert_no_child_left()
     assert reports == 2 * [(EXIT_INVARIANT, partial)]
     assert capsys.readouterr().err == 2 * "invariant violation: n=21: a Decimal twin differs from its int modulo 2^61 - 1\n"
@@ -714,21 +714,21 @@ def test_certify_spoiled_twin_in_a_worker_row_leaves_the_serial_partial_report(m
 
 def test_certify_twin_spoiled_before_a_jump_exits_one_naming_n(monkeypatch, capsys):
     # this process certifies n = 33..48, then steps its running sum over the
-    # worker's turn 49..64 to n = 65 in one jump, which the spoiled twin fails
+    # worker's piece 49..64 to n = 65 in one jump, which the spoiled twin fails
     parent, real = os.getpid(), harness.sieve_identity.harmonic_certificate
 
     def spoiled(n, table):
         report = real(n, table)
-        if n == 3 * TURN and os.getpid() == parent:
+        if n == 3 * PIECE and os.getpid() == parent:
             *pair, (twin_n, twin_d) = table._harmonic
             with core.exact_decimals():
                 table._harmonic = (*pair, (twin_n, 2 * twin_d))
         return report
 
-    partial = "".join(serial_certify(5 * TURN).splitlines(keepends=True)[: 4 * TURN + 1])
+    partial = "".join(serial_certify(5 * PIECE).splitlines(keepends=True)[: 4 * PIECE + 1])
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", spoiled)
     monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))  # its memo is left spoiled
-    code, text = certify_report(5 * TURN, sieve_limit=1_000)
+    code, text = certify_report(5 * PIECE, sieve_limit=1_000)
     assert_no_child_left()
     assert code == EXIT_INVARIANT
     assert capsys.readouterr().err == "invariant violation: n=65: the Decimal twin is not a multiple of p_49 ··· p_n\n"
@@ -745,8 +745,8 @@ def test_certify_twin_spoiled_before_a_jump_exits_one_naming_n(monkeypatch, caps
 )
 @pytest.mark.parametrize("fork", [False, True], ids=["one process", "forked"])
 def test_certify_out_of_memory_keeps_the_rows_before_it(monkeypatch, capsys, short, code, err, fork):
-    # an allocation fails making the fifth row, in this process's first turn, after an
-    # invariant broke at n = `short`; a worker making the second turn is reaped
+    # an allocation fails making the fifth row, in this process's first piece, after an
+    # invariant broke at n = `short`; a worker making the second piece is reaped
     real = harness.sieve_identity.harmonic_certificate
 
     def failing(n, table):
@@ -762,8 +762,46 @@ def test_certify_out_of_memory_keeps_the_rows_before_it(monkeypatch, capsys, sho
     monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", failing)
     _, rows = certify_report(4)  # the four rows before it, the broken one included
     assert capsys.readouterr().err == err
-    assert certify_report(4 * TURN + 3) == (code, rows)
+    assert certify_report(4 * PIECE + 3) == (code, rows)
     assert capsys.readouterr().err == err + "resource limit: certify ran out of memory; pass a smaller --n-max\n"
+    assert_no_child_left()
+
+
+def test_this_process_certifies_only_the_even_pieces(monkeypatch):
+    # n = 1..16, 33..48 and 65..67 are certified here; the worker sends 17..32 and 49..64
+    n_max = 4 * PIECE + 3
+    expected = serial_certify(n_max)
+    parent, certified, real = os.getpid(), [], harness.sieve_identity.harmonic_certificate
+
+    def counted(n, table):
+        if os.getpid() == parent:
+            certified.append(n)
+        return real(n, table)
+
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", counted)
+    assert certify_report(n_max) == (EXIT_OK, expected)
+    assert_no_child_left()
+    assert certified == [*range(1, 17), *range(33, 49), *range(65, 68)]
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
+def test_a_failed_certify_write_kills_the_worker_without_waiting(monkeypatch, error):
+    # the worker takes 2 s a certificate, so its first piece, n = 17..32, would take 32 s;
+    # a report abandoned at its first row does not wait for it
+    parent, real = os.getpid(), harness.sieve_identity.harmonic_certificate
+
+    def slow(n, table):
+        if os.getpid() != parent:
+            time.sleep(2)
+        return real(n, table)
+
+    monkeypatch.setattr(harness.sieve_identity, "harmonic_certificate", slow)
+    monkeypatch.setitem(harness._TABLES, 1_000, core.sieve(1_000))
+    config = RunConfig(command="certify", n_max=4 * PIECE + 3, sieve_limit=1_000)
+    start = time.monotonic()
+    with pytest.raises(error):
+        run(config, stream=FailingStream(2, error))  # the header, then n = 1
+    assert time.monotonic() - start < 1
     assert_no_child_left()
 
 
@@ -946,7 +984,7 @@ def test_certificates_are_checked_by_gather_not_only_by_count(monkeypatch, capsy
         # 7 enters [1, 2 p_3] = [1, 10] with only d = 1 dividing P_3; the re-check of p_4 adds mu(7)
         ("certify", 10, 7, 3, "filter mismatch at m=7, n=4: Möbius sum 1, gcd test 0"),
         ("report", 10, 7, 3, "filter mismatch at m=7, n=4: Möbius sum 1, gcd test 0"),
-        # the re-check of p_20 = 71 lies in the worker's first turn, rows 17..32
+        # the re-check of p_20 = 71 lies in the worker's first piece, rows 17..32
         ("certify", 40, 71, 19, "filter mismatch at m=71, n=20: Möbius sum 1, gcd test 0"),
     ],
 )
@@ -1611,8 +1649,8 @@ def test_a_chunk_failing_here_leaves_the_chunks_before_it(monkeypatch):
 
 
 def test_cli_closed_pipe_on_a_forking_block_leaves_no_process():
-    # the survival block is 196 chunks, and certify's 600 rows 38 turns, each
-    # written from this process and a forked worker
+    # the survival block is 196 pieces of one chunk, and certify's 600 rows 38 pieces of
+    # 16 rows; the pieces alternate between this process and a forked worker
     for argv in (["survival", "--n-max", "100000"], ["certify", "--n-max", "600"]):
         with subprocess.Popen(
             [sys.executable, "-m", "primeforms", *argv],
