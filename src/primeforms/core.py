@@ -180,9 +180,9 @@ class PrimeTable:
     integer arithmetic, and numpy reads it through the buffer protocol.
     `primes` is the same sequence as a list, built when first read and then
     kept; no command reads it, for its int objects and slots take 40 bytes
-    a prime.  The table keeps no per-integer array: the scalar factor,
-    Möbius and totient lookups divide by the tabulated primes, and the bulk
-    tables are sieved from them on demand.
+    a prime.  The scalar factor, Möbius and totient lookups divide by the
+    tabulated primes; the bulk Möbius table, one int8 per integer, is
+    sieved from them on demand and kept for later calls.
 
     The table is immutable after construction; the private attributes only
     memoize pure derived values, so one table can safely back every module.
@@ -194,7 +194,6 @@ class PrimeTable:
         self._primorial = (0, 1)  # (k, P_k) of the last call
         self._mu_values = np.zeros(0, dtype=np.int8)
         self._floats = np.zeros(0)
-        self._mangoldt: tuple | None = None
         # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
         self._harmonic: tuple | None = None
 
@@ -338,32 +337,6 @@ class PrimeTable:
         for p in self.prime_array[:n]:
             coprime[p - 1 :: p] = False
         return (np.flatnonzero(coprime) + 1).tolist()
-
-    def mangoldt_points(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Logs and von Mangoldt weights of the prime powers k <= upto.
-
-        Returns arrays (ln k, weight), ascending in k; points with zero weight
-        are omitted since they cannot contribute to any weighted sum.
-        """
-        if upto > self.limit:
-            raise ValueError(f"{upto} is beyond sieve limit {self.limit}")
-        if self._mangoldt is None or self._mangoldt[0] < upto:
-            bound = min(self.limit, max(upto, 1024))
-            points = []
-            for p in self.prime_array:
-                if p > bound:
-                    break
-                weight = math.log(p)
-                q = p
-                while q <= bound:
-                    points.append((q, weight))
-                    q *= p
-            points.sort()
-            ks = np.array([k for k, _ in points], dtype=np.int64)
-            self._mangoldt = (bound, ks, np.log(ks), np.array([w for _, w in points]))
-        _, ks, log_ks, weights = self._mangoldt
-        cut = int(np.searchsorted(ks, upto, side="right"))
-        return log_ks[:cut], weights[:cut]
 
 
 def _memory_budget() -> int:

@@ -416,21 +416,21 @@ _CERTIFY_PIECE = 16
 def _run_certify(config: RunConfig, table: core.PrimeTable):
     """Certificate rows for n = 1..n_max as a Block of `_CERTIFY_PIECE` rows a piece.
 
-    Each process sweeps the filter over every n and certifies the rows of its own
-    pieces, stepping its running sum over the other's.  A worker delivers a piece
-    only if making each of its rows raised nothing and broke no invariant; otherwise
-    it ends, and this process makes that piece and every later one, so the report,
-    the violations and their order are those of one process.
+    The filter sweep runs once, here, before the header is written, so a forked
+    worker inherits it.  Each process certifies the rows of its own pieces, stepping
+    its running sum over the other's.  A worker delivers a piece only if making each
+    of its rows raised nothing and broke no invariant; otherwise it ends, and this
+    process makes that piece and every later one, so the report, the violations and
+    their order are those of one process.
     """
     _require(config, "n_max")
     _check_sweep(table, config.n_max, "--n-max")
     violations, owner = [], os.getpid()
-    steps = sieve_identity.certificate_steps(config.n_max, table)
+    sweep = sieve_identity._filter_sweep(1, config.n_max, table)
 
     def text(fmt: str, joiner: str, lo: int, hi: int):
-        for n in range(lo + 1, hi + 1):  # the calls come in ascending pieces, the steps between them skipped
-            certify = next(step for m, step in steps if m == n)
-            report, found = certify()
+        for n in range(lo + 1, hi + 1):
+            report, found = sweep.certify(n, table)
             if found and os.getpid() != owner:  # the worker ends; this process makes the piece
                 raise core.InvariantViolation(found[0])
             violations.extend(found)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +127,26 @@ class FilterSweep(NamedTuple):
         if self.failure is not None and self.failure[0] <= n:
             step, _, m, moebius, gcd = map(int, self.failure)
             raise InvariantViolation(f"filter mismatch at m={m}, n={step}: Möbius sum {moebius}, gcd test {gcd}")
+
+    def certify(self, n: int, table: PrimeTable) -> tuple[CertificateReport, list[str]]:
+        """The certificate for n and the invariants it breaks, once `check(n)` passes; the sweep starts at n = 1.
+
+        The survivors must be 1 and the primes the certificate summed, which checks both
+        filter routes and its lemma (a composite survivor exceeds 2 p_n).  A gather of `death`
+        and the survivor count check it: 1 and each summed prime pass, and no more
+        integers pass, for a superset of the right size is the set itself.
+        """
+        self.check(n)
+        report = harmonic_certificate(n, table)
+        found = report.violations()
+        window = 2 * table.nth(n)
+        hi = table.pi(window)
+        death, summed = self.death, np.frombuffer(table.prime_array, dtype=np.int64)[n:hi]  # a view gathers fastest
+        if not (death[1] > n and (death[summed] > n).all() and self.survivors[n - 1] == 1 + hi - n):
+            survivors = ((death[1 : window + 1] > n).nonzero()[0] + 1).tolist()
+            stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
+            found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
+        return report, found
 
 
 def _filter_sweep(lo: int, hi: int, table: PrimeTable) -> FilterSweep:
@@ -321,45 +340,14 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     )
 
 
-def _checked_certificate(n: int, sweep: FilterSweep, table: PrimeTable) -> tuple[CertificateReport, list[str]]:
-    """The certificate for n and the invariants it breaks, given the filter sweep from n = 1.
+def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:
+    """Certificates for n = 1..n_max from one filter sweep, each built as the caller asks for it.
 
-    The survivors must be 1 and the primes the certificate summed, which checks both
-    filter routes and its lemma (a composite survivor exceeds 2 p_n).  A gather of `death`
-    and the sweep's survivor count check it: 1 and each summed prime pass, and no more
-    integers pass, for a superset of the right size is the set itself.
-    """
-    report = harmonic_certificate(n, table)
-    found = report.violations()
-    window = 2 * table.nth(n)
-    hi = table.pi(window)
-    death, summed = sweep.death, np.frombuffer(table.prime_array, dtype=np.int64)[n:hi]  # a view gathers fastest
-    if not (death[1] > n and (death[summed] > n).all() and sweep.survivors[n - 1] == 1 + hi - n):
-        survivors = ((death[1 : window + 1] > n).nonzero()[0] + 1).tolist()
-        stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
-        found.append(f"n={n}: the filter and the certificate disagree on the survivors {stray}")
-    return report, found
-
-
-def certificate_steps(n_max: int, table: PrimeTable) -> Iterator[tuple[int, Callable[[], tuple]]]:
-    """(n, certify) for n = 1..n_max, where certify() is `_checked_certificate` at n.
-
-    The filter sweep runs whole before the first step, a mismatch of its routes raises
-    when the generator reaches its step, and only the steps certified build a certificate.
+    Each is checked against the filter's survivors (see `FilterSweep.certify`);
+    broken invariants go to `violations`.
     """
     sweep = _filter_sweep(1, n_max, table)
     for n in range(1, n_max + 1):
-        sweep.check(n)
-        yield n, partial(_checked_certificate, n, sweep, table)
-
-
-def certificate_sweep(n_max: int, table: PrimeTable, violations: list) -> Iterator[CertificateReport]:
-    """Certificates for n = 1..n_max, each built as the caller asks for it.
-
-    Each is checked against the filter's survivors (see `_checked_certificate`);
-    broken invariants go to `violations`.
-    """
-    for _, certify in certificate_steps(n_max, table):
-        report, found = certify()
+        report, found = sweep.certify(n, table)
         violations.extend(found)
         yield report

@@ -17,6 +17,21 @@ import numpy as np
 from .core import EstimatorColumns, PrimeTable
 
 
+def _mangoldt_points(upto: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prime powers k <= upto ascending, their logs and their von Mangoldt weights `math.log(p)`;
+    the k of weight zero are left out, since they add nothing to a weighted sum."""
+    points = []
+    for p in table.prime_array[: table.pi(upto)]:
+        weight = math.log(p)
+        q = p
+        while q <= upto:
+            points.append((q, weight))
+            q *= p
+    points.sort()
+    ks = np.array([k for k, _ in points], dtype=np.int64)
+    return ks, np.log(ks), np.array([w for _, w in points])
+
+
 def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """Cipolla's drift and the cosine sum up to isqrt(drift), n in [n_lo, n_hi], as float64 columns on
     `math.log` values; the cosine terms are evaluated per block of n that share a cutoff, each row `math.fsum`med."""
@@ -32,13 +47,15 @@ def _drift_and_oscillation(n_lo: int, n_hi: int, table: PrimeTable) -> tuple[np.
     # isqrt(int(drift)) as floats, exact while drift < 2^52; the sum is empty below drift 4
     cutoffs = np.sqrt(np.floor(np.maximum(drift, 0.0))).astype(np.int64)
     cutoffs[drift < 4.0] = 0
+    top = int(cutoffs.max(initial=0))
+    if top > table.limit:
+        raise ValueError(f"spectral cutoff {top} is beyond sieve limit {table.limit}")
+    ks, log_ks, weights = _mangoldt_points(top, table)
     oscillation = np.zeros(len(ns))
     starts = np.flatnonzero(np.diff(cutoffs, prepend=-1)).tolist()
     for start, stop, cutoff in zip(starts, starts[1:] + [len(ns)], cutoffs[starts].tolist()):
-        if cutoff > table.limit:
-            raise ValueError(f"spectral cutoff {cutoff} is beyond sieve limit {table.limit}")
-        log_ks, weights = table.mangoldt_points(cutoff)
-        terms = weights * np.cos(ns[start:stop, None] * (2.0 * math.pi) / log_ks)
+        cut = int(np.searchsorted(ks, cutoff, side="right"))
+        terms = weights[:cut] * np.cos(ns[start:stop, None] * (2.0 * math.pi) / log_ks[:cut])
         oscillation[start:stop] = [*map(math.fsum, terms.tolist())]
     return drift, oscillation
 

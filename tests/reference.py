@@ -9,6 +9,7 @@ import numpy as np
 from primeforms.core import InvariantViolation, PrimeTable, Ratio, exact_decimals, sieve, to_decimal
 from primeforms.gandhi import GandhiEvaluation
 from primeforms.sieve_identity import LN2_LOWER, CertificateReport, _filter_sweep, harmonic_certificate
+from primeforms.spectral import _mangoldt_points
 from primeforms.survival import _capacity_terms, quadratic_form_value, squarefree_support
 
 
@@ -59,7 +60,7 @@ def oscillation_sum(n: int, table: PrimeTable) -> float:
     drift = cipolla_drift(n)
     if drift < 4.0:
         return 0.0
-    log_ks, weights = table.mangoldt_points(math.isqrt(int(drift)))
+    _, log_ks, weights = _mangoldt_points(math.isqrt(int(drift)), table)
     return math.fsum((weights * np.cos((2.0 * math.pi * n) / log_ks)).tolist())
 
 

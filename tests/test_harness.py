@@ -784,6 +784,41 @@ def test_this_process_certifies_only_the_even_pieces(monkeypatch):
     assert certified == [*range(1, 17), *range(33, 49), *range(65, 68)]
 
 
+def test_the_certify_worker_inherits_the_sweep(monkeypatch, tmp_path):
+    # each process that sweeps the filter appends its pid to the log: the worker, forked
+    # after the sweep, certifies n = 17..32 and 49..64 without sweeping again
+    n_max = 4 * PIECE + 3
+    expected, log, real = serial_certify(n_max), tmp_path / "sweeps", harness.sieve_identity._filter_sweep
+
+    def logged(lo, hi, table):
+        with open(log, "a") as sweeps:
+            sweeps.write(f"{os.getpid()}\n")
+        return real(lo, hi, table)
+
+    monkeypatch.setattr(harness.sieve_identity, "_filter_sweep", logged)
+    assert certify_report(n_max) == (EXIT_OK, expected)
+    assert_no_child_left()
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_certify_sweep_out_of_memory_forks_and_writes_nothing(monkeypatch, capsys, tmp_path):
+    # the sweep runs before the header is written, so not even the header is
+    def exhausted(lo, hi, table):
+        raise MemoryError
+
+    def forbidden():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(harness.sieve_identity, "_filter_sweep", exhausted)
+    monkeypatch.setattr(os, "fork", forbidden)
+    for fmt in ("csv", "json"):
+        assert certify_report(4 * PIECE + 3, fmt) == (EXIT_RESOURCE, "")
+    out = tmp_path / "report"
+    assert run(RunConfig(command="certify", n_max=4 * PIECE + 3, sieve_limit=LIMIT, out=str(out))) == EXIT_RESOURCE
+    assert not out.exists()
+    assert capsys.readouterr().err == 3 * "resource limit: certify ran out of memory; pass a smaller --n-max\n"
+
+
 @pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
 def test_a_failed_certify_write_kills_the_worker_without_waiting(monkeypatch, error):
     # the worker takes 2 s a certificate, so its first piece, n = 17..32, would take 32 s;

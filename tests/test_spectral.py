@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from primeforms import spectral
 from primeforms.core import EstimatorColumns
 from primeforms.spectral import calibrate_amplitude, least_squares_amplitude, spectral_sweep
 
@@ -108,11 +109,22 @@ def bits(values):
     return [value.hex() if isinstance(value, float) else value for value in values]
 
 
-def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(table):
+def test_sweep_columns_are_the_scalar_estimates_bit_for_bit(monkeypatch, table):
     amplitude = 0.0459
-    # on some numpy builds, numpy's log differs from math.log in the last bit at n = 9170
-    for n_lo, n_hi in ((3, 10_000), (3, 3), (997, 1_200)):
+    built, real = [], spectral._mangoldt_points
+
+    def counted(upto, table):
+        built.append(upto)
+        return real(upto, table)
+
+    monkeypatch.setattr(spectral, "_mangoldt_points", counted)
+    # on some numpy builds, numpy's log differs from math.log in the last bit at n = 9170;
+    # the cutoff passes 1024 at n = 82,257
+    for n_lo, n_hi in ((3, 10_000), (3, 3), (997, 1_200), (82_200, 82_320)):
+        built.clear()
         columns = spectral_sweep(n_lo, n_hi, amplitude, table)
+        # built once, for the cutoff at n_hi; the drift at n = 3 is negative and its cutoff 0
+        assert built == [math.isqrt(int(cipolla_drift(n_hi))) if n_hi > 3 else 0]
         assert {len(getattr(columns, field)) for field in EstimatorColumns._fields} == {n_hi - n_lo + 1}
         for n in range(n_lo, n_hi + 1):
             estimate = cipolla_drift(n) + amplitude * oscillation_sum(n, table)
