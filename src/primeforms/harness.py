@@ -17,11 +17,12 @@ import os
 import signal
 import sys
 import warnings
+from array import array
 from collections.abc import Callable, Iterable
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -158,12 +159,43 @@ def _json_fraction(value: core.Ratio) -> str:
     return encode_basestring_ascii(_fraction_str(value))
 
 
+def _float_cells(column) -> list[str]:
+    """A column of floats, numpy's included, as `float.__repr__` prints them.
+
+    A column of more than one float is printed once by orjson, whose Ryū digits
+    are repr's shortest round-trip digits, and its text is kept where every cell is
+    plainly positional (an optional -, at most 16 integer digits, a fraction), as
+    repr lays it out too.  Substring scans of the whole text, and the column's min
+    and max for 17 integer digits, find any other cell: an exponent form, a
+    nonfinite float (orjson's null) or Ryū's 0.0000… for 1e-5 <= |x| < 1e-4.  A
+    column with one is printed by repr whole.
+    """
+    if len(column) == 1:
+        return [float.__repr__(column[0])]
+    import orjson  # only estimator lanes load it; a dict row is a column of one
+
+    values = column.tolist() if isinstance(column, array) else column
+    text = "," + orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    cells = text[1:].split(",")
+    if (
+        any(mark in text for mark in ("e", "E", "n", ",0.0000", ",-0.0000"))  # an exponent, a null, Ryū's 0.0000…
+        or text.count(".") != len(cells)  # a cell with no fraction
+        or not -1e16 < min(values) <= max(values) < 1e16  # a cell with 17 integer digits
+    ):  # some cell is not plainly positional
+        return [*map(float.__repr__, values)]
+    return cells
+
+
+def _json_float_cells(column):
+    """A column of floats as `json` prints them: repr's text, nonfinite floats as NaN, Infinity, -Infinity."""
+    cells = _float_cells(column)
+    return map(_JSON_NONFINITE.get, cells, cells)
+
+
 def _converter(kind: type, fmt: str) -> Callable:
     """The converter from a column of floats, `core.Ratio`s, text or ints to its `fmt` cells."""
     if issubclass(kind, float):  # numpy's floats too, which would repr() as np.float64(...)
-        if fmt == "csv":
-            return partial(map, float.__repr__)
-        return lambda column: map(_JSON_NONFINITE.get, *tee(map(float.__repr__, column)))
+        return _float_cells if fmt == "csv" else _json_float_cells
     if issubclass(kind, core.Ratio):
         return partial(map, _fraction_str if fmt == "csv" else _json_fraction)
     if issubclass(kind, str):

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeforms import core, gandhi, harness, survival
+from primeforms import core, gandhi, harness, spectral, survival
 from primeforms.harness import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -344,13 +344,19 @@ schema_values = st.one_of(
 )
 
 
+# Where orjson's float text and float.__repr__'s part: repr's exponent forms begin
+# below 1e-4 and at 1e16, Ryū's below 1e-5 and at 1e16; then the extremes and nan.
+FLOAT_BOUNDARIES = [
+    9.999999999999999e-05, 1e-05, 1e-4, 9999999999999998.0, 1e16, 5e-324, -0.0, 1.7976931348623157e308, float("nan"),
+]
+
 # One kind of value per column, as the sweeps write them.
 column_kinds = st.sampled_from(
     [
         st.integers(-(2**70), 2**70),
         st.one_of(
             st.floats(),
-            st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324]),
+            st.sampled_from([float("inf"), float("-inf"), *FLOAT_BOUNDARIES, *(-x for x in FLOAT_BOUNDARIES)]),
             st.floats().map(np.float64),
         ),
         st.builds(ratio, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
@@ -430,6 +436,69 @@ def test_joined_lines_are_csv_writer_bytes(rows, block):
             json.dump([dict(zip(REPORT_COLUMNS, values)) for values in expected], buffer, indent=1)
             buffer.write("\n")
         assert written([*rows, harness._lanes_block(block)], fmt) == buffer.getvalue(), fmt
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(any_float, any_float.map(np.float64)), min_size=2))
+@example(values=[2.5e-07, 1.0])  # only its exponent marks it: it has a fraction and is small
+@example(values=[9.999999999999999e-05, 1.0])
+@example(values=[-1e-05, 1.0])
+@example(values=[1e-4, -1e-4])  # plain in both: orjson's text is kept
+@example(values=[9999999999999998.0, -9999999999999998.0])
+@example(values=[1e16, 2.5])
+@example(values=[5e-324, 2.5])
+@example(values=[-0.0, 0.0])
+@example(values=[1.7976931348623157e308, -1.7976931348623157e308])
+@example(values=[float("nan"), np.float64("nan"), float("inf"), float("-inf")])
+@example(values=[*map(np.float64, FLOAT_BOUNDARIES)])
+def test_float_cells_are_repr_cell_for_cell(values):
+    # csv.writer and json.dump print each float, numpy's included, through float.__repr__
+    assert harness._float_cells(values) == [*map(float.__repr__, values)]
+    assert harness._float_cells(array("d", values)) == [*map(float.__repr__, values)]
+    assert [*harness._converter(float, "json")(values)] == [*map(json.dumps, values)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimates_past_orjsons_positional_range_print_by_repr(fmt):
+    # at --alpha 1e300 every estimate from n = 9 on is past 1e290 (below, the cosine sum
+    # is empty): orjson writes it in its own exponent form, so each such cell is repr's
+    config = RunConfig(command="spectral", n_max=300, alpha_override=1e300, sieve_limit=LIMIT, fmt=fmt)
+    buffer = io.StringIO()
+    assert run(config, stream=buffer) == EXIT_OK
+    columns = spectral.spectral_sweep(3, 300, 1e300, harness._table(LIMIT))
+    rows = block_rows((harness._estimator_lane("spectral", columns),))
+    assert all(abs(row["estimate"]) > 1e290 for row in rows[6:])
+    expected = per_cell_csv if fmt == "csv" else per_cell_json
+    assert buffer.getvalue() == expected(rows, REPORT_COLUMNS)
+
+
+ORJSON_LOADED = """
+import io, sys
+from primeforms import harness
+config = harness.RunConfig(**vars(harness.build_parser().parse_args(sys.argv[1:])))
+assert harness.run(config, stream=io.StringIO()) == 0
+print("orjson" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("report", "--n-max", "50"), False),
+        (("certify", "--n-max", "20"), False),
+        (("gandhi", "--n-max", "3", "--samples", "20000"), False),
+        (("sieve-next", "--n-max", "50"), False),
+        (("survival", "--n-max", "100"), True),
+    ],
+)
+def test_only_float_columns_load_orjson(argv, loaded):
+    # a dict row's float is a column of one, which float.__repr__ prints
+    proc = subprocess.run([sys.executable, "-c", ORJSON_LOADED, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
