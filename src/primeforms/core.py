@@ -105,18 +105,22 @@ class DerivedColumn:
     """A column whose entry i is of(*(base[i] for base in bases)), computed when read; a slice reads as a list.
 
     A numpy ufunc `of` makes one pass over the bases' slices, and over one row for an
-    entry, so both reads make the same IEEE operations; any other `of` is mapped.
+    entry, so both reads make the same IEEE operations; any other `of` is mapped.  A
+    str `of` is a constant, every entry itself: it is stored once and read with no call.
     """
 
     __slots__ = ("of", "bases")
 
-    def __init__(self, of: Callable, *bases: Sequence):
+    def __init__(self, of: Callable | str, *bases: Sequence):
         self.of, self.bases = of, bases
 
     def __len__(self) -> int:
         return len(self.bases[0])
 
     def __getitem__(self, i):
+        if isinstance(self.of, str):
+            rows = self.bases[0][i]  # IndexError past the end, which also ends iteration
+            return [self.of] * len(rows) if isinstance(i, slice) else self.of
         if isinstance(self.of, np.ufunc):
             return self._pass(i).tolist()
         values = [base[i] for base in self.bases]
@@ -177,7 +181,8 @@ class PrimeTable:
     `prime_array` holds the primes strictly increasing, p_n at index n - 1
     (p_1 = 2), so `pi(p_n)` is n.  It is one `array("q")`, eight bytes a
     prime: indexing it gives Python ints, so the exact paths keep their
-    integer arithmetic, and numpy reads it through the buffer protocol.
+    integer arithmetic, and numpy reads it in place, through `prime_view`,
+    its read-only int64 view, not a copied slice.
     `primes` is the same sequence as a list, built when first read and then
     kept; no command reads it, for its int objects and slots take 40 bytes
     a prime.  The scalar factor, Möbius and totient lookups divide by the
@@ -185,15 +190,16 @@ class PrimeTable:
     sieved from them on demand and kept for later calls.
 
     The table is immutable after construction; the private attributes only
-    memoize pure derived values, so one table can safely back every module.
+    memoize pure derived values (the last primorial, the Möbius table, the
+    harmonic certificate's running sum), so one table can back every module.
     """
 
     def __init__(self, limit: int, primes: Sequence[int]):
         self.limit = limit
         self.prime_array = primes if isinstance(primes, array) and primes.typecode == "q" else array("q", primes)
+        self.prime_view = np.frombuffer(memoryview(self.prime_array).toreadonly(), dtype=np.int64)
         self._primorial = (0, 1)  # (k, P_k) of the last call
         self._mu_values = np.zeros(0, dtype=np.int8)
-        self._floats = np.zeros(0)
         # (n, N, D, hi, Decimals of N and D) of the last harmonic certificate, see sieve_identity
         self._harmonic: tuple | None = None
 
@@ -201,12 +207,6 @@ class PrimeTable:
     def primes(self) -> list[int]:
         """`prime_array` as a list, for callers that need one (a JSON dump, a list comparison)."""
         return self.prime_array.tolist()
-
-    def float_primes(self, count: int) -> np.ndarray:
-        """The first `count` primes as float64, sliced from a prefix memo grown by doubling."""
-        if len(self._floats) < count:
-            self._floats = np.array(self.prime_array[: max(count, 2 * len(self._floats))], dtype=np.float64)
-        return self._floats[:count]
 
     # -- ordinal / counting lookups -------------------------------------
 
@@ -314,12 +314,11 @@ class PrimeTable:
             bound = min(self.limit, max(upto, 2 * len(cache), 1024))
             cache = np.ones(bound + 1, dtype=np.int8)
             cache[0] = 0
-            primes = self.prime_array[: self.pi(bound)]
-            split = bisect_right(primes, math.isqrt(bound))
-            for p in primes[:split]:
+            split = bisect_right(self.prime_array, math.isqrt(bound))
+            for p in self.prime_array[:split]:
                 cache[p::p] *= -1
                 cache[p * p :: p * p] = 0
-            for multiples, _ in cofactor_multiples(np.array(primes[split:], dtype=np.int64), bound):
+            for multiples, _ in cofactor_multiples(self.prime_view[split : self.pi(bound)], bound):
                 cache[multiples] *= -1
             self._mu_values = cache
         return cache

@@ -33,8 +33,6 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-COMMANDS = ("sieve-next", "certify", "gandhi", "spectral", "survival", "selberg", "brun", "report")
-
 REPORT_COLUMNS = [
     "source",
     "n",
@@ -373,8 +371,8 @@ def _receive(pipe) -> str | None:
 
 
 def _estimator_lane(source: str, columns: core.EstimatorColumns) -> tuple:
-    """A sweep's columns as a report lane whose rows name `source`."""
-    return ("source", *columns._fields), (core.DerivedColumn(lambda _: source, columns.n), *columns)
+    """A sweep's columns as a report lane whose rows name `source`, a constant column over n."""
+    return ("source", *columns._fields), (core.DerivedColumn(source, columns.n), *columns)
 
 
 # -- command executors -------------------------------------------------------
@@ -431,9 +429,9 @@ def _run_sieve_next(config: RunConfig, table: core.PrimeTable):
     lo, hi = _ordinal_range(config)
     _check_sweep(table, hi, "--n-max" if config.n is None else "--n")
     found = sieve_identity.next_prime_sweep(lo, hi, table)
-    ns, oracle = range(lo, hi + 1), table.prime_array[lo : hi + 1]
-    violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, oracle) if f != e]
-    columns = (["sieve_identity"] * len(ns), ns, table.prime_array[lo - 1 : hi], found)
+    ns, primes = range(lo, hi + 1), memoryview(table.prime_array)
+    violations = [f"n={n}: filter found {f}, oracle has {e}" for n, f, e in zip(ns, found, primes[lo:]) if f != e]
+    columns = (core.DerivedColumn("sieve_identity", ns), ns, primes[lo - 1 : hi], found)
     return [_lanes_block(((("source", "n", "p_n", "next_prime"), columns),))], violations
 
 
@@ -631,6 +629,7 @@ _EXECUTORS = {
     "brun": _run_brun,
     "report": _run_report,
 }
+COMMANDS = tuple(_EXECUTORS)
 
 
 def run(config: RunConfig, stream=None) -> int:

@@ -141,7 +141,7 @@ class FilterSweep(NamedTuple):
         found = report.violations()
         window = 2 * table.nth(n)
         hi = table.pi(window)
-        death, summed = self.death, np.frombuffer(table.prime_array, dtype=np.int64)[n:hi]  # a view gathers fastest
+        death, summed = self.death, table.prime_view[n:hi]
         if not (death[1] > n and (death[summed] > n).all() and self.survivors[n - 1] == 1 + hi - n):
             survivors = ((death[1 : window + 1] > n).nonzero()[0] + 1).tolist()
             stray = sorted(set(survivors).symmetric_difference([1, *table.prime_array[n:hi]]))
@@ -180,17 +180,18 @@ def _filter_sweep(lo: int, hi: int, table: PrimeTable) -> FilterSweep:
     if bound > table.limit:
         raise ValueError(f"scan range [2, {bound}] is beyond sieve limit {table.limit}")
     mu = table.moebius_values(bound)
-    primes = table.prime_array[:hi]
+    primes = table.prime_array  # Python ints, for slice steps and `//=`
+    entries = table.prime_view[:hi]  # p_n at n - 1
     # m <= bound has at most one prime factor above root = isqrt(bound).  So
     # m is a product of distinct primes up to p_hi exactly when dividing it
     # once by each prime up to root leaves 1 or one such prime above root.
     root = math.isqrt(bound)
-    small = bisect_right(primes, root)
+    small = bisect_right(primes, root, 0, hi)
     rest = np.arange(bound + 1, dtype=np.min_scalar_type(bound))
     for p in primes[:small]:
         rest[p::p] //= p
     listed = np.zeros(bound + 1, dtype=bool)
-    listed[primes] = True
+    listed[entries] = True
     divisors = ((rest == 1) | ((rest > root) & listed[rest])).nonzero()[0]
     del rest, listed
     moebius_sum = np.zeros(bound + 1, dtype=np.int32)
@@ -201,7 +202,6 @@ def _filter_sweep(lo: int, hi: int, table: PrimeTable) -> FilterSweep:
     for multiples, count in cofactor_multiples(divisors[split:], bound):
         moebius_sum[multiples] += weights[:count]
     del divisors, weights
-    entries = np.array(primes)  # p_n at n - 1
     # a prime p_n <= 2 p_{n-1}, n > lo, enters an earlier window, before p_n divides P_n
     rechecked = lo + 1 + (entries[lo:] <= 2 * entries[lo - 1 : -1]).nonzero()[0]
     early = entries[rechecked - 1]
@@ -236,7 +236,7 @@ def next_prime_sweep(lo: int, hi: int, table: PrimeTable) -> list[int]:
     [2, 2 p_n], raises at the first step it lies at, the mismatch first.
     """
     sweep = _filter_sweep(lo, hi, table)
-    empty = lo + np.flatnonzero(sweep.next_primes > 2 * np.array(table.prime_array[lo - 1 : hi]))
+    empty = lo + np.flatnonzero(sweep.next_primes > 2 * table.prime_view[lo - 1 : hi])
     n = int(empty[0]) if empty.size else hi  # the last step to check
     sweep.check(n)
     if empty.size:
@@ -326,7 +326,7 @@ def harmonic_certificate(n: int, table: PrimeTable) -> CertificateReport:
     total = numerator + denominator
     table._harmonic = (n, numerator, denominator, hi, (twin_n, twin_d))
     # cumsum adds in index order, one term at a time, as a Python loop would
-    shadow = float(np.cumsum(1.0 / np.concatenate(([1.0], table.float_primes(hi)[n:])))[-1])
+    shadow = float(np.cumsum(np.concatenate(([1.0], 1.0 / table.prime_view[n:hi])))[-1])
     return CertificateReport(
         n=n,
         next_prime=primes[n],

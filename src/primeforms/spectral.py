@@ -82,7 +82,7 @@ def calibrate_amplitude(lo: int, hi: int, table: PrimeTable) -> float:
     if hi > len(table.prime_array):
         raise ValueError(f"calibration window reaches n={hi}, beyond the oracle range")
     drift, oscillations = _drift_and_oscillation(lo, hi, table)
-    residuals = np.subtract(table.prime_array[lo - 1 : hi], drift, out=drift)
+    residuals = np.subtract(table.prime_view[lo - 1 : hi], drift, out=drift)
     return least_squares_amplitude(residuals, oscillations)
 
 

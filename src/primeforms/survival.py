@@ -170,7 +170,7 @@ def capacity_sweep(n_lo: int, n_hi: int, table: PrimeTable) -> EstimatorColumns:
     v = np.cumsum(_capacity_terms(max(2, math.isqrt(table.nth(n_hi))), table))
     p_n = memoryview(table.prime_array)[n_lo - 1 : n_hi]
     # a sieve that fits in memory keeps p_n < 2^52, where the float square root floors to isqrt(p_n)
-    estimates = v[np.maximum(np.sqrt(np.array(p_n, dtype=np.float64)).astype(np.int64), 2) - 1]
+    estimates = v[np.maximum(np.sqrt(table.prime_view[n_lo - 1 : n_hi]).astype(np.int64), 2) - 1]
     np.multiply(estimates, np.arange(n_lo, n_hi + 1, dtype=np.float64), out=estimates)
     return EstimatorColumns.against(n_lo, p_n, estimates)
 

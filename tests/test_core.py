@@ -415,3 +415,12 @@ def test_moebius_values_match_the_per_entry_loop_on_any_listed_table(drop, inser
     table = core.PrimeTable(limit=_LISTED.limit, primes=primes)
     mu = table.moebius_values(upto)
     assert np.array_equal(mu, reference.moebius_values(table, len(mu) - 1))
+
+
+def test_constant_column_reads_as_a_list_of_its_text():
+    column, listed = core.DerivedColumn("capacity", range(3, 10)), ["capacity"] * 7
+    assert len(column) == 7 and list(column) == listed  # iteration ends past the last row
+    for i in (slice(2, 5), slice(-3, None), slice(5, 100), slice(4, 2), 0, 6, -1):
+        assert column[i] == listed[i]
+    with pytest.raises(IndexError):
+        column[7]

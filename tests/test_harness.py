@@ -41,7 +41,7 @@ from primeforms.harness import (
 )
 from primeforms.sieve_identity import CertificateReport, certificate_sweep
 
-from reference import cipolla_drift, fraction, ratio
+from reference import cipolla_drift, fraction, moebius_values, ratio
 
 LIMIT = 2_000_000
 
@@ -138,6 +138,21 @@ def test_commands_leave_the_list_view_unbuilt(monkeypatch, command, options):
     monkeypatch.setitem(harness._TABLES, table.limit, table)
     assert run(RunConfig(command=command, sieve_limit=table.limit, **options), stream=io.StringIO()) == EXIT_OK
     assert "primes" not in vars(table)
+
+
+def test_certificates_read_the_table_in_place(monkeypatch):
+    # the float shadows divide into the int64 view of the primes, so no float copy is kept
+    table = core.sieve(20_000)
+    monkeypatch.setitem(harness._TABLES, table.limit, table)
+    for command in ("certify", "report"):
+        assert run(RunConfig(command=command, n_max=100, sieve_limit=table.limit), stream=io.StringIO()) == EXIT_OK
+    arrays = {name: value.dtype for name, value in vars(table).items() if isinstance(value, np.ndarray)}
+    assert np.float64 not in arrays.values(), arrays
+    assert not table.prime_view.flags.writeable and np.shares_memory(table.prime_view, memoryview(table.prime_array))
+    # the Möbius table's large primes are a slice of the view, at the smallest tables too
+    for limit, expected in ((2, [0, 1, -1]), (3, [0, 1, -1, -1]), (4, [0, 1, -1, -1, 0])):
+        tiny = core.sieve(limit)
+        assert tiny.moebius_values(limit).tolist() == expected == moebius_values(tiny, limit).tolist()
 
 
 def test_report_summary_present_without_deviation():
