@@ -14,6 +14,7 @@ import argparse
 import fcntl
 import math
 import os
+import re
 import signal
 import sys
 import warnings
@@ -25,6 +26,8 @@ from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
+
+import numpy as np
 
 from . import core, gandhi, sieve_identity, spectral, survival
 
@@ -160,28 +163,43 @@ def _json_fraction(value: core.Ratio) -> str:
 def _float_cells(column) -> list[str]:
     """A column of floats, numpy's included, as `float.__repr__` prints them.
 
-    A column of more than one float is printed once by orjson, whose Ryū digits
-    are repr's shortest round-trip digits, and its text is kept where every cell is
-    plainly positional (an optional -, at most 16 integer digits, a fraction), as
-    repr lays it out too.  Substring scans of the whole text, and the column's min
-    and max for 17 integer digits, find any other cell: an exponent form, a
-    nonfinite float (orjson's null) or Ryū's 0.0000… for 1e-5 <= |x| < 1e-4.  A
+    A column of more than one float is printed once by orjson from a float64 array,
+    whose Ryū digits are repr's shortest round-trip digits, and its text is kept where
+    every cell is plainly positional (an optional -, at most 16 integer digits, a
+    fraction), as repr lays it out too.  Substring scans of the whole text, and the
+    array's min and max for 17 integer digits, find any other cell: an exponent form,
+    a nonfinite float (orjson's null) or Ryū's 0.0000… for 1e-5 <= |x| < 1e-4.  A
     column with one is printed by repr whole.
     """
     if len(column) == 1:
         return [float.__repr__(column[0])]
-    import orjson  # only estimator lanes load it; a dict row is a column of one
+    import orjson  # only lanes with a float column load it; a dict row is a column of one
 
-    values = column.tolist() if isinstance(column, array) else column
+    values = np.asarray(column, dtype=np.float64)  # a lane's slice as it is, a list copied
     text = "," + orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     cells = text[1:].split(",")
     if (
         any(mark in text for mark in ("e", "E", "n", ",0.0000", ",-0.0000"))  # an exponent, a null, Ryū's 0.0000…
         or text.count(".") != len(cells)  # a cell with no fraction
-        or not -1e16 < min(values) <= max(values) < 1e16  # a cell with 17 integer digits
+        or not -1e16 < values.min() <= values.max() < 1e16  # a cell with 17 integer digits
     ):  # some cell is not plainly positional
-        return [*map(float.__repr__, values)]
+        return [*map(float.__repr__, values.tolist())]
     return cells
+
+
+def _int_cells(column) -> list[str]:
+    """A column of ints in a lane with a float column, a list or an int64 array, as
+    `int.__repr__` prints them: by one orjson call, or by repr whole where orjson
+    refuses a cell past 64 bits."""
+    if len(column) == 1:
+        return [int.__repr__(column[0])]
+    import orjson
+
+    try:
+        text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError:  # a cell past 64 bits
+        return [*map(int.__repr__, column)]
+    return text[1:-1].decode().split(",")
 
 
 def _json_float_cells(column):
@@ -208,7 +226,9 @@ def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
 
     It is a CSV line or an element of json.dump(..., indent=1), absent columns already
     blank or null: the text before its first cell, then per cell the key index it takes,
-    its column converter and the text after it, each text one endless `repeat`, None where empty.
+    its column converter and the text after it, each text one endless `repeat`, None where
+    empty; then whether a column holds floats, so the lane is read as numpy slices and its
+    ints are printed by `_int_cells` too (a lane of ints alone never loads orjson).
     """
     if (keys, kinds, fmt) not in _LAYOUTS:
         at = dict(sorted((REPORT_COLUMNS.index(key), j) for j, key in enumerate(keys)))  # column -> key index
@@ -218,19 +238,42 @@ def _layout(keys: tuple, kinds: tuple, fmt: str) -> tuple:
         else:
             line = " {\n" + ",\n".join(f'  "{c}": {cell or "null"}' for c, cell in zip(REPORT_COLUMNS, cells)) + "\n }"
         texts = [repeat(text) if text else None for text in line.split("%s")]
-        slots = [(j, _converter(kinds[j], fmt), text) for j, text in zip(at.values(), texts[1:])]
-        _LAYOUTS[keys, kinds, fmt] = texts[0], slots
+        numeric = any(issubclass(kind, float) for kind in kinds)
+        converters = [_int_cells if numeric and kind is int else _converter(kind, fmt) for kind in kinds]
+        slots = [(j, converters[j], text) for j, text in zip(at.values(), texts[1:])]
+        _LAYOUTS[keys, kinds, fmt] = texts[0], slots, numeric
     return _LAYOUTS[keys, kinds, fmt]
 
 
-def _lines(keys: tuple, columns, fmt: str):
-    """The rows of one lane, equal-length non-empty `columns` under `keys`, in their layout: each
+def _numpy_rows(column, lo: int, hi: int):
+    """Rows lo..hi-1 of a column, read by numpy where a sweep's column type allows: a range
+    as an arange, an `array` or `memoryview` in place, a ufunc DerivedColumn as its pass, and
+    a floor DerivedColumn as the int64 floor of its base where every floor fits.  Any other
+    column gives its own slice."""
+    if isinstance(column, range):
+        rows = column[lo:hi]
+        return np.arange(rows.start, rows.stop, rows.step)
+    if isinstance(column, (array, memoryview)):
+        return np.asarray(column)[lo:hi]
+    if isinstance(column, core.DerivedColumn):
+        if isinstance(column.of, np.ufunc):
+            return column._pass(slice(lo, hi))
+        if column.of is math.floor:
+            floors = np.floor(_numpy_rows(column.bases[0], lo, hi))
+            if -(2.0**63) <= floors.min() and floors.max() < 2.0**63:
+                return floors.astype(np.int64)
+    return column[lo:hi]
+
+
+def _lines(keys: tuple, columns, fmt: str, lo: int, hi: int):
+    """Rows lo..hi-1 of one lane, equal-length columns under `keys`, in their layout: each
     row is one join of the text between its cells and the cells (a `%` template filled the same
     way grows its buffer cell by cell, which costs more once a certificate's cells pass a megabyte)."""
-    head, slots = _layout(keys, tuple([type(column[0]) for column in columns]), fmt)
+    head, slots, numeric = _layout(keys, tuple([type(column[lo]) for column in columns]), fmt)
+    numeric = numeric and hi - lo > 1  # a column of one cell is printed by repr, from its own slice
     parts = [head] if head else []
     for j, convert, text in slots:
-        parts.append(convert(columns[j]))
+        parts.append(convert(_numpy_rows(columns[j], lo, hi) if numeric else columns[j][lo:hi]))
         if text:
             parts.append(text)
     return map("".join, zip(*parts))
@@ -254,7 +297,7 @@ def _row_text(row: dict, fmt: str) -> str:
     converted by the same column converters.  `next` takes it, since a row with no cells
     is a lane of no columns, whose lines repeat without end."""
     kept = {k: v for k, v in row.items() if v.__class__ is not str or v}
-    return next(_lines(tuple(kept), [[v] for v in kept.values()], fmt))
+    return next(_lines(tuple(kept), [[v] for v in kept.values()], fmt, 0, 1))
 
 
 def write_rows(rows, fmt: str, stream) -> None:
@@ -309,7 +352,7 @@ def _block_chunks(block: Block, fmt: str, joiner: str):
 
 def _chunk_text(lanes, fmt: str, joiner: str, lo: int, hi: int) -> list[str]:
     """Rows lo..hi-1 of every lane, interleaved row by row, as a list of one text."""
-    lines = zip(*(_lines(keys, [column[lo:hi] for column in columns], fmt) for keys, columns in lanes))
+    lines = zip(*(_lines(keys, columns, fmt, lo, hi) for keys, columns in lanes))
     return [joiner.join(chain.from_iterable(lines))]
 
 
@@ -689,6 +732,10 @@ def _write_report(rows, config: RunConfig, stream) -> None:
             raise UsageError(f"cannot write --out {config.out!r}: {exc.strerror}") from None
 
 
+# A value that float() reads as negative, so `--alpha -2e-3` or `--alpha -inf` is --alpha's value.
+_NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI; each dest is a RunConfig field, and an absent flag keeps its default."""
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -720,6 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large-gandhi", action="store_true")
 
     p = command("spectral", "drift + resonance estimates")
+    p._negative_number_matcher = _NEGATIVE_FLOAT  # before Python 3.13, argparse took -2e-3 for a flag
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument(
         "--alpha", type=float, dest="alpha_override", metavar="ALPHA", help="override the calibrated amplitude"

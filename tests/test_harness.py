@@ -476,16 +476,22 @@ def test_float_cells_are_repr_cell_for_cell(values):
     assert [*harness._converter(float, "json")(values)] == [*map(json.dumps, values)]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_estimates_past_orjsons_positional_range_print_by_repr(fmt):
-    # at --alpha 1e300 every estimate from n = 9 on is past 1e290 (below, the cosine sum
-    # is empty): orjson writes it in its own exponent form, so each such cell is repr's
-    config = RunConfig(command="spectral", n_max=300, alpha_override=1e300, sieve_limit=LIMIT, fmt=fmt)
+@pytest.mark.parametrize(
+    "fmt, alpha",
+    [pytest.param(fmt, alpha, id=fmt + suffix) for suffix, alpha in (("", 1e300), ("-alpha=-1e300", -1e300))
+     for fmt in ("csv", "json")],
+)
+def test_estimates_past_orjsons_positional_range_print_by_repr(fmt, alpha):
+    # at --alpha ±1e300 every estimate from n = 9 on is past 1e290 (below, the cosine sum
+    # is empty): orjson writes it in its own exponent form, so each such cell is repr's,
+    # and every piece holds floors on both sides of int64, which int.__repr__ prints
+    config = RunConfig(command="spectral", n_max=300, alpha_override=alpha, sieve_limit=LIMIT, fmt=fmt)
     buffer = io.StringIO()
     assert run(config, stream=buffer) == EXIT_OK
-    columns = spectral.spectral_sweep(3, 300, 1e300, harness._table(LIMIT))
+    columns = spectral.spectral_sweep(3, 300, alpha, harness._table(LIMIT))
     rows = block_rows((harness._estimator_lane("spectral", columns),))
     assert all(abs(row["estimate"]) > 1e290 for row in rows[6:])
+    assert min(row["floored"] for row in rows) < -(2**63) and max(row["floored"] for row in rows) >= 2**64
     expected = per_cell_csv if fmt == "csv" else per_cell_json
     assert buffer.getvalue() == expected(rows, REPORT_COLUMNS)
 
@@ -507,10 +513,12 @@ print("orjson" in sys.modules)
         (("gandhi", "--n-max", "3", "--samples", "20000"), False),
         (("sieve-next", "--n-max", "50"), False),
         (("survival", "--n-max", "100"), True),
+        (("spectral", "--n-max", "100"), True),
     ],
 )
 def test_only_float_columns_load_orjson(argv, loaded):
-    # a dict row's float is a column of one, which float.__repr__ prints
+    # a dict row's float or int is a column of one, which repr prints; sieve-next's
+    # lane has ints alone, which int.__repr__ prints
     proc = subprocess.run([sys.executable, "-c", ORJSON_LOADED, *argv], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loaded}\n"
@@ -526,6 +534,42 @@ def test_write_rows_refuses_a_cell_kind_no_command_writes(fmt, value):
     for rows in ([{"margin": value}], [harness._lanes_block(((("n", "margin"), ([1], [value])),))]):
         with pytest.raises(TypeError, match=re.escape(kind)):
             written(rows, fmt)
+
+
+def sweep_lanes(lanes):
+    """`lanes` estimator lanes of the column types the sweeps make, four pieces and one row long.
+
+    n is a range, p_n a memoryview of the table's array("q"), estimate an array("d"), and
+    source, floored, residual and rel_error DerivedColumns.  Each piece of 1024 // lanes
+    rows after the first holds cells the one before it does not: a floor of ±1e19, just
+    outside int64, then one of ∓1e300, then floats orjson lays out unlike repr.
+    The second lane's estimates are the first's negated.
+    """
+    step = 1024 // lanes
+    p_n = memoryview(harness._table(LIMIT).prime_array)[2 : 4 * step + 3]
+    estimates = np.frombuffer(p_n, dtype=np.int64) + np.sqrt(np.arange(len(p_n)))
+    estimates[step + 5] = 1e19
+    estimates[2 * step + 7] = -1e300
+    estimates[3 * step : 3 * step + 5] = [2.5e-5, 9.999999999999999e-05, 1e16, -0.0, 5e-324]
+    return tuple(
+        harness._estimator_lane(source, core.EstimatorColumns.against(3, p_n, sign * estimates))
+        for source, sign in (("survival", 1.0), ("capacity", -1.0))[:lanes]
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_sweep_column_types_print_by_the_per_cell_rule(lanes):
+    # the writer reads these columns as numpy slices; the reference reads them a cell at a time
+    block = sweep_lanes(lanes)
+    step = 1024 // lanes
+    for _, columns in block:
+        floored = columns[4]
+        assert all(isinstance(harness._numpy_rows(c, 0, step), np.ndarray) for c in columns[1:])
+        assert harness._numpy_rows(floored, 0, step).dtype == np.int64
+        assert harness._numpy_rows(floored, step, 2 * step) == floored[step : 2 * step]  # 1e19 is past int64
+    rows = block_rows(block)
+    assert written([harness._lanes_block(block)]) == per_cell_csv(rows, REPORT_COLUMNS)
+    assert written([harness._lanes_block(block)], "json") == per_cell_json(rows, REPORT_COLUMNS)
 
 
 def serial_certificate_rows(n_max):
@@ -1409,6 +1453,15 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["-2e-3", "-1e300", "-0.5"])
+def test_main_reads_a_negative_alpha_after_a_space(tmp_path, alpha):
+    # before Python 3.13, argparse took a negative number in exponent form for a flag
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["spectral", "--n-max", "300", "--alpha", alpha, "--out", str(spaced)]) == EXIT_OK
+    assert main(["spectral", "--n-max", "300", f"--alpha={alpha}", "--out", str(joined)]) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, fix",
     [
@@ -1429,6 +1482,8 @@ def test_main_rejects_out_of_range_flags(capsys, argv, flag):
         # report takes no --calib-hi, so its refusal names the window's end
         (["report", "--n-max", "10", "--sieve-limit", "500"],
          "error: the calibration window's end n = 1000 is beyond the 95 tabulated primes"),
+        # argparse before Python 3.13 took -inf for a flag, not --alpha's value
+        (["spectral", "--n-max", "5", "--alpha", "-inf"], "error: --alpha must be a finite number, not -inf"),
     ],
 )
 def test_cli_out_of_range_exits_two_naming_the_fix(argv, fix):
